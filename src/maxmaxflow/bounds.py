@@ -350,48 +350,35 @@ class BoundContext:
         return (self.X or frozenset()) - (self.Y or frozenset())
 
 
-def _ln2_over(q: Fraction) -> Interval:
-    """Enclosure of (ln 2)/q for positive rational q."""
-    return log_interval(2, _LOG_TOL) / Interval.point(q)
+def _ln_over(a: Fraction, q: Fraction) -> Interval:
+    """Enclosure of (ln a)/q for rational a > 1 and positive rational q."""
+    return log_interval(a, _LOG_TOL) / Interval.point(q)
 
 
-def _ln_alpha_over(alpha: Fraction, q: Fraction) -> Interval:
-    return log_interval(alpha, _LOG_TOL) / Interval.point(q)
+def _log_discounted(values, zeta: Interval) -> list:
+    """Per-term a_m * zeta^m for an enclosed discount zeta."""
+    return [a * zeta**m if a != 0 else Fraction(0) for m, a in enumerate(values)]
+
+
+# discount kind -> (log argument a or None, divisor q): zeta = (ln a)/q, or 1/q
+_DISCOUNTS: dict[str, tuple] = {
+    "Delta": (None, lambda ctx: ctx.Delta()),
+    "Lambda": (None, lambda ctx: ctx.Lambda()),
+    "2Lambda": (None, lambda ctx: 2 * ctx.Lambda()),
+    "Delta/ln2": (lambda ctx: 2, lambda ctx: ctx.Delta()),
+    "Lambda/ln2": (lambda ctx: 2, lambda ctx: ctx.Lambda()),
+    "2Lambda/ln2": (lambda ctx: 2, lambda ctx: 2 * ctx.Lambda()),
+    "alphaLambda/lnalpha": (lambda ctx: ctx.alpha, lambda ctx: ctx.alpha * ctx.Lambda()),
+}
 
 
 def _discount_terms(values, base_kind: str, ctx: BoundContext):
     """Terms a_m * zeta^m for the discount schemes used by the bounds."""
-    if base_kind == "Delta":
-        return _discounted(values, ctx.Delta())
-    if base_kind == "Lambda":
-        return _discounted(values, ctx.Lambda())
-    if base_kind == "2Lambda":
-        return _discounted(values, 2 * ctx.Lambda())
-    if base_kind == "Delta/ln2":
-        d = ctx.Delta()
-        if d == 0:
-            return _discounted(values, Fraction(0))
-        zeta = _ln2_over(d)
-        return [a * zeta**m if a != 0 else Fraction(0) for m, a in enumerate(values)]
-    if base_kind == "Lambda/ln2":
-        lam = ctx.Lambda()
-        if lam == 0:
-            return _discounted(values, Fraction(0))
-        zeta = _ln2_over(lam)
-        return [a * zeta**m if a != 0 else Fraction(0) for m, a in enumerate(values)]
-    if base_kind == "2Lambda/ln2":
-        lam = ctx.Lambda()
-        if lam == 0:
-            return _discounted(values, Fraction(0))
-        zeta = _ln2_over(2 * lam)
-        return [a * zeta**m if a != 0 else Fraction(0) for m, a in enumerate(values)]
-    if base_kind == "alphaLambda/lnalpha":
-        lam = ctx.Lambda()
-        if lam == 0:
-            return _discounted(values, Fraction(0))
-        zeta = _ln_alpha_over(ctx.alpha, ctx.alpha * lam)
-        return [a * zeta**m if a != 0 else Fraction(0) for m, a in enumerate(values)]
-    raise ValueError(base_kind)
+    log_arg, divisor = _DISCOUNTS[base_kind]
+    q = divisor(ctx)
+    if log_arg is None or q == 0:
+        return _discounted(values, q)
+    return _log_discounted(values, _ln_over(log_arg(ctx), q))
 
 
 def _family_series(ctx: BoundContext, which: str) -> tuple[Fraction, ...]:
@@ -587,8 +574,8 @@ def _eval_cor7_5(ctx: BoundContext) -> BoundResult:
     if lam_e == 0:
         terms = _discounted(vals, Fraction(0))
         return _sum_result("cor7.5", ctx.M, terms, Fraction(1), note="Lambda(G-e)=0")
-    zeta = _ln2_over(2 * lam_e)
-    terms = [a * zeta**m if a != 0 else Fraction(0) for m, a in enumerate(vals)]
+    zeta = _ln_over(2, 2 * lam_e)
+    terms = _log_discounted(vals, zeta)
     wz = Interval.point(w_e) * zeta
     rhs = Fraction(1) if wz.definitely_le(Fraction(1)) else wz
     note = "" if isinstance(rhs, Fraction) else "heavy-edge form"

@@ -68,12 +68,7 @@ def _canonical_key(vs: tuple[int, ...], pairs: list[tuple[int, int]]):
     return (n, best)
 
 
-class _Memo:
-    def __init__(self):
-        self.table: dict = {}
-
-
-def _chromatic_simple(vs: tuple[int, ...], pairs: list[tuple[int, int]], memo: _Memo) -> Poly:
+def _chromatic_simple(vs: tuple[int, ...], pairs: list[tuple[int, int]], memo: dict) -> Poly:
     """Deletion-contraction on a simple graph given as vertex tuple + pairs."""
     n = len(vs)
     m = len(pairs)
@@ -87,8 +82,8 @@ def _chromatic_simple(vs: tuple[int, ...], pairs: list[tuple[int, int]], memo: _
             out = _poly_mul(out, (-1, 1))
         return _poly_shift(out, len(comps))
     key = _canonical_key(vs, pairs)
-    if key is not None and key in memo.table:
-        return memo.table[key]
+    if key is not None and key in memo:
+        return memo[key]
 
     e = _cycle_edge(vs, pairs)
     rest = [p for p in pairs if p != e]
@@ -105,7 +100,7 @@ def _chromatic_simple(vs: tuple[int, ...], pairs: list[tuple[int, int]], memo: _
     contracted = _chromatic_simple(merged_vs, sorted(merged_pairs), memo)
     out = _poly_sub(deleted, contracted)
     if key is not None:
-        memo.table[key] = out
+        memo[key] = out
     return out
 
 
@@ -141,8 +136,7 @@ def chromatic_polynomial(g: WeightedMultigraph, cap: int = DEFAULT_VERTEX_CAP) -
     if g.n == 0:
         return (1,)
     pairs = _simple_pairs([(e.u, e.v) for e in g.edges])
-    memo = _Memo()
-    return _chromatic_simple(tuple(g.vertices), pairs, memo)
+    return _chromatic_simple(tuple(g.vertices), pairs, {})
 
 
 def evaluate_poly(poly: Poly, q) -> Fraction:

@@ -25,7 +25,7 @@ from .bounds import (
     verify_bound,
 )
 from .chromatic import chromatic_polynomial, chromatic_roots, explore_roots
-from .counting import class_count_series, class_spec
+from .counting import WorkCapExceeded, class_count_series, class_spec
 from .flowcut import cut_pair, cut_tree, maxmaxflow
 from .graph import GraphFormatError, WeightedMultigraph, generate
 from .invariants import inequality_chain
@@ -62,7 +62,7 @@ def _load_graph(path: str) -> tuple[WeightedMultigraph, str]:
 
 
 def _manifest(args, extra: Optional[dict] = None) -> list[str]:
-    lines = [f"# maxmaxflow {__version__}", f"# command: {' '.join(sys.argv[1:])}"]
+    lines = [f"# maxmaxflow {__version__}", f"# command: {' '.join(args.argv)}"]
     for key, val in (extra or {}).items():
         lines.append(f"# {key}: {val}")
     return lines
@@ -142,7 +142,6 @@ def build_parser() -> _Parser:
     sp.add_argument("--trials", type=int, default=1000)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("-m", "--m", dest="M", type=int, default=4)
-    sp.add_argument("--jobs", type=int, default=1, help="accepted for interface parity; runs serial")
     sp.add_argument("--cap", type=int, default=None)
     sp.add_argument("-o", "--output")
 
@@ -155,7 +154,6 @@ def build_parser() -> _Parser:
     sp.add_argument("--trials", type=int, default=1000)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--nmax", type=int, default=12)
-    sp.add_argument("--jobs", type=int, default=1, help="accepted for interface parity; runs serial")
     sp.add_argument("-o", "--output")
 
     sp = sub.add_parser("generate", help="write a member of a named graph family")
@@ -219,15 +217,16 @@ def _cmd_cutpair(args) -> int:
 
 
 def _cmd_count(args) -> int:
-    g, text = _load_graph(args.graph)
     kind = args.kind.upper()
     kw: dict = {}
-    if kind in ("W", "SAW"):
-        kw = {"x": args.x[0], "y": args.y[0]}
-    elif kind in ("FPW", "FPSAW"):
-        kw = {"x": args.x[0], "Y": frozenset(args.y)}
-    elif kind == "BLOCKPATH":
-        kw = {"x": args.x[0], "y": args.y[0]}
+    if kind in ("W", "SAW", "BLOCKPATH", "FPW", "FPSAW"):
+        for flag, val in (("--x", args.x), ("--y", args.y)):
+            if not val:
+                raise ValueError(f"--class {kind} needs {flag}")
+        if kind in ("FPW", "FPSAW"):
+            kw = {"x": args.x[0], "Y": frozenset(args.y)}
+        else:
+            kw = {"x": args.x[0], "y": args.y[0]}
     else:
         if args.x:
             kw["X"] = frozenset(args.x)
@@ -237,6 +236,7 @@ def _cmd_count(args) -> int:
             kw["p"] = args.p
         if args.r is not None:
             kw["r"] = args.r
+    g, text = _load_graph(args.graph)
     series = class_count_series(g, class_spec(kind, **kw), args.M, args.cap)
     lines = _manifest(args, {"input-sha256": _digest(text)})
     lines.append("m,value")
@@ -361,9 +361,10 @@ _DISPATCH = {
 def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    args.argv = sys.argv[1:] if argv is None else argv
     try:
         return _DISPATCH[args.cmd](args)
-    except (GraphFormatError, ValueError, OSError) as exc:
+    except (GraphFormatError, ValueError, OSError, WorkCapExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -110,87 +110,41 @@ def _require_vertices(g: WeightedMultigraph, vs: Iterable[int]):
             raise ValueError(f"vertex {v} outside 1..{g.n}")
 
 
-def walk_counts(g: WeightedMultigraph, x: int, y: int, M: int) -> CountSeries:
-    """Total weight of m-step walks from x to y, m = 0..M."""
-    _require_vertices(g, [x, y])
+def _target_set(g: WeightedMultigraph, x: int, Y: Iterable[int]) -> frozenset[int]:
+    Ys = frozenset(Y)
+    _require_vertices(g, [x, *Ys])
+    if not Ys:
+        raise ValueError("Y must be nonempty")
+    return Ys
+
+
+def _transfer(
+    g: WeightedMultigraph, x: int, start: Iterable[int], absorbing: frozenset[int], M: int
+) -> tuple[Fraction, ...]:
+    """(f_0(x), ..., f_M(x)) for f_0 the indicator of `start` and f_k the
+    one-step convolution of f_{k-1}, forced to 0 on the absorbing vertices."""
     A = _pair_weights(g)
-    cur = {v: Fraction(int(v == y)) for v in g.vertices}
+    ones = set(start)
+    cur = {v: Fraction(int(v in ones)) for v in g.vertices}
     out = [cur[x]]
     for _ in range(M):
-        cur = {u: sum((w * cur[v] for v, w in A[u].items()), Fraction(0)) for u in g.vertices}
+        cur = {
+            u: Fraction(0) if u in absorbing else sum((w * cur[v] for v, w in A[u].items()), Fraction(0))
+            for u in g.vertices
+        }
         out.append(cur[x])
-    return CountSeries(class_spec("W", x=x, y=y), M, tuple(out))
+    return tuple(out)
 
 
-def walk_total_counts(g: WeightedMultigraph, x: int, M: int) -> CountSeries:
-    """Row sums: total weight of m-step walks from x to anywhere."""
-    _require_vertices(g, [x])
-    A = _pair_weights(g)
-    cur = {v: Fraction(1) for v in g.vertices}
-    out = [Fraction(1)]
-    for _ in range(M):
-        cur = {u: sum((w * cur[v] for v, w in A[u].items()), Fraction(0)) for u in g.vertices}
-        out.append(cur[x])
-    return CountSeries(class_spec("W", x=x, y=x), M, tuple(out))
+def _self_avoiding(g: WeightedMultigraph, x: int, Ys: frozenset[int], M: int) -> tuple[Fraction, ...]:
+    """Self-avoiding walks from x that stop on first reaching Ys.
 
-
-def fpw_counts(g: WeightedMultigraph, x: int, Y: Iterable[int], M: int) -> CountSeries:
-    """First-passage walks from x to the set Y: interior steps avoid Y."""
-    Ys = frozenset(Y)
-    _require_vertices(g, [x, *Ys])
-    if not Ys:
-        raise ValueError("Y must be nonempty")
-    A = _pair_weights(g)
-    # f_m(v) = delta_{m,0} on Y; elsewhere the one-step convolution of f_{m-1}
-    prev = {v: Fraction(int(v in Ys)) for v in g.vertices}
-    out = [prev[x]]
-    for _ in range(M):
-        cur = {}
-        for u in g.vertices:
-            if u in Ys:
-                cur[u] = Fraction(0)
-            else:
-                cur[u] = sum((w * prev[v] for v, w in A[u].items()), Fraction(0))
-        out.append(cur[x])
-        prev = cur
-    return CountSeries(class_spec("FPW", x=x, Y=Ys), M, tuple(out))
-
-
-def saw_counts(g: WeightedMultigraph, x: int, y: int, M: int) -> CountSeries:
-    """Self-avoiding walks from x to y.  Parallel steps aggregate by weight."""
-    _require_vertices(g, [x, y])
-    out = [Fraction(0)] * (M + 1)
-    if x == y:
-        out[0] = Fraction(1)
-        return CountSeries(class_spec("SAW", x=x, y=y), M, tuple(out))
-    A = _pair_weights(g)
-    visited = {x}
-
-    def dfs(u: int, depth: int, prod: Fraction):
-        for v, w in A[u].items():
-            if depth + 1 > M:
-                return
-            if v == y:
-                out[depth + 1] += prod * w
-            elif v not in visited and depth + 1 < M:
-                visited.add(v)
-                dfs(v, depth + 1, prod * w)
-                visited.remove(v)
-
-    dfs(x, 0, Fraction(1))
-    return CountSeries(class_spec("SAW", x=x, y=y), M, tuple(out))
-
-
-def fpsaw_counts(g: WeightedMultigraph, x: int, Y: Iterable[int], M: int) -> CountSeries:
-    """First-passage self-avoiding walks from x to the set Y."""
-    Ys = frozenset(Y)
-    _require_vertices(g, [x, *Ys])
-    if not Ys:
-        raise ValueError("Y must be nonempty")
+    Parallel steps aggregate by weight.
+    """
     out = [Fraction(0)] * (M + 1)
     if x in Ys:
         out[0] = Fraction(1)
-        return CountSeries(class_spec("FPSAW", x=x, Y=Ys), M, tuple(out))
+        return tuple(out)
     A = _pair_weights(g)
     visited = {x}
 
@@ -206,7 +160,37 @@ def fpsaw_counts(g: WeightedMultigraph, x: int, Y: Iterable[int], M: int) -> Cou
                 visited.remove(v)
 
     dfs(x, 0, Fraction(1))
-    return CountSeries(class_spec("FPSAW", x=x, Y=Ys), M, tuple(out))
+    return tuple(out)
+
+
+def walk_counts(g: WeightedMultigraph, x: int, y: int, M: int) -> CountSeries:
+    """Total weight of m-step walks from x to y, m = 0..M."""
+    _require_vertices(g, [x, y])
+    return CountSeries(class_spec("W", x=x, y=y), M, _transfer(g, x, [y], frozenset(), M))
+
+
+def walk_total_counts(g: WeightedMultigraph, x: int, M: int) -> CountSeries:
+    """Row sums: total weight of m-step walks from x to anywhere."""
+    _require_vertices(g, [x])
+    return CountSeries(class_spec("W", x=x, y=x), M, _transfer(g, x, g.vertices, frozenset(), M))
+
+
+def fpw_counts(g: WeightedMultigraph, x: int, Y: Iterable[int], M: int) -> CountSeries:
+    """First-passage walks from x to the set Y: interior steps avoid Y."""
+    Ys = _target_set(g, x, Y)
+    return CountSeries(class_spec("FPW", x=x, Y=Ys), M, _transfer(g, x, Ys, Ys, M))
+
+
+def saw_counts(g: WeightedMultigraph, x: int, y: int, M: int) -> CountSeries:
+    """Self-avoiding walks from x to y.  Parallel steps aggregate by weight."""
+    _require_vertices(g, [x, y])
+    return CountSeries(class_spec("SAW", x=x, y=y), M, _self_avoiding(g, x, frozenset({y}), M))
+
+
+def fpsaw_counts(g: WeightedMultigraph, x: int, Y: Iterable[int], M: int) -> CountSeries:
+    """First-passage self-avoiding walks from x to the set Y."""
+    Ys = _target_set(g, x, Y)
+    return CountSeries(class_spec("FPSAW", x=x, Y=Ys), M, _self_avoiding(g, x, Ys, M))
 
 
 # -- subgraph-class predicates --------------------------------------------
@@ -224,16 +208,25 @@ def _component_sets(vs: set[int], edges) -> list[frozenset[int]]:
     return components_of(vs, [(e.u, e.v) for e in edges])
 
 
-def _is_forest(vs: set[int], edges) -> bool:
-    return len(edges) == len(vs) - len(_component_sets(vs, edges))
-
-
 def _sub_blocks(vs: set[int], edges):
     adj: dict[int, list[tuple[int, int]]] = {v: [] for v in vs}
     for e in edges:
         adj[e.u].append((e.v, e.id))
         adj[e.v].append((e.u, e.id))
     return biconnected_components(sorted(vs), adj)
+
+
+def _blocks_anchored(vs: set[int], edges, anchors: frozenset[int]) -> bool:
+    """Every end block has a non-cut anchor, and every block without cut
+    vertices is a single anchor or holds at least two anchors."""
+    blocks, cuts = _sub_blocks(vs, edges)
+    for bvs, _ in blocks:
+        ncuts = len(bvs & cuts)
+        if ncuts == 1 and not (bvs - cuts) & anchors:
+            return False
+        if ncuts == 0 and len(bvs & anchors) < min(len(bvs), 2):
+            return False
+    return True
 
 
 def is_in_class(g: WeightedMultigraph, edge_ids: Iterable[int], spec: SubgraphClassSpec) -> bool:
@@ -245,122 +238,54 @@ def is_in_class(g: WeightedMultigraph, edge_ids: Iterable[int], spec: SubgraphCl
     kind = spec.kind
     if kind in WALK_KINDS:
         raise ValueError(f"{kind} is a walk family, not an edge-subset class")
-    eids = sorted(set(edge_ids))
-    edges = [g.edges[i] for i in eids]
+    edges = [g.edges[i] for i in sorted(set(edge_ids))]
     X = spec.X or frozenset()
     Y = spec.Y or frozenset()
-    anchors = {spec.x, spec.y} - {None} if kind == "BLOCKPATH" else set(X | Y)
-    vs = set(anchors)
+    vs = {spec.x, spec.y} if kind == "BLOCKPATH" else set(X | Y)
     for e in edges:
         vs.add(e.u)
         vs.add(e.v)
-    m = len(edges)
-
-    if kind == "T":
-        comps = _component_sets(vs, edges)
-        if len(comps) != 1 or m != len(vs) - 1:
-            return False
-        deg = _degrees(vs, edges)
-        return all(v in X for v in vs if deg[v] <= 1)
-
-    if kind == "F":
-        comps = _component_sets(vs, edges)
-        if m != len(vs) - len(comps):
-            return False
-        if any(len(c & Y) != 1 for c in comps):
-            return False
-        deg = _degrees(vs, edges)
-        XY = X | Y
-        return all(v in XY for v in vs if deg[v] <= 1)
-
-    if kind == "H":
-        comps = _component_sets(vs, edges)
-        if m != len(vs) - len(comps):
-            return False
-        deg = _degrees(vs, edges)
-        if not all(v in X for v in vs if deg[v] <= 1):
-            return False
-        if spec.p is not None and any(len(c & X) < spec.p for c in comps):
-            return False
-        if spec.r is not None and len(comps) != spec.r:
-            return False
-        return True
-
-    if kind == "C":
-        comps = _component_sets(vs, edges)
-        return all(c & X for c in comps)
-
-    if kind == "BT":
-        comps = _component_sets(vs, edges)
-        if len(comps) != 1:
-            return False
-        blocks, cuts = _sub_blocks(vs, edges)
-        if len(blocks) == 1:
-            bvs, _ = blocks[0]
-            return len(bvs) == 1 or len(bvs & X) >= 2
-        for bvs, _ in blocks:
-            ncuts = len(bvs & cuts)
-            if ncuts == 1 and not ((bvs - cuts) & X):
-                return False
-        return True
-
-    if kind in ("BF", "BFSTAR"):
-        comps = _component_sets(vs, edges)
-        for c in comps:
-            hits = len(c & Y)
-            if kind == "BF":
-                if hits != 1:
-                    return False
-            elif hits == 0:
-                return False
-        blocks, cuts = _sub_blocks(vs, edges)
-        XY = X | Y
-        for bvs, _ in blocks:
-            ncuts = len(bvs & cuts)
-            if ncuts == 1:
-                if not ((bvs - cuts) & XY):
-                    return False
-            elif ncuts == 0:
-                if len(bvs) == 1:
-                    if not (bvs & Y):
-                        return False
-                elif len(bvs & XY) < 2:
-                    return False
-        return True
 
     if kind == "B":
-        blocks, cuts = _sub_blocks(vs, edges)
-        for bvs, _ in blocks:
-            ncuts = len(bvs & cuts)
-            if ncuts == 1:
-                if not ((bvs - cuts) & X):
-                    return False
-            elif ncuts == 0:
-                if len(bvs) == 1:
-                    if not (bvs & X):
-                        return False
-                elif len(bvs & X) < 2:
-                    return False
+        return _blocks_anchored(vs, edges, X)
+    comps = _component_sets(vs, edges)
+    if kind == "C":
+        return all(c & X for c in comps)
+
+    if kind in ("T", "F", "H"):
+        if len(edges) != len(vs) - len(comps):
+            return False
+        deg = _degrees(vs, edges)
+        leaf_anchors = X | Y if kind == "F" else X
+        if any(deg[v] <= 1 and v not in leaf_anchors for v in vs):
+            return False
+        if kind == "T":
+            return len(comps) == 1
+        if kind == "F":
+            return all(len(c & Y) == 1 for c in comps)
+        if spec.p is not None and any(len(c & X) < spec.p for c in comps):
+            return False
+        return spec.r is None or len(comps) == spec.r
+
+    if kind in ("BF", "BFSTAR"):
+        # a BF component holds exactly one member of Y, a BFSTAR one at least one
+        if not all(len(c & Y) == 1 if kind == "BF" else c & Y for c in comps):
+            return False
+        return _blocks_anchored(vs, edges, X | Y)
+
+    if len(comps) != 1:
+        return False
+    if kind == "BT":
+        return _blocks_anchored(vs, edges, X)
+    # BLOCKPATH: one block, or a chain whose two end blocks hold x and y
+    blocks, cuts = _sub_blocks(vs, edges)
+    if len(blocks) == 1:
         return True
-
-    if kind == "BLOCKPATH":
-        comps = _component_sets(vs, edges)
-        if len(comps) != 1:
-            return False
-        blocks, cuts = _sub_blocks(vs, edges)
-        if len(blocks) == 1:
-            return True
-        ends = [(bvs - cuts) for bvs, _ in blocks if len(bvs & cuts) == 1]
-        if len(ends) != 2:
-            return False
-        a, b = ends
-        return (spec.x in a and spec.y in b) or (spec.x in b and spec.y in a)
-
-    raise ValueError(f"unknown kind {spec.kind!r}")
-
-
-def _forest_prefilter(kind: str) -> bool:
-    return kind in ("T", "F", "H")
+    ends = [(bvs - cuts) for bvs, _ in blocks if len(bvs & cuts) == 1]
+    if len(ends) != 2:
+        return False
+    a, b = ends
+    return (spec.x in a and spec.y in b) or (spec.x in b and spec.y in a)
 
 
 def class_count_series(
@@ -368,8 +293,9 @@ def class_count_series(
 ) -> CountSeries:
     """Series (a_0..a_M) for the family; walk kinds dispatch to the walk code.
 
-    Edge-subset kinds enumerate subsets of size m for each m; the estimated
-    number of subsets is checked against the work cap before starting.
+    Edge-subset kinds test every subset of size m <= M against the class
+    predicate; the number of subsets is checked against the work cap before
+    starting.
     """
     if M < 0:
         raise ValueError("M must be >= 0")
@@ -397,16 +323,9 @@ def class_count_series(
     _require_vertices(g, anchors)
 
     values = [Fraction(0)] * (M + 1)
-    ids = range(g.m)
-    forest_only = _forest_prefilter(spec.kind)
     for m in range(min(M, g.m) + 1):
         acc = Fraction(0)
-        for combo in itertools.combinations(ids, m):
-            if forest_only and not _is_forest(
-                {v for i in combo for v in (g.edges[i].u, g.edges[i].v)} | anchors,
-                [g.edges[i] for i in combo],
-            ):
-                continue
+        for combo in itertools.combinations(range(g.m), m):
             if is_in_class(g, combo, spec):
                 w = Fraction(1)
                 for i in combo:
@@ -421,30 +340,16 @@ def two_connected_through_edge_series(
 ) -> CountSeries:
     """Series of nonseparable subgraphs with >= 2 edges containing a given edge.
 
-    Equivalently: with e = xy, the m-edge members are exactly e plus an
-    (m-1)-edge xy-block path of G - e, so a_m = w_e * bp_{m-1}(G - e).
-    A single edge does not count (a_1 = 0).
+    With e = xy, the m-edge members are exactly e plus an (m-1)-edge xy-block
+    path of G - e, so a_m = w_e * bp_{m-1}(G - e); the work cap applies to
+    that BLOCKPATH enumeration.  A single edge does not count (a_1 = 0).
     """
     if not 0 <= eid < g.m:
         raise ValueError("edge id out of range")
-    limit = cap if cap is not None else work_cap()
-    total = sum(math.comb(g.m - 1, m) for m in range(min(M, g.m) + 1))
-    if total > limit:
-        raise WorkCapExceeded(f"enumeration needs {total} subsets, above the cap {limit}")
     e0 = g.edges[eid]
-    others = [i for i in range(g.m) if i != eid]
-    values = [Fraction(0)] * (M + 1)
-    for m in range(2, min(M, g.m) + 1):
-        acc = Fraction(0)
-        for combo in itertools.combinations(others, m - 1):
-            full = (eid, *combo)
-            vs = {v for i in full for v in (g.edges[i].u, g.edges[i].v)}
-            blocks, _ = _sub_blocks(vs, [g.edges[i] for i in full])
-            if len(blocks) == 1 and len(blocks[0][1]) == m:
-                w = Fraction(1)
-                for i in full:
-                    w *= g.edges[i].w
-                acc += w
-        values[m] = acc
     spec = SubgraphClassSpec(kind="BLOCKPATH", x=e0.u, y=e0.v)
+    values = [Fraction(0)] * (M + 1)
+    if M >= 1:
+        rest = WeightedMultigraph(g.n, [(e.u, e.v, e.w) for e in g.edges if e.id != eid])
+        values[1:] = [e0.w * a for a in class_count_series(rest, spec, M - 1, cap).values]
     return CountSeries(spec, M, tuple(values))

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .graph import WeightedMultigraph, block_decomposition, components_of
+from .graph import WeightedMultigraph, _steiner_nodes, block_decomposition, components_of
 
 
 @dataclass(frozen=True)
@@ -474,7 +474,7 @@ def cut_pair(g: WeightedMultigraph, X: Iterable[int]) -> CutPair:
         frozenset(comp), tuple(_component_cut_tree(g, comp))
     )
     adj = tree.adjacency()
-    keep = _tree_steiner(adj, set(members))
+    keep = _steiner_nodes({v: [u for u, _ in nbrs] for v, nbrs in adj.items()}, set(members))
     degree = {v: sum(1 for u, _ in adj[v] if u in keep) for v in keep}
     ends = sorted(v for v in keep if degree[v] == 1)
     x1, x2 = ends[0], ends[1]
@@ -488,17 +488,3 @@ def cut_pair(g: WeightedMultigraph, X: Iterable[int]) -> CutPair:
     side2, w2 = one(x2)
     return CutPair(x1, side1, w1, x2, side2, w2)
 
-
-def _tree_steiner(adj: dict[int, list[tuple[int, Fraction]]], terminals: set[int]) -> set[int]:
-    keep = set(adj)
-    degree = {v: len(adj[v]) for v in keep}
-    leaves = [v for v in keep if degree[v] <= 1 and v not in terminals]
-    while leaves:
-        v = leaves.pop()
-        keep.discard(v)
-        for u, _ in adj[v]:
-            if u in keep:
-                degree[u] -= 1
-                if degree[u] <= 1 and u not in terminals:
-                    leaves.append(u)
-    return keep

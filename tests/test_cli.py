@@ -78,14 +78,6 @@ def test_hunt_deterministic_output(capsys):
     assert "conj5.6" in out1
 
 
-def test_hunt_jobs_flag_no_effect(capsys):
-    base = ["hunt", "--conjecture", "conj5.7", "--trials", "15", "--seed", "1"]
-    _, out1, _ = run_main(base, capsys)
-    _, out2, _ = run_main(base + ["--jobs", "4"], capsys)
-    strip = lambda s: [l for l in s.splitlines() if not l.startswith("# command")]
-    assert strip(out1) == strip(out2)
-
-
 def test_chromatic(tri, capsys):
     code, out, _ = run_main(["chromatic", tri], capsys)
     assert code == 0
@@ -118,6 +110,28 @@ def test_bad_graph_file_exit_one(tmp_path, capsys):
 def test_missing_file_exit_one(capsys):
     code, _, err = run_main(["lambda", "/nonexistent/file.txt"], capsys)
     assert code == 1
+
+
+@pytest.mark.parametrize("extra", [
+    ["--class", "SAW"],
+    ["--class", "W", "--x", "1"],
+    ["--class", "BLOCKPATH", "--y", "2"],
+    ["--class", "FPW", "--x", "1"],
+    ["--class", "FPSAW", "--x", "1"],
+    ["--class", "T", "--x", "1", "--cap", "2"],
+])
+def test_count_errors_are_one_line(tri, capsys, extra):
+    code, out, err = run_main(["count", tri, "-m", "3", *extra], capsys)
+    assert code == 1
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+def test_manifest_records_argv_given_to_main(tri, capsys):
+    args = ["count", tri, "--class", "T", "--x", "1", "-m", "2"]
+    code, out, _ = run_main(args, capsys)
+    assert code == 0
+    assert f"# command: {' '.join(args)}" in out.splitlines()
 
 
 def test_usage_error_exit_one(tri):

@@ -163,6 +163,8 @@ def test_trees_on_path():
     assert list(class_count_series(g, class_spec("T", X={1, 2}), 2).values) == [0, 1, 0]
     # a single anchor admits only the empty tree
     assert list(class_count_series(g, class_spec("T", X={2}), 2).values) == [1, 0, 0]
+    # Y only joins the vertex set: the leaves of a tree must still lie in X
+    assert list(class_count_series(g, class_spec("T", X={1}, Y={3}), 2).values) == [0, 0, 0]
 
 
 def test_forests_on_path():
@@ -278,6 +280,8 @@ def test_work_cap_enforced():
     g = complete_graph(6)
     with pytest.raises(WorkCapExceeded):
         class_count_series(g, class_spec("BT", X={1, 2}), 10, cap=100)
+    with pytest.raises(WorkCapExceeded):
+        two_connected_through_edge_series(g, 0, 10, cap=100)
 
 
 def test_series_lengths():

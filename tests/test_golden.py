@@ -15,31 +15,30 @@ from maxmaxflow.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
 
+COUNT_ANCHORS = {
+    "W": ["--x", "1", "--y", "3"],
+    "FPW": ["--x", "1", "--y", "3,5"],
+    "SAW": ["--x", "1", "--y", "3"],
+    "FPSAW": ["--x", "1", "--y", "3,5"],
+    "T": ["--x", "1,3,5"],
+    "F": ["--x", "1", "--y", "3,5"],
+    "H": ["--x", "1,3,5", "--p", "1", "--r", "2"],
+    "C": ["--x", "1,3"],
+    "BT": ["--x", "1,3"],
+    "BF": ["--x", "1", "--y", "3,5"],
+    "BFSTAR": ["--x", "1", "--y", "3,5"],
+    "B": ["--x", "1,3,5"],
+    "BLOCKPATH": ["--x", "1", "--y", "3"],
+}
 CASES = [
-    ("count_W.csv", "multigraph.txt", ["--class", "W", "--x", "1", "--y", "3"]),
-    ("count_FPW.csv", "multigraph.txt", ["--class", "FPW", "--x", "1", "--y", "3,5"]),
-    ("count_SAW.csv", "multigraph.txt", ["--class", "SAW", "--x", "1", "--y", "3"]),
-    ("count_FPSAW.csv", "multigraph.txt", ["--class", "FPSAW", "--x", "1", "--y", "3,5"]),
-    ("count_T.csv", "multigraph.txt", ["--class", "T", "--x", "1,3,5"]),
-    ("count_F.csv", "multigraph.txt", ["--class", "F", "--x", "1", "--y", "3,5"]),
-    ("count_H.csv", "multigraph.txt", ["--class", "H", "--x", "1,3,5", "--p", "1", "--r", "2"]),
-    ("count_C.csv", "multigraph.txt", ["--class", "C", "--x", "1,3"]),
-    ("count_BT.csv", "multigraph.txt", ["--class", "BT", "--x", "1,3"]),
-    ("count_BF.csv", "multigraph.txt", ["--class", "BF", "--x", "1", "--y", "3,5"]),
-    ("count_BFSTAR.csv", "multigraph.txt", ["--class", "BFSTAR", "--x", "1", "--y", "3,5"]),
-    ("count_B.csv", "multigraph.txt", ["--class", "B", "--x", "1,3,5"]),
-    ("count_BLOCKPATH.csv", "multigraph.txt", ["--class", "BLOCKPATH", "--x", "1", "--y", "3"]),
+    (f"count_{kind}.csv", "multigraph.txt", ["count", "-", "--class", kind, *anchors, "-m", "6"])
+    for kind, anchors in COUNT_ANCHORS.items()
 ]
-ARGV = {name: ["count", "-", *args, "-m", "6"] for name, _, args in CASES}
-ARGV["suite_wheel.csv"] = ["suite", "-", "--x", "1,2", "--y", "4", "--edge", "0", "-m", "5"]
-INPUT = {name: inp for name, inp, _ in CASES}
-INPUT["suite_wheel.csv"] = "wheel.txt"
+CASES.append(("suite_wheel.csv", "wheel.txt", ["suite", "-", "--x", "1,2", "--y", "4", "--edge", "0", "-m", "5"]))
 
 
-@pytest.mark.parametrize("name", sorted(ARGV))
-def test_output_matches_golden(name, monkeypatch, capsys):
-    argv = ARGV[name]
-    monkeypatch.setattr(sys, "argv", ["maxmaxflow", *argv])
-    monkeypatch.setattr(sys, "stdin", io.StringIO((GOLDEN / INPUT[name]).read_text()))
+@pytest.mark.parametrize("golden,graph,argv", CASES, ids=[c[0] for c in CASES])
+def test_output_matches_golden(golden, graph, argv, monkeypatch, capsys):
+    monkeypatch.setattr(sys, "stdin", io.StringIO((GOLDEN / graph).read_text()))
     assert main(argv) == 0
-    assert capsys.readouterr().out == (GOLDEN / name).read_text()
+    assert capsys.readouterr().out == (GOLDEN / golden).read_text()
