@@ -1,8 +1,9 @@
 """Byte-for-byte CLI outputs pinned in tests/golden/.
 
 Each golden file is the stdout of `python -m maxmaxflow.cli <args> < <input>`
-with the input taken from the same directory.  The graph is read from stdin
-so the manifest's command line does not depend on where the input lives.
+with the input taken from the same directory (`hunt` reads no input).  The
+graph is read from stdin so the manifest's command line does not depend on
+where the input lives.
 A change to any of these bytes must be deliberate.
 """
 import io
@@ -35,10 +36,14 @@ CASES = [
     for kind, anchors in COUNT_ANCHORS.items()
 ]
 CASES.append(("suite_wheel.csv", "wheel.txt", ["suite", "-", "--x", "1,2", "--y", "4", "--edge", "0", "-m", "5"]))
+CASES += [
+    (f"hunt_{conj}.csv", None, ["hunt", "--conjecture", conj, "--trials", "300", "-m", "4"])
+    for conj in ("conj5.6", "conj5.7", "conj7.9", "conj7.10", "conj7.11")
+]
 
 
 @pytest.mark.parametrize("golden,graph,argv", CASES, ids=[c[0] for c in CASES])
 def test_output_matches_golden(golden, graph, argv, monkeypatch, capsys):
-    monkeypatch.setattr(sys, "stdin", io.StringIO((GOLDEN / graph).read_text()))
+    monkeypatch.setattr(sys, "stdin", io.StringIO((GOLDEN / graph).read_text() if graph else ""))
     assert main(argv) == 0
     assert capsys.readouterr().out == (GOLDEN / golden).read_text()
