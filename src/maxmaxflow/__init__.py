@@ -12,7 +12,7 @@ from .flowcut import (
     maxmaxflow,
 )
 from .invariants import degeneracy, degeneracy_k, delta_k, inequality_chain, max_degree
-from .counting import class_count_series, class_spec, is_in_class
+from .counting import class_count_series, class_series, class_spec, is_in_class
 from .bounds import B_mk, C_mk, hunt, run_suite, verify_bound, verify_identities
 from .chromatic import chromatic_polynomial, chromatic_roots
 
@@ -34,6 +34,7 @@ __all__ = [
     "inequality_chain",
     "class_spec",
     "class_count_series",
+    "class_series",
     "is_in_class",
     "C_mk",
     "B_mk",

@@ -17,6 +17,7 @@ from typing import Callable, Iterable, Optional
 
 from .counting import (
     CountSeries,
+    SubgraphClassSpec,
     class_count_series,
     class_spec,
     saw_counts,
@@ -249,8 +250,7 @@ class SeriesProvider:
         self.cap = cap
         self._cache: dict = {}
 
-    def edge_class(self, kind: str, **kw) -> CountSeries:
-        spec = class_spec(kind, **kw)
+    def edge_class(self, spec: SubgraphClassSpec) -> CountSeries:
         if spec not in self._cache:
             self._cache[spec] = class_count_series(self.g, spec, self.M, self.cap)
         return self._cache[spec]
@@ -381,29 +381,23 @@ def _discount_terms(values, base_kind: str, ctx: BoundContext):
     return _log_discounted(values, _ln_over(log_arg(ctx), q))
 
 
+# family name -> the class spec its bounds read, built from the anchors
+_FAMILIES: dict[str, Callable[[BoundContext], SubgraphClassSpec]] = {
+    "f": lambda ctx: class_spec("F", X=ctx.X_disjoint(), Y=ctx.Y),
+    "t": lambda ctx: class_spec("T", X=ctx.X),
+    "h": lambda ctx: class_spec("H", X=ctx.X, p=ctx.p, r=ctx.r),
+    "hp": lambda ctx: class_spec("H", X=ctx.X, p=ctx.p),
+    "h1": lambda ctx: class_spec("H", X=ctx.X),
+    "c": lambda ctx: class_spec("C", X=ctx.X),
+    "bt": lambda ctx: class_spec("BT", X=ctx.X),
+    "bf": lambda ctx: class_spec("BF", X=ctx.X_disjoint(), Y=ctx.Y),
+    "bfstar": lambda ctx: class_spec("BFSTAR", X=ctx.X_disjoint(), Y=ctx.Y),
+    "b": lambda ctx: class_spec("B", X=ctx.X),
+}
+
+
 def _family_series(ctx: BoundContext, which: str) -> tuple[Fraction, ...]:
-    P = ctx.provider
-    if which == "f":
-        return P.edge_class("F", X=ctx.X_disjoint(), Y=ctx.Y).values
-    if which == "t":
-        return P.edge_class("T", X=ctx.X).values
-    if which == "h":
-        return P.edge_class("H", X=ctx.X, p=ctx.p, r=ctx.r).values
-    if which == "hp":
-        return P.edge_class("H", X=ctx.X, p=ctx.p).values
-    if which == "h1":
-        return P.edge_class("H", X=ctx.X).values
-    if which == "c":
-        return P.edge_class("C", X=ctx.X).values
-    if which == "bt":
-        return P.edge_class("BT", X=ctx.X).values
-    if which == "bf":
-        return P.edge_class("BF", X=ctx.X_disjoint(), Y=ctx.Y).values
-    if which == "bfstar":
-        return P.edge_class("BFSTAR", X=ctx.X_disjoint(), Y=ctx.Y).values
-    if which == "b":
-        return P.edge_class("B", X=ctx.X).values
-    raise ValueError(which)
+    return ctx.provider.edge_class(_FAMILIES[which](ctx)).values
 
 
 def _eval_prop4_1(ctx: BoundContext) -> BoundResult:

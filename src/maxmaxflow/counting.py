@@ -2,20 +2,21 @@
 
 A series is the vector (a_0, ..., a_M) where a_m is the total weight of the
 m-edge (or m-step) members of the family.  Walk families are computed by
-convolution or depth-first search; subgraph classes by explicit enumeration
-of edge subsets against the defining predicate, so each member is visited
-exactly once and carries the product of its edge weights.
+convolution or depth-first search.  Subgraph classes come from a search
+that grows edge sets out of the anchors, so each member is visited exactly
+once and carries the product of its edge weights; one search serves every
+class asked for together (`class_series`).  The work cap bounds the number
+of edge sets that search visits, checked as it goes, not the number of all
+subsets of at most M edges.
 """
 from __future__ import annotations
 
-import itertools
-import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional
 
-from .graph import WeightedMultigraph, biconnected_components, components_of
+from .graph import WeightedMultigraph, biconnected_components
 
 DEFAULT_WORK_CAP = 50_000_000
 WORK_CAP_ENV = "MAXMAXFLOW_WORKCAP"
@@ -193,40 +194,189 @@ def fpsaw_counts(g: WeightedMultigraph, x: int, Y: Iterable[int], M: int) -> Cou
     return CountSeries(class_spec("FPSAW", x=x, Y=Ys), M, _self_avoiding(g, x, Ys, M))
 
 
-# -- subgraph-class predicates --------------------------------------------
+# -- subgraph classes -----------------------------------------------------
 
 
-def _degrees(vs: set[int], edges) -> dict[int, int]:
-    deg = {v: 0 for v in vs}
-    for e in edges:
-        deg[e.u] += 1
-        deg[e.v] += 1
-    return deg
+def _anchor_set(spec: SubgraphClassSpec) -> frozenset[int]:
+    """The anchors that join every member's vertex set."""
+    if spec.kind == "BLOCKPATH":
+        return frozenset((spec.x, spec.y))
+    return (spec.X or frozenset()) | (spec.Y or frozenset())
 
 
-def _component_sets(vs: set[int], edges) -> list[frozenset[int]]:
-    return components_of(vs, [(e.u, e.v) for e in edges])
+class _EdgeSet:
+    """An edge set grown and shrunk one edge at a time, last in first out.
+
+    It keeps the facts the class predicates read: the size, the weight
+    product, the degrees, the number of edges that closed a cycle, and a
+    union-find with rollback (union by size, no path compression) from
+    which the components are read.  The blocks are computed at most once
+    per edge set, when a predicate first asks.  A spec's subgraph has the
+    canonical vertex set "the spec's anchors plus the endpoints of the
+    edges", so its components and blocks are those of the edges plus one
+    single vertex per anchor that no edge touches.
+    """
+
+    def __init__(self, g: WeightedMultigraph):
+        self.g = g
+        self.parent = {v: v for v in g.vertices}
+        self.size = {v: 1 for v in g.vertices}
+        self.deg = {v: 0 for v in g.vertices}
+        self.adj: dict[int, list[tuple[int, int]]] = {v: [] for v in g.vertices}
+        self.verts: list[int] = []  # endpoints of the edges, in order of arrival
+        self.cycles = 0
+        self.weight = Fraction(1)
+        self._undo: list[tuple] = []
+        self._blocks = None
+
+    @property
+    def k(self) -> int:
+        """The number of edges."""
+        return len(self._undo)
+
+    def _find(self, v: int) -> int:
+        while self.parent[v] != v:
+            v = self.parent[v]
+        return v
+
+    def add(self, eid: int):
+        e = self.g.edges[eid]
+        ru, rv = self._find(e.u), self._find(e.v)
+        if ru == rv:
+            self.cycles += 1
+            child = None
+        else:
+            if self.size[ru] < self.size[rv]:
+                ru, rv = rv, ru
+            self.parent[rv] = ru
+            self.size[ru] += self.size[rv]
+            child = rv
+        self._undo.append((eid, self.weight, child))
+        for v in (e.u, e.v):
+            self.deg[v] += 1
+            if self.deg[v] == 1:
+                self.verts.append(v)
+        self.adj[e.u].append((e.v, eid))
+        self.adj[e.v].append((e.u, eid))
+        self.weight *= e.w
+        self._blocks = None
+
+    def pop(self):
+        eid, self.weight, child = self._undo.pop()
+        e = self.g.edges[eid]
+        if child is None:
+            self.cycles -= 1
+        else:
+            root = self.parent[child]
+            self.parent[child] = child
+            self.size[root] -= self.size[child]
+        for v in (e.v, e.u):
+            self.deg[v] -= 1
+            if not self.deg[v]:
+                self.verts.pop()
+        self.adj[e.u].pop()
+        self.adj[e.v].pop()
+        self._blocks = None
+
+    def isolated(self, anchors: frozenset[int]) -> list[int]:
+        """The anchors that no edge touches."""
+        return [v for v in anchors if not self.deg[v]]
+
+    def components(self, anchors: frozenset[int]) -> list[frozenset[int]]:
+        """Vertex sets of the components of the spec's subgraph."""
+        groups: dict[int, set[int]] = {}
+        for v in self.verts:
+            groups.setdefault(self._find(v), set()).add(v)
+        return [frozenset(c) for c in groups.values()] + [frozenset((v,)) for v in self.isolated(anchors)]
+
+    def leaves_within(self, anchors: frozenset[int], allowed: frozenset[int]) -> bool:
+        """Every vertex of degree <= 1 in the spec's subgraph lies in `allowed`."""
+        return all(v in allowed for v in self.verts if self.deg[v] == 1) and all(
+            v in allowed for v in self.isolated(anchors)
+        )
+
+    def blocks(self) -> tuple[list[tuple[set[int], set[int]]], set[int]]:
+        if self._blocks is None:
+            self._blocks = biconnected_components(self.verts, self.adj)
+        return self._blocks
 
 
-def _sub_blocks(vs: set[int], edges):
-    adj: dict[int, list[tuple[int, int]]] = {v: [] for v in vs}
-    for e in edges:
-        adj[e.u].append((e.v, e.id))
-        adj[e.v].append((e.u, e.id))
-    return biconnected_components(sorted(vs), adj)
-
-
-def _blocks_anchored(vs: set[int], edges, anchors: frozenset[int]) -> bool:
+def _blocks_anchored(s: _EdgeSet, spec_anchors: frozenset[int], anchors: frozenset[int]) -> bool:
     """Every end block has a non-cut anchor, and every block without cut
     vertices is a single anchor or holds at least two anchors."""
-    blocks, cuts = _sub_blocks(vs, edges)
+    if any(v not in anchors for v in s.isolated(spec_anchors)):
+        return False
+    blocks, cuts = s.blocks()
     for bvs, _ in blocks:
         ncuts = len(bvs & cuts)
         if ncuts == 1 and not (bvs - cuts) & anchors:
             return False
-        if ncuts == 0 and len(bvs & anchors) < min(len(bvs), 2):
+        if ncuts == 0 and len(bvs & anchors) < 2:
             return False
     return True
+
+
+def _tree(s: _EdgeSet, spec: SubgraphClassSpec) -> bool:
+    A = _anchor_set(spec)
+    return not s.cycles and s.leaves_within(A, spec.X) and len(s.components(A)) == 1
+
+
+def _forest(s: _EdgeSet, spec: SubgraphClassSpec) -> bool:
+    A = _anchor_set(spec)
+    return not s.cycles and s.leaves_within(A, A) and _one_y_each(s, spec)
+
+
+def _h_forest(s: _EdgeSet, spec: SubgraphClassSpec) -> bool:
+    A = _anchor_set(spec)
+    if s.cycles or not s.leaves_within(A, spec.X):
+        return False
+    comps = s.components(A)
+    if spec.p is not None and any(len(c & spec.X) < spec.p for c in comps):
+        return False
+    return spec.r is None or len(comps) == spec.r
+
+
+def _anchored(s: _EdgeSet, spec: SubgraphClassSpec) -> bool:
+    return all(c & spec.X for c in s.components(_anchor_set(spec)))
+
+
+def _one_y_each(s: _EdgeSet, spec: SubgraphClassSpec) -> bool:
+    return all(len(c & spec.Y) == 1 for c in s.components(_anchor_set(spec)))
+
+
+def _block_tree(s: _EdgeSet, spec: SubgraphClassSpec) -> bool:
+    A = _anchor_set(spec)
+    # an xy-block path is a block tree anchored at {x, y}: two anchors allow
+    # two end blocks, one holding each of x and y as a non-cut vertex
+    X = A if spec.kind == "BLOCKPATH" else spec.X
+    return len(s.components(A)) == 1 and _blocks_anchored(s, A, X)
+
+
+def _block_forest(s: _EdgeSet, spec: SubgraphClassSpec) -> bool:
+    A = _anchor_set(spec)
+    return _one_y_each(s, spec) and _blocks_anchored(s, A, A)
+
+
+def _block_forest_star(s: _EdgeSet, spec: SubgraphClassSpec) -> bool:
+    A = _anchor_set(spec)
+    return all(c & spec.Y for c in s.components(A)) and _blocks_anchored(s, A, A)
+
+
+def _block_subgraph(s: _EdgeSet, spec: SubgraphClassSpec) -> bool:
+    return _blocks_anchored(s, _anchor_set(spec), spec.X)
+
+
+_PREDICATES = {
+    "T": _tree,
+    "F": _forest,
+    "H": _h_forest,
+    "C": _anchored,
+    "BT": _block_tree,
+    "BF": _block_forest,
+    "BFSTAR": _block_forest_star,
+    "B": _block_subgraph,
+    "BLOCKPATH": _block_tree,
+}
 
 
 def is_in_class(g: WeightedMultigraph, edge_ids: Iterable[int], spec: SubgraphClassSpec) -> bool:
@@ -235,104 +385,89 @@ def is_in_class(g: WeightedMultigraph, edge_ids: Iterable[int], spec: SubgraphCl
     The canonical vertex set is the union of the edge endpoints with the
     anchor sets, so members correspond bijectively to edge subsets.
     """
-    kind = spec.kind
-    if kind in WALK_KINDS:
-        raise ValueError(f"{kind} is a walk family, not an edge-subset class")
-    edges = [g.edges[i] for i in sorted(set(edge_ids))]
-    X = spec.X or frozenset()
-    Y = spec.Y or frozenset()
-    vs = {spec.x, spec.y} if kind == "BLOCKPATH" else set(X | Y)
-    for e in edges:
-        vs.add(e.u)
-        vs.add(e.v)
-
-    if kind == "B":
-        return _blocks_anchored(vs, edges, X)
-    comps = _component_sets(vs, edges)
-    if kind == "C":
-        return all(c & X for c in comps)
-
-    if kind in ("T", "F", "H"):
-        if len(edges) != len(vs) - len(comps):
-            return False
-        deg = _degrees(vs, edges)
-        leaf_anchors = X | Y if kind == "F" else X
-        if any(deg[v] <= 1 and v not in leaf_anchors for v in vs):
-            return False
-        if kind == "T":
-            return len(comps) == 1
-        if kind == "F":
-            return all(len(c & Y) == 1 for c in comps)
-        if spec.p is not None and any(len(c & X) < spec.p for c in comps):
-            return False
-        return spec.r is None or len(comps) == spec.r
-
-    if kind in ("BF", "BFSTAR"):
-        # a BF component holds exactly one member of Y, a BFSTAR one at least one
-        if not all(len(c & Y) == 1 if kind == "BF" else c & Y for c in comps):
-            return False
-        return _blocks_anchored(vs, edges, X | Y)
-
-    if len(comps) != 1:
-        return False
-    if kind == "BT":
-        return _blocks_anchored(vs, edges, X)
-    # BLOCKPATH: one block, or a chain whose two end blocks hold x and y
-    blocks, cuts = _sub_blocks(vs, edges)
-    if len(blocks) == 1:
-        return True
-    ends = [(bvs - cuts) for bvs, _ in blocks if len(bvs & cuts) == 1]
-    if len(ends) != 2:
-        return False
-    a, b = ends
-    return (spec.x in a and spec.y in b) or (spec.x in b and spec.y in a)
+    if spec.kind in WALK_KINDS:
+        raise ValueError(f"{spec.kind} is a walk family, not an edge-subset class")
+    _require_vertices(g, _anchor_set(spec))
+    s = _EdgeSet(g)
+    for eid in sorted(set(edge_ids)):
+        s.add(eid)
+    return _PREDICATES[spec.kind](s, spec)
 
 
-def class_count_series(
-    g: WeightedMultigraph, spec: SubgraphClassSpec, M: int, cap: Optional[int] = None
-) -> CountSeries:
-    """Series (a_0..a_M) for the family; walk kinds dispatch to the walk code.
-
-    Edge-subset kinds test every subset of size m <= M against the class
-    predicate; the number of subsets is checked against the work cap before
-    starting.
-    """
-    if M < 0:
-        raise ValueError("M must be >= 0")
+def _walk_series(g: WeightedMultigraph, spec: SubgraphClassSpec, M: int) -> CountSeries:
     if spec.kind == "W":
         return walk_counts(g, spec.x, spec.y, M)
     if spec.kind == "FPW":
         return fpw_counts(g, spec.x, spec.Y, M)
     if spec.kind == "SAW":
         return saw_counts(g, spec.x, spec.y, M)
-    if spec.kind == "FPSAW":
-        return fpsaw_counts(g, spec.x, spec.Y, M)
+    return fpsaw_counts(g, spec.x, spec.Y, M)
 
+
+def class_series(
+    g: WeightedMultigraph, specs: Iterable[SubgraphClassSpec], M: int, cap: Optional[int] = None
+) -> dict[SubgraphClassSpec, CountSeries]:
+    """Series (a_0..a_M) for each family; walk kinds dispatch to the walk code.
+
+    The edge-subset kinds share one search over the edge sets whose every
+    component meets the union A of their anchor sets; every class rejects
+    the other sets.  It grows a set out of A: at each node, the frontier
+    edges (those touching A or an endpoint of the set) are taken one at a
+    time, each child giving up the frontier edges before its own for good,
+    so every set of at most M edges is visited exactly once (reverse
+    search, Avis and Fukuda 1996) and the recursion is at most M deep.
+    Each visited set is tested against every class.  The work cap bounds
+    the number of sets visited and is checked as the search goes.
+    """
+    if M < 0:
+        raise ValueError("M must be >= 0")
+    specs = list(dict.fromkeys(specs))
+    out = {spec: _walk_series(g, spec, M) for spec in specs if spec.kind in WALK_KINDS}
+    tests = [(spec, _PREDICATES[spec.kind]) for spec in specs if spec.kind in EDGE_KINDS]
+    if not tests:
+        return out
+    A = frozenset().union(*(_anchor_set(spec) for spec, _ in tests))
+    _require_vertices(g, A)
     limit = cap if cap is not None else work_cap()
-    total = sum(math.comb(g.m, m) for m in range(min(M, g.m) + 1))
-    if total > limit:
-        raise WorkCapExceeded(
-            f"enumeration needs {total} subsets, above the cap {limit}"
-        )
+    values = {spec: [Fraction(0)] * (M + 1) for spec, _ in tests}
+    adj = g.adjacency()
+    s = _EdgeSet(g)
+    visited = 0
 
-    anchors = (
-        {spec.x, spec.y}
-        if spec.kind == "BLOCKPATH"
-        else set(spec.X or frozenset()) | set(spec.Y or frozenset())
-    )
-    _require_vertices(g, anchors)
+    def reached(v: int) -> bool:
+        return v in A or s.deg[v] > 0
 
-    values = [Fraction(0)] * (M + 1)
-    for m in range(min(M, g.m) + 1):
-        acc = Fraction(0)
-        for combo in itertools.combinations(range(g.m), m):
-            if is_in_class(g, combo, spec):
-                w = Fraction(1)
-                for i in combo:
-                    w *= g.edges[i].w
-                acc += w
-        values[m] = acc
-    return CountSeries(spec, M, tuple(values))
+    def visit(frontier: list[int]):
+        # frontier: the edges that may still join, each touching a reached vertex
+        nonlocal visited
+        visited += 1
+        if visited > limit:
+            raise WorkCapExceeded(f"the search visited more than {limit} edge sets, the work cap")
+        for spec, accepts in tests:
+            if accepts(s, spec):
+                values[spec][s.k] += s.weight
+        if s.k == M:
+            return
+        for i, eid in enumerate(frontier):
+            rest = frontier[i + 1:]
+            for v in g.edges[eid].u, g.edges[eid].v:
+                if not reached(v):
+                    rest += [f for w, f in adj[v] if not reached(w)]
+            s.add(eid)
+            visit(rest)
+            s.pop()
+
+    visit(sorted({eid for v in A for _, eid in adj[v]}))
+    for spec, vals in values.items():
+        out[spec] = CountSeries(spec, M, tuple(vals))
+    return {spec: out[spec] for spec in specs}
+
+
+def class_count_series(
+    g: WeightedMultigraph, spec: SubgraphClassSpec, M: int, cap: Optional[int] = None
+) -> CountSeries:
+    """Series (a_0..a_M) for one family; see `class_series`."""
+    return class_series(g, [spec], M, cap)[spec]
 
 
 def two_connected_through_edge_series(
@@ -342,7 +477,7 @@ def two_connected_through_edge_series(
 
     With e = xy, the m-edge members are exactly e plus an (m-1)-edge xy-block
     path of G - e, so a_m = w_e * bp_{m-1}(G - e); the work cap applies to
-    that BLOCKPATH enumeration.  A single edge does not count (a_1 = 0).
+    that BLOCKPATH search.  A single edge does not count (a_1 = 0).
     """
     if not 0 <= eid < g.m:
         raise ValueError("edge id out of range")

@@ -306,7 +306,7 @@ def biconnected_components(
             continue
         disc[root] = low[root] = counter
         counter += 1
-        estack: list[int] = []
+        estack: list[tuple[int, int, int]] = []  # (edge id, its two ends)
         stack: list[tuple[int, int | None, Iterator[tuple[int, int]]]] = [
             (root, None, iter(adj[root]))
         ]
@@ -321,13 +321,16 @@ def biconnected_components(
                     if low[v] < low[u]:
                         low[u] = low[v]
                     if low[v] >= disc[u]:
+                        bvs: set[int] = set()
                         blk: set[int] = set()
                         while True:
-                            eid = estack.pop()
+                            eid, a, b = estack.pop()
                             blk.add(eid)
+                            bvs.add(a)
+                            bvs.add(b)
                             if eid == peid:
                                 break
-                        blocks.append((_block_vertices(adj, blk), blk))
+                        blocks.append((bvs, blk))
                         if u == root:
                             root_blocks += 1
                         else:
@@ -337,27 +340,17 @@ def biconnected_components(
             if eid == peid:
                 continue
             if w_ not in disc:
-                estack.append(eid)
+                estack.append((eid, v, w_))
                 disc[w_] = low[w_] = counter
                 counter += 1
                 stack.append((w_, eid, iter(adj[w_])))
             elif disc[w_] < disc[v]:
-                estack.append(eid)
+                estack.append((eid, v, w_))
                 if disc[w_] < low[v]:
                     low[v] = disc[w_]
         if root_blocks >= 2:
             cuts.add(root)
     return blocks, cuts
-
-
-def _block_vertices(adj: dict[int, list[tuple[int, int]]], eids: set[int]) -> set[int]:
-    vs: set[int] = set()
-    for v, nbrs in adj.items():
-        for _, eid in nbrs:
-            if eid in eids:
-                vs.add(v)
-                break
-    return vs
 
 
 def block_decomposition(g) -> BlockDecomposition:
@@ -626,8 +619,20 @@ def random_multigraph(
     return WeightedMultigraph(n, triples)
 
 
+class _FamilyParams(dict):
+    """The keyword parameters of `generate`; a missing required one is a ValueError."""
+
+    def __init__(self, family: str, params: dict):
+        super().__init__(params)
+        self.family = family
+
+    def __missing__(self, key: str):
+        raise ValueError(f"family {self.family!r} needs the parameter {key!r}")
+
+
 def generate(family: str, **params) -> WeightedMultigraph:
     """Dispatcher used by the CLI `generate` subcommand."""
+    params = _FamilyParams(family, params)
     fns = {
         "path": lambda: path_graph(params["n"], params.get("weights")),
         "cycle": lambda: cycle_graph(params["n"], params.get("weights")),

@@ -99,6 +99,47 @@ def test_generate_to_file(tmp_path, capsys):
     assert WeightedMultigraph.parse(dest.read_text()).n == 4
 
 
+# family -> values for each of its required parameters
+GENERATE_REQUIRED = {
+    "path": {"n": "3"},
+    "cycle": {"n": "3"},
+    "star": {"r": "2"},
+    "wheel": {"r": "3"},
+    "complete": {"n": "3"},
+    "theta": {"r": "2"},
+    "k2s": {"s": "2"},
+    "stars": {"r": "2", "s": "2"},
+    "pns": {"n": "3", "s": "2"},
+    "tree": {"r": "2", "depth": "2"},
+    "trees": {"r": "2", "depth": "2", "s": "2"},
+    "random": {"n": "4"},
+}
+
+
+def _generate_args(family, skip=None):
+    args = ["generate", "--family", family]
+    for name, value in GENERATE_REQUIRED[family].items():
+        if name != skip:
+            args += [f"--{name}", value]
+    return args
+
+
+@pytest.mark.parametrize("family", sorted(GENERATE_REQUIRED))
+def test_generate_with_required_parameters(family, capsys):
+    code, out, err = run_main(_generate_args(family), capsys)
+    assert code == 0 and err == ""
+    WeightedMultigraph.parse(out)
+
+
+@pytest.mark.parametrize("family,missing", [
+    (family, name) for family, required in sorted(GENERATE_REQUIRED.items()) for name in required
+])
+def test_generate_missing_parameter_is_one_line(family, missing, capsys):
+    code, out, err = run_main(_generate_args(family, skip=missing), capsys)
+    assert code == 1 and out == ""
+    assert err.splitlines() == [f"error: family {family!r} needs the parameter {missing!r}"]
+
+
 def test_bad_graph_file_exit_one(tmp_path, capsys):
     p = tmp_path / "bad.txt"
     p.write_text("v 2\ne 1 1 1\n")

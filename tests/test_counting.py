@@ -1,22 +1,27 @@
 """Walk-family series, anchored subgraph classes, and the identities tying them."""
-import itertools
+import math
 import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
+from subset_oracle import in_class, series_by_filter
 
 from maxmaxflow.graph import (
     WeightedMultigraph,
     complete_graph,
     cycle_graph,
+    disjoint_union,
     k2_multi,
     path_graph,
     random_multigraph,
     star_graph,
 )
 from maxmaxflow.counting import (
+    EDGE_KINDS,
     WorkCapExceeded,
     class_count_series,
+    class_series,
     class_spec,
     fpsaw_counts,
     fpw_counts,
@@ -125,18 +130,6 @@ def test_walk_counts_parallel_edges_aggregate():
 # -- edge-subset classes: membership and small closed cases ---------------
 
 
-def _series_brute(g, spec, M):
-    out = [F(0)] * (M + 1)
-    for m in range(M + 1):
-        for sub in itertools.combinations(range(g.m), m):
-            if is_in_class(g, sub, spec):
-                wt = F(1)
-                for i in sub:
-                    wt *= g.edges[i].w
-                out[m] += wt
-    return out
-
-
 @pytest.mark.parametrize("kind,kw", [
     ("T", dict(X={1, 3})),
     ("F", dict(Y={1, 3})),
@@ -154,7 +147,7 @@ def test_series_equals_enumeration_oracle(kind, kw):
     for _ in range(12):
         g = random_multigraph(rng, rng.randint(3, 5), 0.6, max_multiplicity=2)
         M = 4
-        assert list(class_count_series(g, spec, M).values) == _series_brute(g, spec, M)
+        assert list(class_count_series(g, spec, M).values) == series_by_filter(g, spec, M)
 
 
 def test_trees_on_path():
@@ -199,6 +192,71 @@ def test_block_subgraphs_vs_block_trees():
         bt = class_count_series(g, class_spec("BT", X={x, y}), 4)
         assert b[0] == 1 and bt[0] == 0
         assert b.values[1:] == bt.values[1:]
+
+
+# -- the anchored search against the all-subsets filter ------------------
+
+_WEIGHTS = st.sampled_from([F(1), F(2), F(1, 2), F(2, 3), F(5, 2)])
+
+
+@st.composite
+def _multigraphs(draw):
+    n = draw(st.integers(2, 6))
+    pair = st.tuples(st.integers(1, n), st.integers(1, n)).filter(lambda p: p[0] != p[1])
+    edges = draw(st.lists(st.tuples(pair, _WEIGHTS), max_size=10))
+    return WeightedMultigraph(n, [(u, v, w) for (u, v), w in edges])
+
+
+@st.composite
+def _specs(draw, n):
+    kind = draw(st.sampled_from(sorted(EDGE_KINDS)))
+    vertices = st.integers(1, n)
+    if kind == "BLOCKPATH":
+        x, y = draw(st.lists(vertices, min_size=2, max_size=2, unique=True))
+        return class_spec(kind, x=x, y=y)
+    some = st.frozensets(vertices, min_size=1, max_size=3)
+    if kind in ("F", "BF", "BFSTAR"):
+        return class_spec(kind, X=draw(st.frozensets(vertices, max_size=3)), Y=draw(some))
+    kw = {"X": draw(some), "Y": draw(st.none() | some)}
+    if kind == "H":
+        kw["p"] = draw(st.none() | st.integers(1, 2))
+        kw["r"] = draw(st.none() | st.integers(1, 3))
+    return class_spec(kind, **kw)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_search_equals_subset_filter(data):
+    # anchors overlap freely (X and Y drawn independently); Y is optional
+    # on T, H, C, BT and B; H draws p and r
+    g = data.draw(_multigraphs())
+    specs = data.draw(st.lists(_specs(g.n), min_size=1, max_size=4))
+    M = data.draw(st.integers(0, 6))
+    batched = class_series(g, specs, M)
+    for spec in specs:
+        expected = series_by_filter(g, spec, M)
+        assert list(batched[spec].values) == expected
+        assert list(class_count_series(g, spec, M).values) == expected
+    if not g.m:
+        return
+    for sub in data.draw(st.lists(st.sets(st.integers(0, g.m - 1)), max_size=8)):
+        assert is_in_class(g, sub, specs[0]) == in_class(g, sub, specs[0])
+    eid = data.draw(st.integers(0, g.m - 1))
+    e = g.edges[eid]
+    rest = WeightedMultigraph(g.n, [(f.u, f.v, f.w) for f in g.edges if f.id != eid])
+    bp = series_by_filter(rest, class_spec("BLOCKPATH", x=e.u, y=e.v), max(M - 1, 0))
+    through = two_connected_through_edge_series(g, eid, M)
+    assert list(through.values) == [F(0)] + [e.w * a for a in bp][:M]
+
+
+def test_batched_walk_kinds_dispatch():
+    g = complete_graph(4)
+    W, T = class_spec("W", x=1, y=2), class_spec("T", X={1, 2})
+    out = class_series(g, [W, T, W], 3)
+    assert list(out) == [W, T]
+    assert out[W] == walk_counts(g, 1, 2, 3)
+    # trees with leaves {1, 2} are the self-avoiding walks from 1 to 2
+    assert out[T].values == saw_counts(g, 1, 2, 3).values
 
 
 # -- identities between walks and classes ---------------------------------
@@ -282,6 +340,25 @@ def test_work_cap_enforced():
         class_count_series(g, class_spec("BT", X={1, 2}), 10, cap=100)
     with pytest.raises(WorkCapExceeded):
         two_connected_through_edge_series(g, 0, 10, cap=100)
+
+
+def test_work_cap_counts_search_nodes():
+    # a path 1-2-3 beside a K5: the subsets of at most 6 of the 12 edges
+    # number sum_k C(12, k) = 2510, far above the cap, but the search from
+    # X = {1} visits only the edge sets whose components all meet X
+    g = disjoint_union([path_graph(3), complete_graph(5)])
+    assert sum(math.comb(g.m, k) for k in range(7)) > 10
+    spec = class_spec("C", X={1})
+    assert list(class_count_series(g, spec, 6, cap=10).values) == series_by_filter(g, spec, 6)
+    with pytest.raises(WorkCapExceeded):
+        class_count_series(g, spec, 6, cap=2)
+
+
+def test_search_depth_follows_M_not_m():
+    # a star with more edges than the recursion limit: the search recurses
+    # once per edge taken, so at most M + 1 deep
+    g = star_graph(1200)
+    assert list(class_count_series(g, class_spec("C", X={1}), 1).values) == [1, 1200]
 
 
 def test_series_lengths():
