@@ -40,6 +40,17 @@ CASES += [
     (f"hunt_{conj}.csv", None, ["hunt", "--conjecture", conj, "--trials", "300", "-m", "4"])
     for conj in ("conj5.6", "conj5.7", "conj7.9", "conj7.10", "conj7.11")
 ]
+# a rational multigraph with parallel edges, a zero-weight edge and two components
+CASES += [
+    (golden, "flow_multigraph.txt", argv)
+    for golden, argv in [
+        ("ghtree.txt", ["ghtree", "-"]),
+        ("lambda.txt", ["lambda", "-"]),
+        ("invariants.csv", ["invariants", "-"]),
+        ("cutpair_135.txt", ["cutpair", "-", "--set", "1,3,5"]),
+        ("cutpair_28.txt", ["cutpair", "-", "--set", "2,8"]),
+    ]
+]
 
 
 @pytest.mark.parametrize("golden,graph,argv", CASES, ids=[c[0] for c in CASES])
