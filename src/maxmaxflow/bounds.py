@@ -242,7 +242,8 @@ def _discounted(values, base) -> list:
 
 
 class SeriesProvider:
-    """Caches the per-family series for one graph and truncation order."""
+    """Caches the per-family series for one graph and truncation order, and
+    Λ(G−e) for the through-edge bounds."""
 
     def __init__(self, g: WeightedMultigraph, M: int, cap: Optional[int] = None):
         self.g = g
@@ -279,6 +280,13 @@ class SeriesProvider:
             self._cache[key] = two_connected_through_edge_series(self.g, eid, self.M, self.cap)
         return self._cache[key]
 
+    def lambda_minus_edge(self, eid: int) -> Fraction:
+        key = ("Lambda-e", eid)
+        if key not in self._cache:
+            rest = [(e.u, e.v, e.w) for e in self.g.edges if e.id != eid]
+            self._cache[key] = maxmaxflow(WeightedMultigraph(self.g.n, rest))
+        return self._cache[key]
+
 
 @dataclass
 class BoundContext:
@@ -301,19 +309,12 @@ class BoundContext:
         if not Fraction(1) < self.alpha <= 2:
             raise ValueError("alpha must lie in (1, 2]")
         self.alpha = Fraction(self.alpha)
-        self._memo: dict = {}
 
-    # cached invariants
     def Delta(self) -> Fraction:
-        return self._get("Delta", lambda: max_degree(self.g))
+        return max_degree(self.g)
 
     def Lambda(self) -> Fraction:
-        return self._get("Lambda", lambda: maxmaxflow(self.g))
-
-    def _get(self, key, fn):
-        if key not in self._memo:
-            self._memo[key] = fn()
-        return self._memo[key]
+        return maxmaxflow(self.g)  # the cut tree is memoised on the graph
 
     def flow_fraction(self) -> Fraction:
         """lambda(x,y)/Lambda for distinct x,y; 1 when x == y."""
@@ -550,12 +551,6 @@ def _eval_cor7_4(ctx: BoundContext) -> BoundResult:
     )
 
 
-def _lambda_minus_edge(ctx: BoundContext) -> Fraction:
-    g = ctx.g
-    rest = [(e.u, e.v, e.w) for e in g.edges if e.id != ctx.eid]
-    return maxmaxflow(WeightedMultigraph(g.n, rest))
-
-
 def _eval_cor7_5(ctx: BoundContext) -> BoundResult:
     """Nonseparable subgraphs through a fixed edge, with the 2*Lambda(G-e)/ln2
     discount.  For edge weights above 2*Lambda(G-e)/ln2 the right side grows
@@ -563,7 +558,7 @@ def _eval_cor7_5(ctx: BoundContext) -> BoundResult:
     block-tree bound on G-e actually yields, and the unit bound is provably
     false for such weights."""
     vals = ctx.provider.through_edge(ctx.eid).values
-    lam_e = _lambda_minus_edge(ctx)
+    lam_e = ctx.provider.lambda_minus_edge(ctx.eid)
     w_e = ctx.g.edges[ctx.eid].w
     if lam_e == 0:
         terms = _discounted(vals, Fraction(0))
@@ -596,7 +591,7 @@ def _eval_cor7_13(ctx: BoundContext) -> BoundResult:
     """Pointwise form of the through-edge bound; same heavy-edge caveat as
     cor7.5, handled by the max(Lambda(G-e), w_e) factor the proof supports."""
     vals = ctx.provider.through_edge(ctx.eid).values
-    lam_e = _lambda_minus_edge(ctx)
+    lam_e = ctx.provider.lambda_minus_edge(ctx.eid)
     w_e = ctx.g.edges[ctx.eid].w
     pairs = []
     for m, a in enumerate(vals):

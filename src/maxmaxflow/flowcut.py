@@ -1,7 +1,8 @@
 """Exact max-flow / min-cut, cut trees, cocycle space and maxmaxflow.
 
 All computations are exact over the rationals.  Flow queries clear
-denominators so the augmenting-path search runs on integers.
+denominators once and run Dinic's blocking-flow algorithm on integers; each
+graph's cut tree is built once and memoised on the graph.
 """
 from __future__ import annotations
 
@@ -11,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .graph import WeightedMultigraph, _steiner_nodes, block_decomposition, components_of
+from .graph import Edge, WeightedMultigraph, _steiner_nodes, components_of
 
 
 @dataclass(frozen=True)
@@ -28,62 +29,94 @@ class MinCutCertificate:
     cut_edges: frozenset[int]
 
 
-def _scaled_capacities(edges) -> tuple[dict[tuple[int, int], int], int]:
-    denom = 1
-    for _, _, w in edges:
-        denom = denom * w.denominator // math.gcd(denom, w.denominator)
-    cap: dict[tuple[int, int], int] = {}
-    for u, v, w in edges:
-        c = w.numerator * (denom // w.denominator)
-        cap[(u, v)] = cap.get((u, v), 0) + c
-        cap[(v, u)] = cap.get((v, u), 0) + c
-    return cap, denom
+def _integer_edges(edges: Sequence[Edge]) -> tuple[list[tuple[int, int, int]], int]:
+    """The edges of positive weight as integer capacities (u, v, w·denom),
+    where denom is the least common denominator of the weights."""
+    denom = math.lcm(*(e.w.denominator for e in edges))
+    return [(e.u, e.v, e.w.numerator * (denom // e.w.denominator)) for e in edges if e.w], denom
 
 
-def _min_cut_int(
-    vertices: Iterable[int], cap: dict[tuple[int, int], int], s: int, t: int
-) -> tuple[int, set[int]]:
-    """Shortest-augmenting-path max flow on integer capacities."""
-    adj: dict[int, list[int]] = {v: [] for v in vertices}
-    for (u, v) in cap:
-        adj[u].append(v)
-    residual = dict(cap)
+def _dinic(k: int, pairs: Iterable[tuple[int, int, int]], s: int, t: int) -> tuple[int, list[int]]:
+    """Dinic max flow from s to t over nodes 0..k-1 joined by undirected
+    capacities (a, b, c); pairs with a == b are skipped, parallel ones merged.
+
+    Returns the flow and the levels of the last BFS, the one that fails to
+    reach t: the nodes with a level >= 0 are those reachable from s in the
+    final residual network, which is the minimal source side of a minimum
+    cut whichever maximum flow was found.
+    """
+    merged: dict[tuple[int, int], int] = {}
+    for a, b, c in pairs:
+        if a != b:
+            key = (a, b) if a < b else (b, a)
+            merged[key] = merged.get(key, 0) + c
+    # arc i runs to[i ^ 1] -> to[i]; arcs i and i ^ 1 are the two directions of one pair
+    to: list[int] = []
+    res: list[int] = []
+    adj: list[list[int]] = [[] for _ in range(k)]
+    for (a, b), c in merged.items():
+        adj[a].append(len(to))
+        adj[b].append(len(to) + 1)
+        to += (b, a)
+        res += (c, c)
     flow = 0
     while True:
-        prev: dict[int, int] = {s: s}
-        q = deque([s])
-        while q and t not in prev:
-            u = q.popleft()
-            for v in adj[u]:
-                if v not in prev and residual.get((u, v), 0) > 0:
-                    prev[v] = u
-                    q.append(v)
-        if t not in prev:
-            break
-        # bottleneck along the path
-        bott = None
-        v = t
-        while v != s:
-            u = prev[v]
-            r = residual[(u, v)]
-            bott = r if bott is None else min(bott, r)
-            v = u
-        v = t
-        while v != s:
-            u = prev[v]
-            residual[(u, v)] -= bott
-            residual[(v, u)] = residual.get((v, u), 0) + bott
-            v = u
-        flow += bott
-    reach = {s}
-    q = deque([s])
-    while q:
-        u = q.popleft()
-        for v in adj[u]:
-            if v not in reach and residual.get((u, v), 0) > 0:
-                reach.add(v)
-                q.append(v)
-    return flow, reach
+        # BFS levels; dag[u] collects the residual arcs from u to the next level
+        level = [-1] * k
+        level[s] = 0
+        dag: list[list[int]] = [[] for _ in range(k)]
+        queue = [s]
+        for u in queue:
+            if u == t:
+                break
+            nxt = level[u] + 1
+            out = dag[u]
+            for i in adj[u]:
+                if res[i]:
+                    lv = level[to[i]]
+                    if lv < 0:
+                        level[to[i]] = nxt
+                        queue.append(to[i])
+                        out.append(i)
+                    elif lv == nxt:
+                        out.append(i)
+        if level[t] < 0:
+            return flow, level
+        flow += _blocking_flow(dag, to, res, s, t)
+
+
+def _blocking_flow(dag: list[list[int]], to: list[int], res: list[int], s: int, t: int) -> int:
+    """Augment along paths of level arcs from s to t until none is left.
+
+    The last arc of dag[u] is u's current arc; saturated arcs and arcs into
+    dead ends are popped, so every arc of `path` is the last of its tail's.
+    """
+    path: list[int] = []
+    total = 0
+    u = s
+    while True:
+        if u == t:
+            f = min([res[i] for i in path])
+            for i in path:
+                res[i] -= f
+                res[i ^ 1] += f
+            total += f
+            # resume from the tail of the first saturated arc
+            j = next(j for j, i in enumerate(path) if not res[i])
+            u = to[path[j] ^ 1]
+            del path[j:]
+            continue
+        arcs = dag[u]
+        while arcs and not res[arcs[-1]]:
+            arcs.pop()
+        if arcs:
+            path.append(arcs[-1])
+            u = to[arcs[-1]]
+        elif u == s:
+            return total
+        else:  # dead end: retreat and drop the arc that led here
+            u = to[path.pop() ^ 1]
+            dag[u].pop()
 
 
 def max_flow(g: WeightedMultigraph, x: int, y: int) -> MinCutCertificate:
@@ -92,10 +125,11 @@ def max_flow(g: WeightedMultigraph, x: int, y: int) -> MinCutCertificate:
         raise ValueError("source and sink must differ")
     if x not in g._adj or y not in g._adj:
         raise ValueError("unknown vertex")
-    cap, denom = _scaled_capacities([(e.u, e.v, e.w) for e in g.edges])
-    flow, reach = _min_cut_int(g.vertices, cap, x, y)
+    weighted, denom = _integer_edges(g.edges)
+    flow, level = _dinic(g.n + 1, weighted, x, y)
+    reach = frozenset(v for v in g.vertices if level[v] >= 0)
     cut = frozenset(e.id for e in g.edges if (e.u in reach) != (e.v in reach))
-    return MinCutCertificate(Fraction(flow, denom), frozenset(reach), cut)
+    return MinCutCertificate(Fraction(flow, denom), reach, cut)
 
 
 def cut_weight(g: WeightedMultigraph, side: Iterable[int]) -> Fraction:
@@ -173,8 +207,16 @@ class CutTree:
 def _component_cut_tree(
     g: WeightedMultigraph, comp: frozenset[int]
 ) -> list[tuple[int, int, Fraction]]:
-    """Classical cut-tree construction with contraction of hanging subtrees."""
-    comp_edges = [e for e in g.edges if e.u in comp]
+    """Classical cut-tree construction with contraction of hanging subtrees.
+
+    Each step splits the first supernode holding two vertices x < y, its two
+    smallest, by a minimum x-y cut in g with every subtree hanging off the
+    supernode contracted to one marker node (numbered from n + 1).  The split
+    order, (x, y), the way the vertex sets are built and the representatives
+    `next(iter(nodes[i]))` fix which valid tree comes out; the golden
+    `ghtree` output pins it.
+    """
+    weighted, denom = _integer_edges([e for e in g.edges if e.u in comp])
     # tree over "super nodes"; each node is a set of original vertices
     nodes: list[set[int]] = [set(comp)]
     tadj: dict[int, dict[int, Fraction]] = {0: {}}
@@ -187,31 +229,19 @@ def _component_cut_tree(
         it = iter(sorted(S))
         x, y = next(it), next(it)
 
-        # contract each subtree hanging off idx into a single marker vertex
-        marker_of: dict[int, int] = {}  # neighbor node -> marker vertex id
-        vmap: dict[int, int] = {}
-        nxt_marker = -1
-        for nb in tadj[idx]:
-            marker = nxt_marker
-            nxt_marker -= 1
+        marker_of: dict[int, int] = {}  # neighbor node -> marker node
+        vmap = list(range(g.n + 1))
+        for marker, nb in enumerate(tadj[idx], start=g.n + 1):
             marker_of[nb] = marker
             for node in _subtree_nodes(tadj, nb, idx):
                 for v in nodes[node]:
                     vmap[v] = marker
-        for v in S:
-            vmap[v] = v
-
-        triples = []
-        for e in comp_edges:
-            a, b = vmap[e.u], vmap[e.v]
-            if a != b:
-                triples.append((a, b, e.w))
-        cap, denom = _scaled_capacities(triples)
-        verts = set(vmap.values())
-        flow, reach = _min_cut_int(verts, cap, x, y)
+        flow, level = _dinic(
+            g.n + 1 + len(marker_of), ((vmap[u], vmap[v], c) for u, v, c in weighted), x, y
+        )
         value = Fraction(flow, denom)
 
-        s1 = {v for v in S if v in reach}
+        s1 = {v for v in S if level[v] >= 0}
         s2 = S - s1
         new_idx = len(nodes)
         nodes[idx] = s1
@@ -221,7 +251,7 @@ def _component_cut_tree(
         tadj[new_idx] = {}
         for nb, w in old_neighbors.items():
             del tadj[nb][idx]
-            target = idx if marker_of[nb] in reach else new_idx
+            target = idx if level[marker_of[nb]] >= 0 else new_idx
             tadj[target][nb] = w
             tadj[nb][target] = w
         tadj[idx][new_idx] = value
@@ -251,14 +281,23 @@ def _subtree_nodes(tadj: dict[int, dict[int, Fraction]], start: int, banned: int
     return out
 
 
+def _cut_trees(g: WeightedMultigraph) -> dict[frozenset[int], tuple[tuple[int, int, Fraction], ...]]:
+    """Each component's cut tree (empty for a single vertex), in the order of
+    `g.components()`; built once per graph and kept in the graph's memo."""
+    trees = g._memo.get("cut_trees")
+    if trees is None:
+        trees = g._memo["cut_trees"] = {
+            comp: tuple(_component_cut_tree(g, comp)) if len(comp) >= 2 else ()
+            for comp in g.components()
+        }
+    return trees
+
+
 def cut_tree(g: WeightedMultigraph) -> CutTree:
     """Cut tree of g, built per component and stitched with weight-0 edges."""
-    comps = g.components()
-    edges: list[tuple[int, int, Fraction]] = []
-    for comp in comps:
-        if len(comp) >= 2:
-            edges.extend(_component_cut_tree(g, comp))
-    reps = [min(c) for c in comps]
+    trees = _cut_trees(g)
+    edges = [e for tree in trees.values() for e in tree]
+    reps = [min(c) for c in trees]
     for a, b in zip(reps, reps[1:]):
         edges.append((a, b, Fraction(0)))
     return CutTree(frozenset(g.vertices), tuple(edges))
@@ -268,50 +307,15 @@ def cut_tree(g: WeightedMultigraph) -> CutTree:
 
 
 def maxmaxflow(g: WeightedMultigraph) -> Fraction:
-    """Maximum over vertex pairs of the max-flow value.
+    """Maximum over vertex pairs of the max-flow value: the heaviest edge of
+    the cut tree.
 
     Pairs in different components contribute 0.  Undefined on graphs with
     fewer than two vertices.
     """
     if g.n < 2:
         raise ValueError("maxmaxflow requires at least two vertices")
-    best = Fraction(0)
-    for comp in g.components():
-        if len(comp) < 2:
-            continue
-        for _, _, w in _component_cut_tree(g, comp):
-            if w > best:
-                best = w
-    return best
-
-
-def maxmaxflow_blockwise(g: WeightedMultigraph) -> Fraction:
-    """Alternative route: maxmaxflow is the max over blocks with >= 2 vertices."""
-    if g.n < 2:
-        raise ValueError("maxmaxflow requires at least two vertices")
-    dec = block_decomposition(g)
-    best = Fraction(0)
-    for b in dec.blocks:
-        if len(b.vertices) < 2:
-            continue
-        sub = WeightedMultigraph(
-            len(b.vertices),
-            [
-                (ru, rv, g.edges[eid].w)
-                for eid in sorted(b.edge_ids)
-                for ru, rv in [_relabel(g.edges[eid], sorted(b.vertices))]
-            ],
-        )
-        if sub.n >= 2:
-            lam = maxmaxflow(sub)
-            if lam > best:
-                best = lam
-    return best
-
-
-def _relabel(e, ordering) -> tuple[int, int]:
-    pos = {v: i + 1 for i, v in enumerate(ordering)}
-    return pos[e.u], pos[e.v]
+    return max((w for tree in _cut_trees(g).values() for _, _, w in tree), default=Fraction(0))
 
 
 # -- cocycles -------------------------------------------------------------
@@ -470,9 +474,7 @@ def cut_pair(g: WeightedMultigraph, X: Iterable[int]) -> CutPair:
 
     comp = min(rich, key=min)
     members = by_comp[comp]
-    tree = CutTree(
-        frozenset(comp), tuple(_component_cut_tree(g, comp))
-    )
+    tree = CutTree(frozenset(comp), _cut_trees(g)[comp])
     adj = tree.adjacency()
     keep = _steiner_nodes({v: [u for u, _ in nbrs] for v, nbrs in adj.items()}, set(members))
     degree = {v: sum(1 for u, _ in adj[v] if u in keep) for v in keep}

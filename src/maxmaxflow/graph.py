@@ -40,6 +40,8 @@ class WeightedMultigraph:
     """Loopless multigraph on vertices 1..n with nonnegative Fraction weights.
 
     Immutable after construction; parallel edges are kept distinct by edge id.
+    Structures derived at some cost (each component's cut tree) are memoised
+    in `_memo`, which takes no part in equality or hashing.
     """
 
     def __init__(self, n: int, edge_triples: Iterable[tuple[int, int, Fraction]]):
@@ -65,6 +67,7 @@ class WeightedMultigraph:
             adj[e.u].append((e.v, e.id))
             adj[e.v].append((e.u, e.id))
         self._adj = adj
+        self._memo: dict = {}
 
     # -- basic queries ----------------------------------------------------
 

@@ -4,7 +4,13 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
 
+import flow_oracle
+from flow_oracle import flow_graphs, maxmaxflow_blockwise
+from maxmaxflow import flowcut
+from maxmaxflow.bounds import run_suite
+from maxmaxflow.invariants import inequality_chain
 from maxmaxflow.graph import (
     WeightedMultigraph,
     cycle_graph,
@@ -25,7 +31,6 @@ from maxmaxflow.flowcut import (
     lambda_tilde_bruteforce,
     max_flow,
     maxmaxflow,
-    maxmaxflow_blockwise,
 )
 
 
@@ -71,6 +76,17 @@ def test_max_flow_certificate_is_cut():
         assert x in cert.side and y not in cert.side
         assert cut_weight(g, cert.side) == cert.value
         assert cert.value == _min_cut_brute(g, x, y)
+
+
+def test_max_flow_cancels_flow_on_an_edge():
+    # Dinic without the reverse residual of pushed flow stops at 12 here
+    g = WeightedMultigraph.parse(
+        "v 8\ne 1 5 1\ne 3 8 13\ne 1 6 1\ne 8 2 13\ne 4 3 1\ne 1 5 2\n"
+        "e 4 1 8\ne 1 6 13\ne 2 4 1\ne 5 8 3\ne 4 6 5\ne 3 5 8\n"
+    )
+    cert = max_flow(g, 5, 2)
+    assert cert.value == 13 == _min_cut_brute(g, 5, 2)
+    assert (cert.value, cert.side, cert.cut_edges) == flow_oracle.max_flow(g, 5, 2)
 
 
 def test_max_flow_same_endpoints_rejected():
@@ -312,3 +328,55 @@ def test_cut_pair_random():
         # weight is at least the pairwise max-flow
         mf = max_flow(g, cp.x1, cp.x2).value
         assert cp.weight1 >= mf and cp.weight2 >= mf
+
+
+# -- the Dinic engine against the reference routes ------------------------
+
+
+@settings(max_examples=200, deadline=None)
+@given(flow_graphs())
+def test_engine_equals_oracle(g):
+    assert list(cut_tree(g).edges) == flow_oracle.cut_tree_edges(g)
+    for x, y in itertools.permutations(g.vertices, 2):
+        cert = max_flow(g, x, y)
+        assert (cert.value, cert.side, cert.cut_edges) == flow_oracle.max_flow(g, x, y)
+    assert maxmaxflow(g) == maxmaxflow_blockwise(g) == flow_oracle.maxmaxflow(g)
+
+
+# -- one cut tree per graph -----------------------------------------------
+
+
+@pytest.fixture
+def tree_builds(monkeypatch):
+    """(graph, component) of every call to the uncached cut-tree builder."""
+    calls = []
+    build = flowcut._component_cut_tree
+
+    def counted(g, comp):
+        calls.append((g, comp))
+        return build(g, comp)
+
+    monkeypatch.setattr(flowcut, "_component_cut_tree", counted)
+    return calls
+
+
+def test_cut_tree_built_once_per_component(tree_builds):
+    g = disjoint_union([theta_graph(3, F(1, 2)), k2_multi(2), path_graph(1)])
+    inequality_chain(g)
+    tree = cut_tree(g)
+    cut_pair(g, {1, 3, 4})
+    lam = maxmaxflow(g)
+    assert [comp for _, comp in tree_builds] == [c for c in g.components() if len(c) >= 2]
+    assert lam == max(w for _, _, w in tree.edges)
+    # the memo takes no part in equality or hashing
+    fresh = WeightedMultigraph(g.n, [(e.u, e.v, e.w) for e in g.edges])
+    assert fresh == g and hash(fresh) == hash(g)
+
+
+def test_run_suite_builds_each_tree_once(tree_builds):
+    g = theta_graph(3, F(1, 3))
+    results = run_suite(g, 4, X={1, 2}, Y={3}, eid=0)
+    assert {r.bound_id for r in results} >= {"cor4.4", "cor7.5", "cor7.13"}
+    assert [comp for h, comp in tree_builds if h is g] == [frozenset(g.vertices)]
+    # G - e is built once too, for both through-edge bounds
+    assert len(tree_builds) == 2
