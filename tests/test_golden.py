@@ -51,6 +51,22 @@ CASES += [
         ("cutpair_28.txt", ["cutpair", "-", "--set", "2,8"]),
     ]
 ]
+# verify beyond the suite's p = r = 1, alpha = 2, light edge and Lambda > 0:
+# p = r = 2, alpha = 3/2, the heavy-edge form (edge 0 weighs 100 in a
+# triangle of unit edges) and a zero discount base (no edges)
+CASES += [
+    (f"verify_{bound}.txt", graph, ["verify", "-", "--bound", bound, *anchors, "-m", m])
+    for bound, graph, anchors, m in [
+        ("prop5.8", "multigraph.txt", ["--x", "1,2,3,5", "--p", "2", "--r", "2"], "6"),
+        ("cor5.9", "multigraph.txt", ["--x", "1,2,3,5", "--p", "2", "--r", "2"], "6"),
+        ("prop5.11", "multigraph.txt", ["--x", "1,2,3,5", "--p", "2", "--r", "2"], "6"),
+        ("prop7.2", "multigraph.txt", ["--x", "1", "--y", "3,5", "--alpha", "3/2"], "6"),
+        ("prop7.8", "multigraph.txt", ["--x", "1", "--y", "3,5", "--alpha", "3/2"], "6"),
+        ("cor7.5", "triangle_heavy.txt", ["--edge", "0"], "6"),
+        ("cor7.13", "triangle_heavy.txt", ["--edge", "0"], "6"),
+        ("prop7.1", "edgeless.txt", ["--y", "2"], "4"),
+    ]
+]
 
 
 @pytest.mark.parametrize("golden,graph,argv", CASES, ids=[c[0] for c in CASES])
