@@ -13,7 +13,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, NamedTuple, Optional
 
 from .counting import (
     CountSeries,
@@ -26,7 +26,7 @@ from .counting import (
     walk_total_counts,
 )
 from .flowcut import max_flow, maxmaxflow
-from .graph import WeightedMultigraph, k2_multi, random_multigraph, star_graph, star_multi
+from .graph import WeightedMultigraph, bfs_path, k2_multi, random_multigraph, star_graph, star_multi
 from .intervals import Interval, UndecidedComparison, log_interval
 from .invariants import max_degree
 
@@ -251,41 +251,34 @@ class SeriesProvider:
         self.cap = cap
         self._cache: dict = {}
 
+    def _get(self, key, compute: Callable[[], object]):
+        if key not in self._cache:
+            self._cache[key] = compute()
+        return self._cache[key]
+
     def edge_class(self, spec: SubgraphClassSpec) -> CountSeries:
-        if spec not in self._cache:
-            self._cache[spec] = class_count_series(self.g, spec, self.M, self.cap)
-        return self._cache[spec]
+        return self._get(spec, lambda: class_count_series(self.g, spec, self.M, self.cap))
 
     def walk_total(self, x: int) -> CountSeries:
-        key = ("walk_total", x)
-        if key not in self._cache:
-            self._cache[key] = walk_total_counts(self.g, x, self.M)
-        return self._cache[key]
+        return self._get(("walk_total", x), lambda: walk_total_counts(self.g, x, self.M))
 
     def saw(self, x: int, y: int) -> CountSeries:
-        key = ("saw", x, y)
-        if key not in self._cache:
-            self._cache[key] = saw_counts(self.g, x, y, self.M)
-        return self._cache[key]
+        return self._get(("saw", x, y), lambda: saw_counts(self.g, x, y, self.M))
 
     def fpw(self, x: int, Y: frozenset[int]) -> CountSeries:
-        key = ("fpw", x, Y)
-        if key not in self._cache:
-            self._cache[key] = fpw_counts(self.g, x, Y, self.M)
-        return self._cache[key]
+        return self._get(("fpw", x, Y), lambda: fpw_counts(self.g, x, Y, self.M))
 
     def through_edge(self, eid: int) -> CountSeries:
-        key = ("b_e", eid)
-        if key not in self._cache:
-            self._cache[key] = two_connected_through_edge_series(self.g, eid, self.M, self.cap)
-        return self._cache[key]
+        return self._get(
+            ("b_e", eid), lambda: two_connected_through_edge_series(self.g, eid, self.M, self.cap)
+        )
 
     def lambda_minus_edge(self, eid: int) -> Fraction:
-        key = ("Lambda-e", eid)
-        if key not in self._cache:
+        def compute():
             rest = [(e.u, e.v, e.w) for e in self.g.edges if e.id != eid]
-            self._cache[key] = maxmaxflow(WeightedMultigraph(self.g.n, rest))
-        return self._cache[key]
+            return maxmaxflow(WeightedMultigraph(self.g.n, rest))
+
+        return self._get(("Lambda-e", eid), compute)
 
 
 @dataclass
@@ -326,25 +319,8 @@ class BoundContext:
         return max_flow(self.g, self.x, self.y).value / lam
 
     def hop_distance(self) -> Optional[int]:
-        from collections import deque
-
-        if self.x == self.y:
-            return 0
-        A = {v: set() for v in self.g.vertices}
-        for e in self.g.edges:
-            A[e.u].add(e.v)
-            A[e.v].add(e.u)
-        dist = {self.x: 0}
-        q = deque([self.x])
-        while q:
-            u = q.popleft()
-            for v in A[u]:
-                if v not in dist:
-                    dist[v] = dist[u] + 1
-                    if v == self.y:
-                        return dist[v]
-                    q.append(v)
-        return None
+        steps = bfs_path(self.g.adjacency(), self.x, self.y)
+        return None if steps is None else len(steps)
 
     def X_disjoint(self) -> frozenset[int]:
         """X with members of Y removed; the classes are unchanged by this."""
@@ -382,283 +358,158 @@ def _discount_terms(values, base_kind: str, ctx: BoundContext):
     return _log_discounted(values, _ln_over(log_arg(ctx), q))
 
 
-# family name -> the class spec its bounds read, built from the anchors
-_FAMILIES: dict[str, Callable[[BoundContext], SubgraphClassSpec]] = {
-    "f": lambda ctx: class_spec("F", X=ctx.X_disjoint(), Y=ctx.Y),
-    "t": lambda ctx: class_spec("T", X=ctx.X),
-    "h": lambda ctx: class_spec("H", X=ctx.X, p=ctx.p, r=ctx.r),
-    "hp": lambda ctx: class_spec("H", X=ctx.X, p=ctx.p),
-    "h1": lambda ctx: class_spec("H", X=ctx.X),
-    "c": lambda ctx: class_spec("C", X=ctx.X),
-    "bt": lambda ctx: class_spec("BT", X=ctx.X),
-    "bf": lambda ctx: class_spec("BF", X=ctx.X_disjoint(), Y=ctx.Y),
-    "bfstar": lambda ctx: class_spec("BFSTAR", X=ctx.X_disjoint(), Y=ctx.Y),
-    "b": lambda ctx: class_spec("B", X=ctx.X),
+def _x_class(kind: str, *params: str):
+    """A class anchored at X, with the named parameters (p, r) of the context."""
+    return frozenset({"X"}), lambda ctx: ctx.provider.edge_class(
+        class_spec(kind, X=ctx.X, **{k: getattr(ctx, k) for k in params})
+    )
+
+
+def _y_class(kind: str):
+    """A class whose components each meet Y, with X minus Y as further anchors."""
+    return frozenset({"Y"}), lambda ctx: ctx.provider.edge_class(
+        class_spec(kind, X=ctx.X_disjoint(), Y=ctx.Y)
+    )
+
+
+# series name -> (the anchors it needs, of x, y, X, Y and e; the series for a context)
+_SERIES: dict[str, tuple[frozenset[str], Callable[[BoundContext], CountSeries]]] = {
+    "walk": (frozenset({"x"}), lambda ctx: ctx.provider.walk_total(ctx.x)),
+    "fpw": (frozenset({"x", "Y"}), lambda ctx: ctx.provider.fpw(ctx.x, ctx.Y)),
+    "saw": (frozenset({"x", "y"}), lambda ctx: ctx.provider.saw(ctx.x, ctx.y)),
+    "b_e": (frozenset({"e"}), lambda ctx: ctx.provider.through_edge(ctx.eid)),
+    "f": _y_class("F"),
+    "t": _x_class("T"),
+    "h": _x_class("H", "p", "r"),
+    "hp": _x_class("H", "p"),
+    "h1": _x_class("H"),
+    "c": _x_class("C"),
+    "bt": _x_class("BT"),
+    "bf": _y_class("BF"),
+    "bfstar": _y_class("BFSTAR"),
+    "b": _x_class("B"),
 }
 
 
-def _family_series(ctx: BoundContext, which: str) -> tuple[Fraction, ...]:
-    return ctx.provider.edge_class(_FAMILIES[which](ctx)).values
+class _Bound(NamedTuple):
+    """One bound on a series (a_0..a_M).
+
+    With a discount kind (a key of `_DISCOUNTS`) it is the sum form
+    sum_m a_m zeta^m weight(m) <= rhs; without one it is the pointwise form
+    a_m <= rhs(m) for every m, `rhs` returning the per-term bound.  A row
+    with `custom` is evaluated by that function instead.
+    """
+
+    series: str
+    discount: Optional[str] = None
+    rhs: Optional[Callable[[BoundContext], object]] = None
+    weight: Optional[Callable[[BoundContext, int], Fraction]] = None
+    note: Optional[Callable[[BoundContext], str]] = None
+    custom: Optional[Callable[[str, tuple, BoundContext], BoundResult]] = None
 
 
-def _eval_prop4_1(ctx: BoundContext) -> BoundResult:
-    vals = ctx.provider.walk_total(ctx.x).values
-    d = ctx.Delta()
-    return _pointwise_result("prop4.1", ctx.M, [(a, d**m) for m, a in enumerate(vals)])
+def _evaluate(bound_id: str, row: _Bound, ctx: BoundContext) -> BoundResult:
+    vals = _SERIES[row.series][1](ctx).values
+    if row.custom is not None:
+        return row.custom(bound_id, vals, ctx)
+    if row.discount is None:
+        bound = row.rhs(ctx)
+        return _pointwise_result(bound_id, ctx.M, [(a, bound(m)) for m, a in enumerate(vals)])
+    terms = _discount_terms(vals, row.discount, ctx)
+    if row.weight is not None:
+        terms = [t * row.weight(ctx, m) for m, t in enumerate(terms)]
+    rhs = row.rhs(ctx)
+    return _sum_result(bound_id, ctx.M, terms, rhs, row.note(ctx) if row.note else "")
 
 
-def _eval_prop4_2(ctx: BoundContext) -> BoundResult:
-    vals = ctx.provider.fpw(ctx.x, ctx.Y).values
-    return _sum_result("prop4.2", ctx.M, _discount_terms(vals, "Delta", ctx), Fraction(1))
-
-
-def _eval_prop4_3(ctx: BoundContext) -> BoundResult:
-    vals = ctx.provider.saw(ctx.x, ctx.y).values
-    return _sum_result(
-        "prop4.3", ctx.M, _discount_terms(vals, "Lambda", ctx), ctx.flow_fraction()
-    )
-
-
-def _eval_cor4_4(ctx: BoundContext) -> BoundResult:
-    vals = ctx.provider.saw(ctx.x, ctx.y).values
-    lam, F = ctx.Lambda(), ctx.flow_fraction()
-    return _pointwise_result(
-        "cor4.4", ctx.M, [(a, lam**m * F) for m, a in enumerate(vals)]
-    )
-
-
-def _eval_cor4_5(ctx: BoundContext) -> BoundResult:
-    # evaluated at the admissible discount zeta = 1/(2*Lambda)
-    vals = ctx.provider.saw(ctx.x, ctx.y).values
-    dist = ctx.hop_distance()
-    terms = _discount_terms(vals, "2Lambda", ctx)
-    if dist is None:
-        rhs = Fraction(0)  # unreachable: the whole series vanishes
-    else:
-        rhs = Fraction(1, 2**dist) * ctx.flow_fraction()
-    return _sum_result("cor4.5", ctx.M, terms, rhs, note=f"dist={dist}")
-
-
-def _eval_prop5_1(ctx: BoundContext) -> BoundResult:
-    vals = _family_series(ctx, "f")
-    return _sum_result("prop5.1", ctx.M, _discount_terms(vals, "Delta", ctx), Fraction(1))
-
-
-def _eval_prop5_2(ctx: BoundContext) -> BoundResult:
-    vals = _family_series(ctx, "f")
-    k, ysz = len(ctx.X_disjoint()), len(ctx.Y)
-    lam = ctx.Lambda()
-    base_terms = _discounted(vals, lam)
-    terms = [
-        t * Fraction(m + ysz) ** (-(k - 1)) for m, t in enumerate(base_terms)
-    ]
-    return _sum_result("prop5.2", ctx.M, terms, Fraction(ysz))
-
-
-def _eval_cor5_3(ctx: BoundContext) -> BoundResult:
-    vals = _family_series(ctx, "t")
-    return _sum_result("cor5.3", ctx.M, _discount_terms(vals, "Delta", ctx), Fraction(1))
-
-
-def _eval_cor5_4(ctx: BoundContext) -> BoundResult:
-    vals = _family_series(ctx, "t")
-    k = len(ctx.X)
-    terms = [
-        t * Fraction(m + 1) ** (-(k - 2))
-        for m, t in enumerate(_discounted(vals, ctx.Lambda()))
-    ]
-    return _sum_result("cor5.4", ctx.M, terms, Fraction(1))
+def _powers(base: Fraction, scale=1, coef: Callable[[int], Fraction] = lambda m: 1):
+    """The per-term bound m -> coef(m) * base^m * scale."""
+    return lambda m: coef(m) * base**m * scale
 
 
 def _h_bound(k: int, p: int, r: int) -> Fraction:
     return Fraction(1, p ** (r - 1)) * Fraction(1, k - r * p + p) * math.comb(k, r)
 
 
-def _eval_prop5_8(ctx: BoundContext) -> BoundResult:
-    k = len(ctx.X)
-    if k < ctx.r * ctx.p:
-        raise ValueError("prop5.8 needs |X| >= r*p")
-    vals = _family_series(ctx, "h")
-    rhs = _h_bound(k, ctx.p, ctx.r)
-    return _sum_result("prop5.8", ctx.M, _discount_terms(vals, "Delta", ctx), rhs)
-
-
-def _eval_cor5_9(ctx: BoundContext) -> BoundResult:
-    k = len(ctx.X)
-    vals = _family_series(ctx, "hp")
-    rhs = sum(
-        (_h_bound(k, ctx.p, r) for r in range(1, k // ctx.p + 1)), Fraction(0)
-    )
-    crude = (1 + Fraction(1, ctx.p)) ** k - 1
-    note = f"crude={crude}"
-    return _sum_result("cor5.9", ctx.M, _discount_terms(vals, "Delta", ctx), rhs, note)
-
-
-def _eval_cor5_10(ctx: BoundContext) -> BoundResult:
-    k = len(ctx.X)
-    vals = _family_series(ctx, "h1")
-    rhs = Fraction(2 * (2**k - 1), k + 1)
-    return _sum_result("cor5.10", ctx.M, _discount_terms(vals, "Delta", ctx), rhs)
-
-
-def _eval_prop5_11(ctx: BoundContext) -> BoundResult:
-    k = len(ctx.X)
-    if k < ctx.r * ctx.p:
-        raise ValueError("prop5.11 needs |X| >= r*p")
-    vals = _family_series(ctx, "h")
-    terms = [
-        t * Fraction(m + ctx.r) ** (-(k - 1))
-        for m, t in enumerate(_discounted(vals, ctx.Lambda()))
-    ]
-    rhs = ctx.r * _h_bound(k, ctx.p, ctx.r)
-    return _sum_result("prop5.11", ctx.M, terms, rhs)
-
-
-def _eval_prop6_1(ctx: BoundContext) -> BoundResult:
-    vals = _family_series(ctx, "c")
-    k, d = len(ctx.X), ctx.Delta()
-    return _pointwise_result(
-        "prop6.1", ctx.M, [(a, C_mk(m, k) * d**m) for m, a in enumerate(vals)]
-    )
-
-
-def _eval_prop7_1(ctx: BoundContext) -> BoundResult:
-    vals = _family_series(ctx, "bf")
-    return _sum_result(
-        "prop7.1", ctx.M, _discount_terms(vals, "Delta/ln2", ctx), Fraction(1)
-    )
-
-
-def _eval_prop7_2(ctx: BoundContext) -> BoundResult:
-    vals = _family_series(ctx, "bf")
-    rhs = ctx.alpha ** (len(ctx.Y) - 1)
-    return _sum_result(
-        "prop7.2", ctx.M, _discount_terms(vals, "alphaLambda/lnalpha", ctx), rhs
-    )
-
-
-def _eval_cor7_3(ctx: BoundContext) -> BoundResult:
-    vals = _family_series(ctx, "bt")
-    return _sum_result(
-        "cor7.3", ctx.M, _discount_terms(vals, "Delta/ln2", ctx), Fraction(1)
-    )
-
-
-def _eval_cor7_4(ctx: BoundContext) -> BoundResult:
-    vals = _family_series(ctx, "bt")
-    return _sum_result(
-        "cor7.4", ctx.M, _discount_terms(vals, "2Lambda/ln2", ctx), Fraction(1)
-    )
-
-
-def _eval_cor7_5(ctx: BoundContext) -> BoundResult:
+def _eval_cor7_5(bound_id: str, vals: tuple, ctx: BoundContext) -> BoundResult:
     """Nonseparable subgraphs through a fixed edge, with the 2*Lambda(G-e)/ln2
     discount.  For edge weights above 2*Lambda(G-e)/ln2 the right side grows
     to w_e*ln2/(2*Lambda(G-e)): that is what the underlying reduction to the
     block-tree bound on G-e actually yields, and the unit bound is provably
     false for such weights."""
-    vals = ctx.provider.through_edge(ctx.eid).values
     lam_e = ctx.provider.lambda_minus_edge(ctx.eid)
     w_e = ctx.g.edges[ctx.eid].w
     if lam_e == 0:
         terms = _discounted(vals, Fraction(0))
-        return _sum_result("cor7.5", ctx.M, terms, Fraction(1), note="Lambda(G-e)=0")
+        return _sum_result(bound_id, ctx.M, terms, Fraction(1), note="Lambda(G-e)=0")
     zeta = _ln_over(2, 2 * lam_e)
     terms = _log_discounted(vals, zeta)
     wz = Interval.point(w_e) * zeta
     rhs = Fraction(1) if wz.definitely_le(Fraction(1)) else wz
     note = "" if isinstance(rhs, Fraction) else "heavy-edge form"
-    return _sum_result("cor7.5", ctx.M, terms, rhs, note)
+    return _sum_result(bound_id, ctx.M, terms, rhs, note)
 
 
-def _eval_prop7_8(ctx: BoundContext) -> BoundResult:
-    vals = _family_series(ctx, "bfstar")
-    rhs = ctx.alpha ** (len(ctx.Y) - 1)
-    return _sum_result(
-        "prop7.8", ctx.M, _discount_terms(vals, "alphaLambda/lnalpha", ctx), rhs
-    )
-
-
-def _eval_prop7_12(ctx: BoundContext) -> BoundResult:
-    vals = _family_series(ctx, "b")
-    k, lam = len(ctx.X), ctx.Lambda()
-    return _pointwise_result(
-        "prop7.12", ctx.M, [(a, B_mk(m, k) * lam**m) for m, a in enumerate(vals)]
-    )
-
-
-def _eval_cor7_13(ctx: BoundContext) -> BoundResult:
-    """Pointwise form of the through-edge bound; same heavy-edge caveat as
-    cor7.5, handled by the max(Lambda(G-e), w_e) factor the proof supports."""
-    vals = ctx.provider.through_edge(ctx.eid).values
+def _through_edge_terms(ctx: BoundContext):
+    """Per-term bound of cor7.13; same heavy-edge caveat as cor7.5, handled by
+    the max(Lambda(G-e), w_e) factor the proof supports."""
     lam_e = ctx.provider.lambda_minus_edge(ctx.eid)
-    w_e = ctx.g.edges[ctx.eid].w
-    pairs = []
-    for m, a in enumerate(vals):
-        if m == 0:
-            pairs.append((a, Fraction(0)))
-        else:
-            pairs.append((a, B_mk(m - 1, 2) * lam_e ** (m - 1) * max(lam_e, w_e)))
-    return _pointwise_result("cor7.13", ctx.M, pairs)
+    top = max(lam_e, ctx.g.edges[ctx.eid].w)
+    return lambda m: B_mk(m - 1, 2) * lam_e ** (m - 1) * top if m else Fraction(0)
 
 
-def _eval_conj5_6(ctx: BoundContext) -> BoundResult:
-    vals = _family_series(ctx, "f")
-    rhs = Fraction(len(ctx.Y)) ** len(ctx.X_disjoint())
-    return _sum_result("conj5.6", ctx.M, _discount_terms(vals, "Lambda", ctx), rhs)
+def _one(ctx: BoundContext) -> Fraction:
+    return Fraction(1)
 
 
-def _eval_conj5_7(ctx: BoundContext) -> BoundResult:
-    vals = _family_series(ctx, "t")
-    return _sum_result("conj5.7", ctx.M, _discount_terms(vals, "Lambda", ctx), Fraction(1))
-
-
-def _eval_conj7_9(ctx: BoundContext) -> BoundResult:
-    vals = _family_series(ctx, "bf")
-    rhs = Fraction(len(ctx.Y)) ** len(ctx.X_disjoint())
-    return _sum_result("conj7.9", ctx.M, _discount_terms(vals, "Lambda/ln2", ctx), rhs)
-
-
-def _eval_conj7_10(ctx: BoundContext) -> BoundResult:
-    vals = _family_series(ctx, "bfstar")
-    rhs = Fraction(2) ** len(ctx.Y) - 1
-    return _sum_result("conj7.10", ctx.M, _discount_terms(vals, "Lambda/ln2", ctx), rhs)
-
-
-def _eval_conj7_11(ctx: BoundContext) -> BoundResult:
-    vals = _family_series(ctx, "bt")
-    return _sum_result("conj7.11", ctx.M, _discount_terms(vals, "Lambda/ln2", ctx), Fraction(1))
-
-
-# id -> (anchor requirement, evaluator); requirements: subsets of {x,y,X,Y,e}
-BOUNDS: dict[str, tuple[frozenset[str], Callable[[BoundContext], BoundResult]]] = {
-    "prop4.1": (frozenset({"x"}), _eval_prop4_1),
-    "prop4.2": (frozenset({"x", "Y"}), _eval_prop4_2),
-    "prop4.3": (frozenset({"x", "y"}), _eval_prop4_3),
-    "cor4.4": (frozenset({"x", "y"}), _eval_cor4_4),
-    "cor4.5": (frozenset({"x", "y"}), _eval_cor4_5),
-    "prop5.1": (frozenset({"Y"}), _eval_prop5_1),
-    "prop5.2": (frozenset({"Y"}), _eval_prop5_2),
-    "cor5.3": (frozenset({"X"}), _eval_cor5_3),
-    "cor5.4": (frozenset({"X"}), _eval_cor5_4),
-    "prop5.8": (frozenset({"X"}), _eval_prop5_8),
-    "cor5.9": (frozenset({"X"}), _eval_cor5_9),
-    "cor5.10": (frozenset({"X"}), _eval_cor5_10),
-    "prop5.11": (frozenset({"X"}), _eval_prop5_11),
-    "prop6.1": (frozenset({"X"}), _eval_prop6_1),
-    "prop7.1": (frozenset({"Y"}), _eval_prop7_1),
-    "prop7.2": (frozenset({"Y"}), _eval_prop7_2),
-    "cor7.3": (frozenset({"X"}), _eval_cor7_3),
-    "cor7.4": (frozenset({"X"}), _eval_cor7_4),
-    "cor7.5": (frozenset({"e"}), _eval_cor7_5),
-    "prop7.8": (frozenset({"Y"}), _eval_prop7_8),
-    "prop7.12": (frozenset({"X"}), _eval_prop7_12),
-    "cor7.13": (frozenset({"e"}), _eval_cor7_13),
-    "conj5.6": (frozenset({"Y"}), _eval_conj5_6),
-    "conj5.7": (frozenset({"X"}), _eval_conj5_7),
-    "conj7.9": (frozenset({"Y"}), _eval_conj7_9),
-    "conj7.10": (frozenset({"Y"}), _eval_conj7_10),
-    "conj7.11": (frozenset({"X"}), _eval_conj7_11),
+# id -> its row; the anchors a bound needs are those of its series
+BOUNDS: dict[str, _Bound] = {
+    "prop4.1": _Bound("walk", None, lambda ctx: _powers(ctx.Delta())),
+    "prop4.2": _Bound("fpw", "Delta", _one),
+    "prop4.3": _Bound("saw", "Lambda", lambda ctx: ctx.flow_fraction()),
+    "cor4.4": _Bound("saw", None, lambda ctx: _powers(ctx.Lambda(), ctx.flow_fraction())),
+    # evaluated at the admissible discount zeta = 1/(2*Lambda); an unreachable
+    # y makes the whole series vanish
+    "cor4.5": _Bound(
+        "saw", "2Lambda",
+        lambda ctx: Fraction(0) if (d := ctx.hop_distance()) is None
+        else Fraction(1, 2**d) * ctx.flow_fraction(),
+        note=lambda ctx: f"dist={ctx.hop_distance()}",
+    ),
+    "prop5.1": _Bound("f", "Delta", _one),
+    "prop5.2": _Bound(
+        "f", "Lambda", lambda ctx: Fraction(len(ctx.Y)),
+        weight=lambda ctx, m: Fraction(m + len(ctx.Y)) ** (1 - len(ctx.X_disjoint())),
+    ),
+    "cor5.3": _Bound("t", "Delta", _one),
+    "cor5.4": _Bound("t", "Lambda", _one, weight=lambda ctx, m: Fraction(m + 1) ** (2 - len(ctx.X))),
+    "prop5.8": _Bound("h", "Delta", lambda ctx: _h_bound(len(ctx.X), ctx.p, ctx.r)),
+    "cor5.9": _Bound(
+        "hp", "Delta",
+        lambda ctx: sum(
+            (_h_bound(len(ctx.X), ctx.p, r) for r in range(1, len(ctx.X) // ctx.p + 1)), Fraction(0)
+        ),
+        note=lambda ctx: f"crude={(1 + Fraction(1, ctx.p)) ** len(ctx.X) - 1}",
+    ),
+    "cor5.10": _Bound("h1", "Delta", lambda ctx: Fraction(2 * (2 ** len(ctx.X) - 1), len(ctx.X) + 1)),
+    "prop5.11": _Bound(
+        "h", "Lambda", lambda ctx: ctx.r * _h_bound(len(ctx.X), ctx.p, ctx.r),
+        weight=lambda ctx, m: Fraction(m + ctx.r) ** (1 - len(ctx.X)),
+    ),
+    "prop6.1": _Bound("c", None, lambda ctx: _powers(ctx.Delta(), coef=lambda m: C_mk(m, len(ctx.X)))),
+    "prop7.1": _Bound("bf", "Delta/ln2", _one),
+    "prop7.2": _Bound("bf", "alphaLambda/lnalpha", lambda ctx: ctx.alpha ** (len(ctx.Y) - 1)),
+    "cor7.3": _Bound("bt", "Delta/ln2", _one),
+    "cor7.4": _Bound("bt", "2Lambda/ln2", _one),
+    "cor7.5": _Bound("b_e", custom=_eval_cor7_5),
+    "prop7.8": _Bound("bfstar", "alphaLambda/lnalpha", lambda ctx: ctx.alpha ** (len(ctx.Y) - 1)),
+    "prop7.12": _Bound("b", None, lambda ctx: _powers(ctx.Lambda(), coef=lambda m: B_mk(m, len(ctx.X)))),
+    "cor7.13": _Bound("b_e", None, _through_edge_terms),
+    "conj5.6": _Bound("f", "Lambda", lambda ctx: Fraction(len(ctx.Y)) ** len(ctx.X_disjoint())),
+    "conj5.7": _Bound("t", "Lambda", _one),
+    "conj7.9": _Bound("bf", "Lambda/ln2", lambda ctx: Fraction(len(ctx.Y)) ** len(ctx.X_disjoint())),
+    "conj7.10": _Bound("bfstar", "Lambda/ln2", lambda ctx: Fraction(2) ** len(ctx.Y) - 1),
+    "conj7.11": _Bound("bt", "Lambda/ln2", _one),
 }
 
 
@@ -679,7 +530,7 @@ def verify_bound(
 ) -> BoundResult:
     if bound_id not in BOUNDS:
         raise ValueError(f"unknown bound {bound_id!r}; known: {sorted(BOUNDS)}")
-    requires, fn = BOUNDS[bound_id]
+    row = BOUNDS[bound_id]
     ctx = BoundContext(
         g=g, M=M,
         X=frozenset(X) if X is not None else None,
@@ -687,21 +538,14 @@ def verify_bound(
         x=x, y=y, eid=eid, p=p, r=r, alpha=Fraction(alpha),
         provider=provider, cap=cap,
     )
-    have = set()
-    if ctx.x is not None:
-        have.add("x")
-    if ctx.y is not None:
-        have.add("y")
-    if ctx.X:
-        have.add("X")
-    if ctx.Y:
-        have.add("Y")
-    if ctx.eid is not None:
-        have.add("e")
-    missing = requires - have
+    have = {a for a, v in (("x", x), ("y", y), ("e", eid)) if v is not None}
+    have |= {a for a, v in (("X", ctx.X), ("Y", ctx.Y)) if v}
+    missing = _SERIES[row.series][0] - have
     if missing:
         raise ValueError(f"{bound_id} needs anchors {sorted(missing)}")
-    return fn(ctx)
+    if row.series == "h" and len(ctx.X) < r * p:
+        raise ValueError(f"{bound_id} needs |X| >= r*p")
+    return _evaluate(bound_id, row, ctx)
 
 
 def run_suite(

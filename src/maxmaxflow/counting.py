@@ -72,6 +72,13 @@ class SubgraphClassSpec:
                 raise ValueError("r must be >= 1")
             if (self.p is not None or self.r is not None) and k != "H":
                 raise ValueError("p, r apply to kind H only")
+            # an H-forest's leaves lie in X, so each component meets X: p = 1
+            # adds nothing, and with one component it is a T-tree
+            if k == "H" and self.p == 1:
+                object.__setattr__(self, "p", None)
+            if k == "H" and self.r == 1 and self.p is None:
+                object.__setattr__(self, "kind", "T")
+                object.__setattr__(self, "r", None)
         else:
             raise ValueError(f"unknown kind {k!r}")
 

@@ -7,12 +7,11 @@ graph's cut tree is built once and memoised on the graph.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .graph import Edge, WeightedMultigraph, _steiner_nodes, components_of
+from .graph import Edge, WeightedMultigraph, _steiner_nodes, bfs_path, bfs_tree, components_of
 
 
 @dataclass(frozen=True)
@@ -161,47 +160,17 @@ class CutTree:
         return adj
 
     def path(self, x: int, y: int) -> list[tuple[int, int, Fraction]]:
-        adj = self.adjacency()
-        prev: dict[int, tuple[int, Fraction]] = {}
-        seen = {x}
-        q = deque([x])
-        while q:
-            u = q.popleft()
-            if u == y:
-                break
-            for v, w in adj[u]:
-                if v not in seen:
-                    seen.add(v)
-                    prev[v] = (u, w)
-                    q.append(v)
-        if y not in seen:
+        steps = bfs_path(self.adjacency(), x, y)
+        if steps is None:
             raise ValueError("vertices not connected in tree")
-        out = []
-        v = y
-        while v != x:
-            u, w = prev[v]
-            out.append((u, v, w))
-            v = u
-        out.reverse()
-        return out
+        return steps
 
     def bottleneck(self, x: int, y: int) -> Fraction:
         return min(w for _, _, w in self.path(x, y))
 
     def split(self, u: int, v: int) -> frozenset[int]:
         """Vertex side containing u after removing tree edge (u, v)."""
-        adj = self.adjacency()
-        seen = {u}
-        q = deque([u])
-        while q:
-            a = q.popleft()
-            for b, _ in adj[a]:
-                if a == u and b == v:
-                    continue
-                if b not in seen:
-                    seen.add(b)
-                    q.append(b)
-        return frozenset(seen)
+        return frozenset(bfs_tree(self.adjacency(), u, banned=(v,)))
 
 
 def _component_cut_tree(

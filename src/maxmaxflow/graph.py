@@ -1,15 +1,16 @@
 """Weighted loopless multigraphs with exact rational edge weights.
 
 Parsing and serialization of the line-oriented text format, structural
-decompositions (components, blocks, convex hulls) and generators for the
-standard example families.
+decompositions (components, breadth-first trees, blocks, convex hulls) and
+generators for the standard example families.
 """
 from __future__ import annotations
 
 import random
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 
 class GraphFormatError(ValueError):
@@ -74,22 +75,10 @@ class WeightedMultigraph:
     def adjacency(self) -> dict[int, list[tuple[int, int]]]:
         return self._adj
 
-    def edge(self, eid: int) -> Edge:
-        return self.edges[eid]
-
-    def incident(self, x: int) -> list[Edge]:
-        if x not in self._adj:
-            raise GraphFormatError(f"unknown vertex {x}")
-        return [self.edges[eid] for _, eid in self._adj[x]]
-
     def weighted_degree(self, x: int) -> Fraction:
         if x not in self._adj:
             raise GraphFormatError(f"unknown vertex {x}")
         return sum((self.edges[eid].w for _, eid in self._adj[x]), Fraction(0))
-
-    def neighbor_weight(self, u: int, v: int) -> Fraction:
-        """Total weight of all parallel edges between u and v."""
-        return sum((self.edges[eid].w for x, eid in self._adj[u] if x == v), Fraction(0))
 
     def components(self) -> list[frozenset[int]]:
         return components_of(self.vertices, [(e.u, e.v) for e in self.edges])
@@ -245,6 +234,40 @@ def components_of(vertices: Iterable[int], pairs: Iterable[tuple[int, int]]) -> 
     return [frozenset(g) for g in sorted(groups.values(), key=min)]
 
 
+def bfs_tree(adj: dict, start: int, banned: Iterable = ()) -> dict[int, Optional[tuple[int, object]]]:
+    """Breadth-first search from `start` that never enters `banned`.
+
+    `adj` maps a vertex to its (neighbour, label) pairs.  Each reached vertex
+    maps to (the vertex it was first reached from, the label of that step);
+    `start` maps to None.
+    """
+    prev: dict[int, Optional[tuple[int, object]]] = {start: None}
+    banned = set(banned)
+    q = deque([start])
+    while q:
+        u = q.popleft()
+        for v, label in adj[u]:
+            if v not in prev and v not in banned:
+                prev[v] = (u, label)
+                q.append(v)
+    return prev
+
+
+def bfs_path(adj: dict, x: int, y: int) -> Optional[list[tuple[int, int, object]]]:
+    """The steps (u, v, label) of a shortest x-y path in `adj` (as for
+    `bfs_tree`), or None when y is not reached."""
+    prev = bfs_tree(adj, x)
+    if y not in prev:
+        return None
+    out = []
+    while prev[y] is not None:
+        u, label = prev[y]
+        out.append((u, y, label))
+        y = u
+    out.reverse()
+    return out
+
+
 # -- blocks ---------------------------------------------------------------
 
 
@@ -266,10 +289,6 @@ class BlockDecomposition:
     def isolated_blocks(self) -> list[Block]:
         """Blocks containing no cut vertex."""
         return [b for b in self.blocks if not (b.vertices & self.cut_vertices)]
-
-    def internal_vertices(self, block: Block) -> frozenset[int]:
-        """Non-cut vertices of the ambient graph that lie in `block`."""
-        return block.vertices - self.cut_vertices
 
     def block_cut_tree(self) -> dict[object, list[object]]:
         """Bipartite adjacency over ('B', i) block nodes and ('C', v) cut nodes."""

@@ -2,16 +2,13 @@
 
 Comparisons involving log 2, log alpha, e, pi and square roots are decided
 through intervals with exactly representable rational endpoints; a
-comparison that stays undecided at the precision floor raises instead of
-guessing.
+comparison that the enclosures leave undecided raises instead of guessing.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-
-PRECISION_FLOOR = Fraction(1, 2**256)
 
 
 class UndecidedComparison(RuntimeError):
@@ -81,9 +78,6 @@ class Interval:
 
     def definitely_gt(self, other) -> bool:
         return self.lo > _coerce(other).hi
-
-    def midpoint(self) -> Fraction:
-        return (self.lo + self.hi) / 2
 
 
 def _coerce(x) -> Interval:

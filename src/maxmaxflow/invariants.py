@@ -137,10 +137,11 @@ def inequality_chain(g: WeightedMultigraph, brute_cap: int = 10) -> InvariantRep
     """
     if g.n == 0:
         raise ValueError("empty graph")
-    Delta = max_degree(g)
+    seq = degree_sequence(g)
+    Delta = seq[0]
     D = degeneracy(g)
-    Delta2 = delta_k(g, 2) if g.n >= 2 else None
-    Dn1 = delta_k(g, g.n - 1) if g.n >= 3 else (Delta if g.n == 2 else None)
+    Delta2 = seq[1] if g.n >= 2 else None
+    Dn1 = seq[g.n - 2] if g.n >= 2 else None
     Lam = maxmaxflow(g) if g.n >= 2 else None
     small = g.n <= brute_cap
     LamT = lambda_tilde_bruteforce(g, cap=brute_cap) if (g.n >= 2 and small) else None

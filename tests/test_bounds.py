@@ -1,9 +1,14 @@
 """Tree-function coefficients, series identities, bound verifiers, and the hunt."""
+import importlib.util
 import math
 import random
+import re
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
+
+from maxmaxflow import bounds
 
 from maxmaxflow.graph import (
     complete_graph,
@@ -134,6 +139,36 @@ def test_unknown_bound_id_rejected():
 def test_missing_anchor_rejected():
     with pytest.raises(ValueError):
         verify_bound(path_graph(2), "prop4.3", M=2, x=1)  # y missing
+
+
+# every anchor a bound may read; verify_bound sees only those it is given
+_ANCHORS = {"x": {"x": 1}, "y": {"y": 3}, "X": {"X": {1, 3, 5}}, "Y": {"Y": {3, 5}}, "e": {"eid": 0}}
+
+
+@pytest.mark.parametrize("bound_id", sorted(BOUNDS))
+def test_missing_series_anchors_are_named(bound_id):
+    g = complete_graph(5)
+    needs = bounds._SERIES[BOUNDS[bound_id].series][0]
+    assert needs and needs <= set(_ANCHORS)
+    with pytest.raises(ValueError, match=re.escape(f"{bound_id} needs anchors {sorted(needs)}")):
+        verify_bound(g, bound_id, M=2)
+    for absent in needs:
+        kw = {k: v for a in needs - {absent} for k, v in _ANCHORS[a].items()}
+        with pytest.raises(ValueError, match=re.escape(f"{bound_id} needs anchors {[absent]}")):
+            verify_bound(g, bound_id, M=2, **kw)
+    kw = {k: v for a in needs for k, v in _ANCHORS[a].items()}
+    assert verify_bound(g, bound_id, M=2, **kw).verdict != VIOLATION
+
+
+def test_provider_defines_every_traced_method():
+    # the bench tracer wraps these by name; a rename would read as no cache hits
+    path = Path(__file__).parents[1] / "bench" / "tracer.py"
+    pytest.importorskip("numpy")
+    spec = importlib.util.spec_from_file_location("bench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    for name in tracer.PROVIDER_METHODS:
+        assert callable(vars(bounds.SeriesProvider).get(name)), name
 
 
 def test_through_edge_bounds_heavy_edge():

@@ -2,6 +2,7 @@
 import math
 import random
 from fractions import Fraction as F
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -247,6 +248,30 @@ def test_search_equals_subset_filter(data):
     bp = series_by_filter(rest, class_spec("BLOCKPATH", x=e.u, y=e.v), max(M - 1, 0))
     through = two_connected_through_edge_series(g, eid, M)
     assert list(through.values) == [F(0)] + [e.w * a for a in bp][:M]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_h_with_p_1_and_r_1_is_t(data):
+    # the oracle's own predicates, on specs that bypass the normalisation:
+    # leaves lie in X, so p = 1 adds nothing and one H-component is a T-tree
+    g = data.draw(_multigraphs())
+    vertices = st.integers(1, g.n)
+    X = data.draw(st.frozensets(vertices, min_size=1, max_size=3))
+    Y = data.draw(st.none() | st.frozensets(vertices, min_size=1, max_size=3))
+    r = data.draw(st.none() | st.integers(2, 3))
+
+    def spec(kind, p=None, r=None):
+        return SimpleNamespace(kind=kind, X=X, Y=Y, p=p, r=r, x=None, y=None)
+
+    subsets = data.draw(st.lists(st.sets(st.integers(0, g.m - 1)), max_size=8)) if g.m else [set()]
+    for sub in subsets:
+        assert in_class(g, sub, spec("H", p=1, r=1)) == in_class(g, sub, spec("T"))
+        assert in_class(g, sub, spec("H", p=1, r=r)) == in_class(g, sub, spec("H", r=r))
+    assert class_spec("H", X=X, Y=Y, p=1, r=1) == class_spec("T", X=X, Y=Y)
+    assert class_spec("H", X=X, Y=Y, r=1) == class_spec("T", X=X, Y=Y)
+    assert class_spec("H", X=X, Y=Y, p=1, r=r) == class_spec("H", X=X, Y=Y, r=r)
+    assert class_spec("H", X=X, p=2, r=1).kind == "H"
 
 
 def test_batched_walk_kinds_dispatch():
