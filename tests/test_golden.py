@@ -36,6 +36,12 @@ CASES = [
     for kind, anchors in COUNT_ANCHORS.items()
 ]
 CASES.append(("suite_wheel.csv", "wheel.txt", ["suite", "-", "--x", "1,2", "--y", "4", "--edge", "0", "-m", "5"]))
+# which bounds a suite skips: without y, Y and e every bound needing them
+# drops out, and on one vertex every Lambda bound does while the Delta ones stay
+CASES += [
+    ("suite_wheel_x13.csv", "wheel.txt", ["suite", "-", "--x", "1,3", "-m", "4"]),
+    ("suite_single_vertex.csv", "single_vertex.txt", ["suite", "-", "--x", "1", "--y", "1", "-m", "3"]),
+]
 CASES += [
     (f"hunt_{conj}.csv", None, ["hunt", "--conjecture", conj, "--trials", "300", "-m", "4"])
     for conj in ("conj5.6", "conj5.7", "conj7.9", "conj7.10", "conj7.11")
