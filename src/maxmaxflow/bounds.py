@@ -18,6 +18,7 @@ from typing import Callable, Iterable, NamedTuple, Optional
 from .counting import (
     CountSeries,
     SubgraphClassSpec,
+    _require_vertices,
     class_count_series,
     class_spec,
     saw_counts,
@@ -33,8 +34,6 @@ from .invariants import max_degree
 VIOLATION = "VIOLATION"
 CONSISTENT = "CONSISTENT_UP_TO_M"
 EQUALITY = "EQUALITY_AT_M"
-
-_LOG_TOL = Fraction(1, 2**300)
 
 
 # -- the coefficient families ---------------------------------------------
@@ -219,21 +218,18 @@ def _pointwise_result(bound_id: str, M: int, pairs, note: str = "") -> BoundResu
     return BoundResult(bound_id, verdict, M, worst_lhs, worst_lhs, worst_rhs, worst_rhs, True, note)
 
 
-def _discounted(values, base) -> list:
-    """Per-term base^-m * a_m; a zero or infinite base keeps only the m=0 term.
+def _discounted(values, base: Fraction) -> list:
+    """Per-term base^-m * a_m; a zero base keeps only the m=0 term.
 
-    `base` may be a Fraction or an Interval.  When the base is 0 the family
-    can have no positive terms beyond m=0 (all edge weights vanish), so the
-    remaining terms are dropped after checking they are zero.
+    When the base is 0 the family can have no positive terms beyond m=0
+    (all edge weights vanish), so the remaining terms are dropped after
+    checking they are zero.
     """
-    if isinstance(base, Fraction) and base == 0:
+    if base == 0:
         for a in values[1:]:
             if a != 0:
                 raise AssertionError("zero discount base with a positive term")
         return [values[0]]
-    if isinstance(base, Interval):
-        inv = base.reciprocal()
-        return [a * (inv**m) if a != 0 else Fraction(0) for m, a in enumerate(values)]
     inv = 1 / base
     return [a * inv**m for m, a in enumerate(values)]
 
@@ -242,13 +238,42 @@ def _discounted(values, base) -> list:
 
 
 class SeriesProvider:
-    """Caches the per-family series for one graph and truncation order, and
-    Λ(G−e) for the through-edge bounds."""
+    """The inputs of the bounds on one graph: the truncation order M, the
+    anchors (x, y, X, Y and the edge id), p, r, alpha and the work cap,
+    checked once on construction.  It caches the per-family series and
+    Λ(G−e) for the through-edge bounds, and serves the graph invariants the
+    bounds read."""
 
-    def __init__(self, g: WeightedMultigraph, M: int, cap: Optional[int] = None):
-        self.g = g
-        self.M = M
-        self.cap = cap
+    def __init__(
+        self,
+        g: WeightedMultigraph,
+        M: int,
+        X: Optional[Iterable[int]] = None,
+        Y: Optional[Iterable[int]] = None,
+        x: Optional[int] = None,
+        y: Optional[int] = None,
+        eid: Optional[int] = None,
+        p: int = 1,
+        r: int = 1,
+        alpha=Fraction(2),
+        cap: Optional[int] = None,
+    ):
+        self.alpha = Fraction(alpha)
+        if not 1 < self.alpha <= 2:
+            raise ValueError("alpha must lie in (1, 2]")
+        if M < 0:
+            raise ValueError("M must be >= 0")
+        if p < 1 or r < 1:
+            raise ValueError("p and r must be >= 1")
+        self.X, self.Y = frozenset(X or ()), frozenset(Y or ())
+        _require_vertices(g, sorted(self.X | self.Y | {v for v in (x, y) if v is not None}))
+        if eid is not None and not 0 <= eid < g.m:
+            raise ValueError("edge id out of range")
+        self.g, self.M, self.x, self.y, self.eid = g, M, x, y, eid
+        self.p, self.r, self.cap = p, r, cap
+        # the anchors given, named as in `_SERIES`
+        self.anchors = {a for a, v in (("x", x), ("y", y), ("e", eid)) if v is not None}
+        self.anchors |= {a for a, v in (("X", self.X), ("Y", self.Y)) if v}
         self._cache: dict = {}
 
     def _get(self, key, compute: Callable[[], object]):
@@ -280,29 +305,6 @@ class SeriesProvider:
 
         return self._get(("Lambda-e", eid), compute)
 
-
-@dataclass
-class BoundContext:
-    g: WeightedMultigraph
-    M: int
-    X: Optional[frozenset[int]] = None
-    Y: Optional[frozenset[int]] = None
-    x: Optional[int] = None
-    y: Optional[int] = None
-    eid: Optional[int] = None
-    p: int = 1
-    r: int = 1
-    alpha: Fraction = Fraction(2)
-    provider: Optional[SeriesProvider] = None
-    cap: Optional[int] = None
-
-    def __post_init__(self):
-        if self.provider is None:
-            self.provider = SeriesProvider(self.g, self.M, self.cap)
-        if not Fraction(1) < self.alpha <= 2:
-            raise ValueError("alpha must lie in (1, 2]")
-        self.alpha = Fraction(self.alpha)
-
     def Delta(self) -> Fraction:
         return max_degree(self.g)
 
@@ -324,12 +326,12 @@ class BoundContext:
 
     def X_disjoint(self) -> frozenset[int]:
         """X with members of Y removed; the classes are unchanged by this."""
-        return (self.X or frozenset()) - (self.Y or frozenset())
+        return self.X - self.Y
 
 
 def _ln_over(a: Fraction, q: Fraction) -> Interval:
     """Enclosure of (ln a)/q for rational a > 1 and positive rational q."""
-    return log_interval(a, _LOG_TOL) / Interval.point(q)
+    return log_interval(a) / Interval.point(q)
 
 
 def _log_discounted(values, zeta: Interval) -> list:
@@ -349,7 +351,7 @@ _DISCOUNTS: dict[str, tuple] = {
 }
 
 
-def _discount_terms(values, base_kind: str, ctx: BoundContext):
+def _discount_terms(values, base_kind: str, ctx: SeriesProvider):
     """Terms a_m * zeta^m for the discount schemes used by the bounds."""
     log_arg, divisor = _DISCOUNTS[base_kind]
     q = divisor(ctx)
@@ -360,24 +362,24 @@ def _discount_terms(values, base_kind: str, ctx: BoundContext):
 
 def _x_class(kind: str, *params: str):
     """A class anchored at X, with the named parameters (p, r) of the context."""
-    return frozenset({"X"}), lambda ctx: ctx.provider.edge_class(
+    return frozenset({"X"}), lambda ctx: ctx.edge_class(
         class_spec(kind, X=ctx.X, **{k: getattr(ctx, k) for k in params})
     )
 
 
 def _y_class(kind: str):
     """A class whose components each meet Y, with X minus Y as further anchors."""
-    return frozenset({"Y"}), lambda ctx: ctx.provider.edge_class(
+    return frozenset({"Y"}), lambda ctx: ctx.edge_class(
         class_spec(kind, X=ctx.X_disjoint(), Y=ctx.Y)
     )
 
 
 # series name -> (the anchors it needs, of x, y, X, Y and e; the series for a context)
-_SERIES: dict[str, tuple[frozenset[str], Callable[[BoundContext], CountSeries]]] = {
-    "walk": (frozenset({"x"}), lambda ctx: ctx.provider.walk_total(ctx.x)),
-    "fpw": (frozenset({"x", "Y"}), lambda ctx: ctx.provider.fpw(ctx.x, ctx.Y)),
-    "saw": (frozenset({"x", "y"}), lambda ctx: ctx.provider.saw(ctx.x, ctx.y)),
-    "b_e": (frozenset({"e"}), lambda ctx: ctx.provider.through_edge(ctx.eid)),
+_SERIES: dict[str, tuple[frozenset[str], Callable[[SeriesProvider], CountSeries]]] = {
+    "walk": (frozenset({"x"}), lambda ctx: ctx.walk_total(ctx.x)),
+    "fpw": (frozenset({"x", "Y"}), lambda ctx: ctx.fpw(ctx.x, ctx.Y)),
+    "saw": (frozenset({"x", "y"}), lambda ctx: ctx.saw(ctx.x, ctx.y)),
+    "b_e": (frozenset({"e"}), lambda ctx: ctx.through_edge(ctx.eid)),
     "f": _y_class("F"),
     "t": _x_class("T"),
     "h": _x_class("H", "p", "r"),
@@ -402,14 +404,22 @@ class _Bound(NamedTuple):
 
     series: str
     discount: Optional[str] = None
-    rhs: Optional[Callable[[BoundContext], object]] = None
-    weight: Optional[Callable[[BoundContext, int], Fraction]] = None
-    note: Optional[Callable[[BoundContext], str]] = None
-    custom: Optional[Callable[[str, tuple, BoundContext], BoundResult]] = None
+    rhs: Optional[Callable[[SeriesProvider], object]] = None
+    weight: Optional[Callable[[SeriesProvider, int], Fraction]] = None
+    note: Optional[Callable[[SeriesProvider], str]] = None
+    custom: Optional[Callable[[str, tuple, SeriesProvider], BoundResult]] = None
 
 
-def _evaluate(bound_id: str, row: _Bound, ctx: BoundContext) -> BoundResult:
-    vals = _SERIES[row.series][1](ctx).values
+def _evaluate(bound_id: str, ctx: SeriesProvider) -> BoundResult:
+    """One bound on the context; ValueError when it does not apply there."""
+    row = BOUNDS[bound_id]
+    needs, series = _SERIES[row.series]
+    missing = needs - ctx.anchors
+    if missing:
+        raise ValueError(f"{bound_id} needs anchors {sorted(missing)}")
+    if row.series == "h" and len(ctx.X) < ctx.r * ctx.p:
+        raise ValueError(f"{bound_id} needs |X| >= r*p")
+    vals = series(ctx).values
     if row.custom is not None:
         return row.custom(bound_id, vals, ctx)
     if row.discount is None:
@@ -431,13 +441,13 @@ def _h_bound(k: int, p: int, r: int) -> Fraction:
     return Fraction(1, p ** (r - 1)) * Fraction(1, k - r * p + p) * math.comb(k, r)
 
 
-def _eval_cor7_5(bound_id: str, vals: tuple, ctx: BoundContext) -> BoundResult:
+def _eval_cor7_5(bound_id: str, vals: tuple, ctx: SeriesProvider) -> BoundResult:
     """Nonseparable subgraphs through a fixed edge, with the 2*Lambda(G-e)/ln2
     discount.  For edge weights above 2*Lambda(G-e)/ln2 the right side grows
     to w_e*ln2/(2*Lambda(G-e)): that is what the underlying reduction to the
     block-tree bound on G-e actually yields, and the unit bound is provably
     false for such weights."""
-    lam_e = ctx.provider.lambda_minus_edge(ctx.eid)
+    lam_e = ctx.lambda_minus_edge(ctx.eid)
     w_e = ctx.g.edges[ctx.eid].w
     if lam_e == 0:
         terms = _discounted(vals, Fraction(0))
@@ -450,15 +460,15 @@ def _eval_cor7_5(bound_id: str, vals: tuple, ctx: BoundContext) -> BoundResult:
     return _sum_result(bound_id, ctx.M, terms, rhs, note)
 
 
-def _through_edge_terms(ctx: BoundContext):
+def _through_edge_terms(ctx: SeriesProvider):
     """Per-term bound of cor7.13; same heavy-edge caveat as cor7.5, handled by
     the max(Lambda(G-e), w_e) factor the proof supports."""
-    lam_e = ctx.provider.lambda_minus_edge(ctx.eid)
+    lam_e = ctx.lambda_minus_edge(ctx.eid)
     top = max(lam_e, ctx.g.edges[ctx.eid].w)
     return lambda m: B_mk(m - 1, 2) * lam_e ** (m - 1) * top if m else Fraction(0)
 
 
-def _one(ctx: BoundContext) -> Fraction:
+def _one(ctx: SeriesProvider) -> Fraction:
     return Fraction(1)
 
 
@@ -525,27 +535,12 @@ def verify_bound(
     p: int = 1,
     r: int = 1,
     alpha=Fraction(2),
-    provider: Optional[SeriesProvider] = None,
     cap: Optional[int] = None,
 ) -> BoundResult:
     if bound_id not in BOUNDS:
         raise ValueError(f"unknown bound {bound_id!r}; known: {sorted(BOUNDS)}")
-    row = BOUNDS[bound_id]
-    ctx = BoundContext(
-        g=g, M=M,
-        X=frozenset(X) if X is not None else None,
-        Y=frozenset(Y) if Y is not None else None,
-        x=x, y=y, eid=eid, p=p, r=r, alpha=Fraction(alpha),
-        provider=provider, cap=cap,
-    )
-    have = {a for a, v in (("x", x), ("y", y), ("e", eid)) if v is not None}
-    have |= {a for a, v in (("X", ctx.X), ("Y", ctx.Y)) if v}
-    missing = _SERIES[row.series][0] - have
-    if missing:
-        raise ValueError(f"{bound_id} needs anchors {sorted(missing)}")
-    if row.series == "h" and len(ctx.X) < r * p:
-        raise ValueError(f"{bound_id} needs |X| >= r*p")
-    return _evaluate(bound_id, row, ctx)
+    ctx = SeriesProvider(g, M, X=X, Y=Y, x=x, y=y, eid=eid, p=p, r=r, alpha=alpha, cap=cap)
+    return _evaluate(bound_id, ctx)
 
 
 def run_suite(
@@ -562,34 +557,29 @@ def run_suite(
     cap: Optional[int] = None,
     include_conjectures: bool = False,
 ) -> list[BoundResult]:
-    """Evaluate every applicable bound, sharing the series cache.
+    """Evaluate every applicable bound on one context, sharing its series cache.
 
     Anchors that were not supplied are filled in from the others where the
-    meaning is unambiguous (x from X, y from Y); bounds whose anchors are
-    still missing, or which need the graph invariants to exist (Lambda needs
-    two vertices), are skipped.
+    meaning is unambiguous (x from X, y from Y).  Bad input raises
+    ValueError, as in `verify_bound`; bounds whose anchors are still
+    missing, or which need the graph invariants to exist (Lambda needs two
+    vertices), are skipped.
     """
-    Xs = frozenset(X) if X is not None else None
-    Ys = frozenset(Y) if Y is not None else None
+    Xs, Ys = frozenset(X or ()), frozenset(Y or ())
     if x is None and Xs:
         x = min(Xs)
     if y is None and Ys:
         y = min(Ys)
     if y is not None and x == y and Xs and len(Xs) > 1:
         y = min(v for v in Xs if v != x)
-    provider = SeriesProvider(g, M, cap)
+    ctx = SeriesProvider(g, M, X=Xs, Y=Ys, x=x, y=y, eid=eid, p=p, r=r, alpha=alpha, cap=cap)
     out: list[BoundResult] = []
     for bound_id in sorted(BOUNDS):
         if bound_id.startswith("conj") and not include_conjectures:
             continue
         try:
-            out.append(
-                verify_bound(
-                    g, bound_id, M, X=Xs, Y=Ys, x=x, y=y, eid=eid,
-                    p=p, r=r, alpha=alpha, provider=provider, cap=cap,
-                )
-            )
-        except ValueError:
+            out.append(_evaluate(bound_id, ctx))
+        except ValueError:  # the bound does not apply to these anchors or this graph
             continue
     return out
 

@@ -27,7 +27,7 @@ from .bounds import (
 from .chromatic import chromatic_polynomial, chromatic_roots, explore_roots
 from .counting import WorkCapExceeded, class_count_series, class_spec
 from .flowcut import cut_pair, cut_tree, maxmaxflow
-from .graph import GraphFormatError, WeightedMultigraph, generate
+from .graph import WeightedMultigraph, generate
 from .invariants import inequality_chain
 
 
@@ -364,7 +364,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     args.argv = sys.argv[1:] if argv is None else argv
     try:
         return _DISPATCH[args.cmd](args)
-    except (GraphFormatError, ValueError, OSError, WorkCapExceeded) as exc:
+    except (ValueError, OSError, WorkCapExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -93,7 +93,6 @@ def class_spec(kind: str, **kw) -> SubgraphClassSpec:
 
 @dataclass(frozen=True)
 class CountSeries:
-    spec: SubgraphClassSpec
     M: int
     values: tuple[Fraction, ...]
 
@@ -155,50 +154,54 @@ def _self_avoiding(g: WeightedMultigraph, x: int, Ys: frozenset[int], M: int) ->
         return tuple(out)
     A = _pair_weights(g)
     visited = {x}
-
-    def dfs(u: int, depth: int, prod: Fraction):
-        for v, w in A[u].items():
-            if depth + 1 > M:
-                return
-            if v in Ys:
-                out[depth + 1] += prod * w
-            elif v not in visited and depth + 1 < M:
-                visited.add(v)
-                dfs(v, depth + 1, prod * w)
-                visited.remove(v)
-
-    dfs(x, 0, Fraction(1))
+    # one frame per vertex of the walk: the vertex, the weight of the walk up
+    # to it and its neighbours still to try; a step from the top frame is
+    # step number len(stack)
+    stack = [(x, Fraction(1), iter(A[x].items()))] if M else []
+    while stack:
+        u, prod, nbrs = stack[-1]
+        step = next(nbrs, None)
+        if step is None:
+            stack.pop()
+            visited.remove(u)
+            continue
+        v, w = step
+        if v in Ys:
+            out[len(stack)] += prod * w
+        elif v not in visited and len(stack) < M:
+            visited.add(v)
+            stack.append((v, prod * w, iter(A[v].items())))
     return tuple(out)
 
 
 def walk_counts(g: WeightedMultigraph, x: int, y: int, M: int) -> CountSeries:
     """Total weight of m-step walks from x to y, m = 0..M."""
     _require_vertices(g, [x, y])
-    return CountSeries(class_spec("W", x=x, y=y), M, _transfer(g, x, [y], frozenset(), M))
+    return CountSeries(M, _transfer(g, x, [y], frozenset(), M))
 
 
 def walk_total_counts(g: WeightedMultigraph, x: int, M: int) -> CountSeries:
     """Row sums: total weight of m-step walks from x to anywhere."""
     _require_vertices(g, [x])
-    return CountSeries(class_spec("W", x=x, y=x), M, _transfer(g, x, g.vertices, frozenset(), M))
+    return CountSeries(M, _transfer(g, x, g.vertices, frozenset(), M))
 
 
 def fpw_counts(g: WeightedMultigraph, x: int, Y: Iterable[int], M: int) -> CountSeries:
     """First-passage walks from x to the set Y: interior steps avoid Y."""
     Ys = _target_set(g, x, Y)
-    return CountSeries(class_spec("FPW", x=x, Y=Ys), M, _transfer(g, x, Ys, Ys, M))
+    return CountSeries(M, _transfer(g, x, Ys, Ys, M))
 
 
 def saw_counts(g: WeightedMultigraph, x: int, y: int, M: int) -> CountSeries:
     """Self-avoiding walks from x to y.  Parallel steps aggregate by weight."""
     _require_vertices(g, [x, y])
-    return CountSeries(class_spec("SAW", x=x, y=y), M, _self_avoiding(g, x, frozenset({y}), M))
+    return CountSeries(M, _self_avoiding(g, x, frozenset({y}), M))
 
 
 def fpsaw_counts(g: WeightedMultigraph, x: int, Y: Iterable[int], M: int) -> CountSeries:
     """First-passage self-avoiding walks from x to the set Y."""
     Ys = _target_set(g, x, Y)
-    return CountSeries(class_spec("FPSAW", x=x, Y=Ys), M, _self_avoiding(g, x, Ys, M))
+    return CountSeries(M, _self_avoiding(g, x, Ys, M))
 
 
 # -- subgraph classes -----------------------------------------------------
@@ -422,7 +425,7 @@ def class_series(
     edges (those touching A or an endpoint of the set) are taken one at a
     time, each child giving up the frontier edges before its own for good,
     so every set of at most M edges is visited exactly once (reverse
-    search, Avis and Fukuda 1996) and the recursion is at most M deep.
+    search, Avis and Fukuda 1996) and the stack is at most M deep.
     Each visited set is tested against every class.  The work cap bounds
     the number of sets visited and is checked as the search goes.
     """
@@ -444,8 +447,7 @@ def class_series(
     def reached(v: int) -> bool:
         return v in A or s.deg[v] > 0
 
-    def visit(frontier: list[int]):
-        # frontier: the edges that may still join, each touching a reached vertex
+    def visit():
         nonlocal visited
         visited += 1
         if visited > limit:
@@ -453,20 +455,38 @@ def class_series(
         for spec, accepts in tests:
             if accepts(s, spec):
                 values[spec][s.k] += s.weight
-        if s.k == M:
-            return
+
+    def children(frontier: list[int]):
+        # frontier: the edges that may still join, each touching a reached
+        # vertex; a child's frontier is worked out when the child is taken,
+        # while s holds the parent's edge set
         for i, eid in enumerate(frontier):
             rest = frontier[i + 1:]
             for v in g.edges[eid].u, g.edges[eid].v:
                 if not reached(v):
                     rest += [f for w, f in adj[v] if not reached(w)]
-            s.add(eid)
-            visit(rest)
-            s.pop()
+            yield eid, rest
 
-    visit(sorted({eid for v in A for _, eid in adj[v]}))
+    # depth first over an explicit stack: one generator of children per edge
+    # set on the current path, the empty set's at the bottom
+    visit()
+    stack = [children(sorted({eid for v in A for _, eid in adj[v]}))] if M else []
+    while stack:
+        step = next(stack[-1], None)
+        if step is None:
+            stack.pop()
+            if stack:
+                s.pop()
+            continue
+        eid, rest = step
+        s.add(eid)
+        visit()
+        if s.k < M:
+            stack.append(children(rest))
+        else:
+            s.pop()
     for spec, vals in values.items():
-        out[spec] = CountSeries(spec, M, tuple(vals))
+        out[spec] = CountSeries(M, tuple(vals))
     return {spec: out[spec] for spec in specs}
 
 
@@ -494,4 +514,4 @@ def two_connected_through_edge_series(
     if M >= 1:
         rest = WeightedMultigraph(g.n, [(e.u, e.v, e.w) for e in g.edges if e.id != eid])
         values[1:] = [e0.w * a for a in class_count_series(rest, spec, M - 1, cap).values]
-    return CountSeries(spec, M, tuple(values))
+    return CountSeries(M, tuple(values))

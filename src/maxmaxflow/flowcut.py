@@ -200,9 +200,10 @@ def _component_cut_tree(
 
         marker_of: dict[int, int] = {}  # neighbor node -> marker node
         vmap = list(range(g.n + 1))
+        arcs = {i: d.items() for i, d in tadj.items()}
         for marker, nb in enumerate(tadj[idx], start=g.n + 1):
             marker_of[nb] = marker
-            for node in _subtree_nodes(tadj, nb, idx):
+            for node in bfs_tree(arcs, nb, banned=(idx,)):
                 for v in nodes[node]:
                     vmap[v] = marker
         flow, level = _dinic(
@@ -233,20 +234,6 @@ def _component_cut_tree(
                 u = next(iter(nodes[i]))
                 v = next(iter(nodes[j]))
                 out.append((u, v, w))
-    return out
-
-
-def _subtree_nodes(tadj: dict[int, dict[int, Fraction]], start: int, banned: int) -> list[int]:
-    seen = {banned, start}
-    out = [start]
-    stack = [start]
-    while stack:
-        u = stack.pop()
-        for v in tadj[u]:
-            if v not in seen:
-                seen.add(v)
-                out.append(v)
-                stack.append(v)
     return out
 
 
@@ -331,14 +318,8 @@ def cocycle_basis_from_tree(
     basis = [elementary_cocycle(g, tree_edges, k) for k in range(len(tree_edges))]
     pivots: list[int] = []
     for c in basis:
-        vec = 0
-        for eid in c.edge_ids:
-            vec |= 1 << eid
-        for p in pivots:
-            vec = min(vec, vec ^ p)
-        if vec == 0:
+        if not _gf2_add(pivots, sum(1 << eid for eid in c.edge_ids)):
             raise AssertionError("elementary cocycles not independent")
-        pivots.append(vec)
     return basis
 
 

@@ -1,12 +1,12 @@
-"""Certified rational interval enclosures for the few irrational constants.
+"""Certified rational interval enclosures for logarithms of rationals.
 
-Comparisons involving log 2, log alpha, e, pi and square roots are decided
+The only irrational constants that enter bound comparisons are logarithms
+of rationals (ln 2 and ln alpha).  Comparisons involving them are decided
 through intervals with exactly representable rational endpoints; a
 comparison that the enclosures leave undecided raises instead of guessing.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -117,63 +117,3 @@ def log_interval(q, tol: Fraction = Fraction(1, 2**300)) -> Interval:
     t = (q - 1) / (q + 1)
     inner = _atanh_interval(t, tol / 2)
     return Interval(2 * inner.lo, 2 * inner.hi)
-
-
-def ln2_interval(tol: Fraction = Fraction(1, 2**300)) -> Interval:
-    return log_interval(2, tol)
-
-
-def e_interval(tol: Fraction = Fraction(1, 2**300)) -> Interval:
-    total = Fraction(0)
-    term = Fraction(1)
-    k = 0
-    while True:
-        total += term
-        k += 1
-        term /= k
-        # tail = sum_{j>=k} 1/j! <= 2/k!
-        if 2 * term < tol:
-            return Interval(total, total + 2 * term)
-
-
-def _atan_inv_interval(n: int, tol: Fraction) -> Interval:
-    """atan(1/n) by the alternating series; error bounded by the next term."""
-    total = Fraction(0)
-    k = 0
-    while True:
-        term = Fraction((-1) ** k, (2 * k + 1) * n ** (2 * k + 1))
-        nxt = Fraction(1, (2 * k + 3) * n ** (2 * k + 3))
-        total += term
-        k += 1
-        if nxt < tol:
-            if term > 0:
-                return Interval(total - nxt, total)
-            return Interval(total, total + nxt)
-
-
-def pi_interval(tol: Fraction = Fraction(1, 2**300)) -> Interval:
-    # Machin: pi = 16 atan(1/5) - 4 atan(1/239)
-    a = _atan_inv_interval(5, tol / 32)
-    b = _atan_inv_interval(239, tol / 8)
-    return Interval(16 * a.lo - 4 * b.hi, 16 * a.hi - 4 * b.lo)
-
-
-def sqrt_interval(q, tol: Fraction = Fraction(1, 2**120)) -> Interval:
-    """Enclosure of the square root of a nonnegative rational."""
-    q = Fraction(q)
-    if q < 0:
-        raise ValueError("sqrt of negative number")
-    if q == 0:
-        return Interval.point(0)
-    scale = max(1, math.isqrt(int(1 / tol)) + 1)
-    num = q.numerator * scale * scale
-    den = q.denominator
-    lo = Fraction(math.isqrt(num // den), scale)
-    hi = Fraction(math.isqrt(num // den) + 1, scale)
-    # widen until certain (isqrt floor already guarantees lo^2 <= q < hi^2 up
-    # to the den floor; verify and nudge)
-    while lo * lo > q:
-        lo -= tol
-    while hi * hi < q:
-        hi += tol
-    return Interval(lo, hi)

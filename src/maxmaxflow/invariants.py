@@ -106,10 +106,6 @@ class ChainCheck:
     def holds(self) -> bool:
         return self.lhs <= self.rhs
 
-    @property
-    def slack(self) -> Fraction:
-        return self.rhs - self.lhs
-
 
 @dataclass(frozen=True)
 class InvariantReport:

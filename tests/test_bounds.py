@@ -131,6 +131,19 @@ def test_alpha_parameter_validated():
         verify_bound(g, "prop7.2", M=4, X={1}, Y={2}, alpha=1)
 
 
+@pytest.mark.parametrize("bad", [
+    {"alpha": F(5, 2)}, {"M": -1}, {"p": 0}, {"r": 0}, {"x": 4}, {"Y": {0}}, {"eid": 3},
+], ids=lambda bad: next(iter(bad)))
+def test_suite_checks_every_input(bad):
+    # a bad value raises, whether or not a bound reads it, rather than
+    # leaving out the bounds that do
+    kw = {"M": 3, "X": {1, 2}, "Y": {3}, "eid": 0, **bad}
+    with pytest.raises(ValueError):
+        run_suite(cycle_graph(3), **kw)
+    with pytest.raises(ValueError):
+        verify_bound(cycle_graph(3), "cor5.3", **kw)
+
+
 def test_unknown_bound_id_rejected():
     with pytest.raises(ValueError):
         verify_bound(path_graph(2), "nosuch", M=2, x=1, y=2)

@@ -5,7 +5,7 @@ import sys
 import pytest
 
 from maxmaxflow.cli import main
-from maxmaxflow.graph import WeightedMultigraph, cycle_graph
+from maxmaxflow.graph import WeightedMultigraph, cycle_graph, path_graph
 
 TRIANGLE = "v 3\ne 1 2 1\ne 2 3 1\ne 3 1 1\n"
 
@@ -189,3 +189,38 @@ def test_stdin_input(tri, monkeypatch, capsys):
     monkeypatch.setattr(sys, "stdin", io.StringIO(TRIANGLE))
     code, out, _ = run_main(["lambda", "-"], capsys)
     assert code == 0
+
+
+# suite checks its input once, with the messages verify prints, instead of
+# dropping the bounds that read the bad value
+@pytest.mark.parametrize("bound,extra,message", [
+    ("prop7.2", ["--alpha", "5"], "alpha must lie in (1, 2]"),
+    ("cor5.3", ["--x", "1,7"], "vertex 7 outside 1..3"),
+    ("cor7.5", ["--edge", "9"], "edge id out of range"),
+])
+def test_suite_rejects_bad_input_as_verify_does(tri, capsys, bound, extra, message):
+    for command in (["suite", tri], ["verify", tri, "--bound", bound]):
+        code, out, err = run_main([*command, "-m", "3", *extra], capsys)
+        assert code == 1 and out == ""
+        assert err.splitlines() == [f"error: {message}"]
+
+
+def test_verify_checks_anchors_the_bound_does_not_read(tri, capsys):
+    code, out, err = run_main(["verify", tri, "--bound", "prop4.1", "--x", "1", "--y", "9", "-m", "3"], capsys)
+    assert code == 1 and out == ""
+    assert err.splitlines() == ["error: vertex 9 outside 1..3"]
+
+
+# searches as deep as the path is long; each is a loop, not a recursion
+@pytest.mark.parametrize("extra,nonzero", [
+    (["--class", "T", "--x", "1"], {0: "1"}),
+    (["--class", "SAW", "--x", "1", "--y", "1500"], {1499: "1"}),
+])
+def test_count_deep_search_on_long_path(tmp_path, capsys, extra, nonzero):
+    graph = tmp_path / "path.txt"
+    graph.write_text(path_graph(1500).serialize())
+    code, out, err = run_main(["count", str(graph), *extra, "-m", "1499"], capsys)
+    assert code == 0 and err == ""
+    rows = [line.split(",") for line in out.splitlines()[4:]]
+    assert [int(m) for m, _ in rows] == list(range(1500))
+    assert {int(m): v for m, v in rows if v != "0"} == nonzero

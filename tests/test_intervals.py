@@ -1,18 +1,11 @@
-"""Exact interval arithmetic and certified constants."""
+"""Exact interval arithmetic and certified logarithm enclosures."""
 import math
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from maxmaxflow.intervals import (
-    Interval,
-    e_interval,
-    ln2_interval,
-    log_interval,
-    pi_interval,
-    sqrt_interval,
-)
+from maxmaxflow.intervals import Interval, log_interval
 
 
 fractions = st.fractions(min_value=-50, max_value=50)
@@ -85,10 +78,9 @@ def _contains(iv, value, rel=1e-12):
 
 
 def test_certified_constants():
-    assert _contains(ln2_interval(), math.log(2))
-    assert _contains(e_interval(), math.e)
-    assert _contains(pi_interval(), math.pi)
-    assert ln2_interval().width < F(1, 2) ** 250
+    # ln 2 is the discount constant of the block bounds
+    assert _contains(log_interval(2), math.log(2))
+    assert log_interval(2).width < F(1, 2) ** 250
 
 
 def test_log_interval_values():
@@ -103,10 +95,3 @@ def test_log_functional_equation():
     lhs = log_interval(F(6))
     rhs = log_interval(F(2)) + log_interval(F(3))
     assert lhs.lo <= rhs.hi and rhs.lo <= lhs.hi  # overlap within tolerance
-
-
-def test_sqrt_interval():
-    s = sqrt_interval(F(2))
-    assert s.lo ** 2 <= 2 <= s.hi ** 2
-    exact = sqrt_interval(F(9, 4))
-    assert exact.lo <= F(3, 2) <= exact.hi
