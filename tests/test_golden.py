@@ -75,8 +75,24 @@ CASES += [
 ]
 
 
-@pytest.mark.parametrize("golden,graph,argv", CASES, ids=[c[0] for c in CASES])
-def test_output_matches_golden(golden, graph, argv, monkeypatch, capsys):
+# chromatic: the manifest and the exact coefficients; the float `root,` lines
+# depend on the platform's numpy and are dropped before comparing
+CHROMATIC_CASES = [(f"chromatic_{graph}.txt", f"{graph}.txt") for graph in ("wheel", "flow_multigraph")]
+
+
+def _run(graph, argv, monkeypatch, capsys) -> str:
     monkeypatch.setattr(sys, "stdin", io.StringIO((GOLDEN / graph).read_text() if graph else ""))
     assert main(argv) == 0
-    assert capsys.readouterr().out == (GOLDEN / golden).read_text()
+    return capsys.readouterr().out
+
+
+@pytest.mark.parametrize("golden,graph,argv", CASES, ids=[c[0] for c in CASES])
+def test_output_matches_golden(golden, graph, argv, monkeypatch, capsys):
+    assert _run(graph, argv, monkeypatch, capsys) == (GOLDEN / golden).read_text()
+
+
+@pytest.mark.parametrize("golden,graph", CHROMATIC_CASES, ids=[c[0] for c in CHROMATIC_CASES])
+def test_chromatic_matches_golden(golden, graph, monkeypatch, capsys):
+    out = _run(graph, ["chromatic", "-"], monkeypatch, capsys)
+    kept = [line for line in out.splitlines(keepends=True) if not line.startswith("root,")]
+    assert "".join(kept) == (GOLDEN / golden).read_text()
