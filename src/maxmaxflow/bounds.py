@@ -669,6 +669,11 @@ def hunt(
     trial so the known near-extremal graphs compete with the random pool."""
     if conjecture not in CONJECTURES:
         raise ValueError(f"unknown conjecture {conjecture!r}; known: {CONJECTURES}")
+    # checked once here: inside the loop a bad M would only drop every trial
+    if M < 0:
+        raise ValueError("M must be >= 0")
+    if trials < 0:
+        raise ValueError("trials must be >= 0")
     findings: list[Finding] = []
     for trial in range(trials):
         rng = random.Random(f"{seed}:{conjecture}:{trial}")

@@ -315,6 +315,8 @@ def _cmd_chromatic(args) -> int:
 
 
 def _cmd_explore8(args) -> int:
+    if args.nmax < 4:  # the graphs have 4..nmax vertices
+        raise ValueError("--nmax must be >= 4")
     records = explore_roots(args.trials, seed=args.seed, n_max=args.nmax)
     lines = _manifest(args, {"seed": args.seed, "trials": args.trials})
     lines.append("trial,n,m,Lambda,Delta,Delta2,max_root_abs,max_root_re,max_root_im")

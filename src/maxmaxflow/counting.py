@@ -8,6 +8,11 @@ once and carries the product of its edge weights; one search serves every
 class asked for together (`class_series`).  The work cap bounds the number
 of edge sets that search visits, checked as it goes, not the number of all
 subsets of at most M edges.
+
+Every family is counted on the graph's integer weights
+(`WeightedMultigraph.integer_weights`, every weight times L): a member with
+k edges or steps carries an integer product, each order sums integers, and
+the sum of order k is divided by L^k once, when the `CountSeries` is built.
 """
 from __future__ import annotations
 
@@ -103,12 +108,19 @@ class CountSeries:
 # -- walk families --------------------------------------------------------
 
 
-def _pair_weights(g: WeightedMultigraph) -> dict[int, dict[int, Fraction]]:
-    A: dict[int, dict[int, Fraction]] = {v: {} for v in g.vertices}
+def _divide(values: list[int], L: int) -> tuple[Fraction, ...]:
+    """The series whose order-k term is values[k] / L^k."""
+    return tuple(Fraction(a, L**k) for k, a in enumerate(values))
+
+
+def _pair_weights(g: WeightedMultigraph) -> tuple[dict[int, dict[int, int]], int]:
+    """(the total weight of the edges joining each adjacent pair, times L; L)."""
+    weights, L = g.integer_weights()
+    A: dict[int, dict[int, int]] = {v: {} for v in g.vertices}
     for e in g.edges:
-        A[e.u][e.v] = A[e.u].get(e.v, Fraction(0)) + e.w
-        A[e.v][e.u] = A[e.v].get(e.u, Fraction(0)) + e.w
-    return A
+        A[e.u][e.v] = A[e.u].get(e.v, 0) + weights[e.id]
+        A[e.v][e.u] = A[e.v].get(e.u, 0) + weights[e.id]
+    return A, L
 
 
 def _require_vertices(g: WeightedMultigraph, vs: Iterable[int]):
@@ -130,17 +142,14 @@ def _transfer(
 ) -> tuple[Fraction, ...]:
     """(f_0(x), ..., f_M(x)) for f_0 the indicator of `start` and f_k the
     one-step convolution of f_{k-1}, forced to 0 on the absorbing vertices."""
-    A = _pair_weights(g)
+    A, L = _pair_weights(g)
     ones = set(start)
-    cur = {v: Fraction(int(v in ones)) for v in g.vertices}
+    cur = {v: int(v in ones) for v in g.vertices}
     out = [cur[x]]
     for _ in range(M):
-        cur = {
-            u: Fraction(0) if u in absorbing else sum((w * cur[v] for v, w in A[u].items()), Fraction(0))
-            for u in g.vertices
-        }
+        cur = {u: 0 if u in absorbing else sum(w * cur[v] for v, w in A[u].items()) for u in g.vertices}
         out.append(cur[x])
-    return tuple(out)
+    return _divide(out, L)
 
 
 def _self_avoiding(g: WeightedMultigraph, x: int, Ys: frozenset[int], M: int) -> tuple[Fraction, ...]:
@@ -148,16 +157,16 @@ def _self_avoiding(g: WeightedMultigraph, x: int, Ys: frozenset[int], M: int) ->
 
     Parallel steps aggregate by weight.
     """
-    out = [Fraction(0)] * (M + 1)
+    A, L = _pair_weights(g)
+    out = [0] * (M + 1)
     if x in Ys:
-        out[0] = Fraction(1)
-        return tuple(out)
-    A = _pair_weights(g)
+        out[0] = 1
+        return _divide(out, L)
     visited = {x}
     # one frame per vertex of the walk: the vertex, the weight of the walk up
     # to it and its neighbours still to try; a step from the top frame is
     # step number len(stack)
-    stack = [(x, Fraction(1), iter(A[x].items()))] if M else []
+    stack = [(x, 1, iter(A[x].items()))] if M else []
     while stack:
         u, prod, nbrs = stack[-1]
         step = next(nbrs, None)
@@ -171,7 +180,7 @@ def _self_avoiding(g: WeightedMultigraph, x: int, Ys: frozenset[int], M: int) ->
         elif v not in visited and len(stack) < M:
             visited.add(v)
             stack.append((v, prod * w, iter(A[v].items())))
-    return tuple(out)
+    return _divide(out, L)
 
 
 def walk_counts(g: WeightedMultigraph, x: int, y: int, M: int) -> CountSeries:
@@ -217,25 +226,26 @@ def _anchor_set(spec: SubgraphClassSpec) -> frozenset[int]:
 class _EdgeSet:
     """An edge set grown and shrunk one edge at a time, last in first out.
 
-    It keeps the facts the class predicates read: the size, the weight
-    product, the degrees, the number of edges that closed a cycle, and a
-    union-find with rollback (union by size, no path compression) from
-    which the components are read.  The blocks are computed at most once
-    per edge set, when a predicate first asks.  A spec's subgraph has the
-    canonical vertex set "the spec's anchors plus the endpoints of the
-    edges", so its components and blocks are those of the edges plus one
-    single vertex per anchor that no edge touches.
+    It keeps the facts the class predicates read: the size, the product
+    of the integer weights, the degrees, the number of edges that closed a
+    cycle, and a union-find with rollback (union by size, no path
+    compression) from which the components are read.  The blocks are
+    computed at most once per edge set, when a predicate first asks.  A
+    spec's subgraph has the canonical vertex set "the spec's anchors plus
+    the endpoints of the edges", so its components and blocks are those of
+    the edges plus one single vertex per anchor that no edge touches.
     """
 
     def __init__(self, g: WeightedMultigraph):
         self.g = g
+        self.edge_weights = g.integer_weights()[0]
         self.parent = {v: v for v in g.vertices}
         self.size = {v: 1 for v in g.vertices}
         self.deg = {v: 0 for v in g.vertices}
         self.adj: dict[int, list[tuple[int, int]]] = {v: [] for v in g.vertices}
         self.verts: list[int] = []  # endpoints of the edges, in order of arrival
         self.cycles = 0
-        self.weight = Fraction(1)
+        self.weight = 1
         self._undo: list[tuple] = []
         self._blocks = None
 
@@ -268,7 +278,7 @@ class _EdgeSet:
                 self.verts.append(v)
         self.adj[e.u].append((e.v, eid))
         self.adj[e.v].append((e.u, eid))
-        self.weight *= e.w
+        self.weight *= self.edge_weights[eid]
         self._blocks = None
 
     def pop(self):
@@ -426,8 +436,10 @@ def class_series(
     time, each child giving up the frontier edges before its own for good,
     so every set of at most M edges is visited exactly once (reverse
     search, Avis and Fukuda 1996) and the stack is at most M deep.
-    Each visited set is tested against every class.  The work cap bounds
-    the number of sets visited and is checked as the search goes.
+    Each visited set is tested against every class and adds its integer
+    weight product to each order-k sum that accepts it; the sums are
+    divided by L^k at the end.  The work cap bounds the number of sets
+    visited and is checked as the search goes.
     """
     if M < 0:
         raise ValueError("M must be >= 0")
@@ -439,7 +451,7 @@ def class_series(
     A = frozenset().union(*(_anchor_set(spec) for spec, _ in tests))
     _require_vertices(g, A)
     limit = cap if cap is not None else work_cap()
-    values = {spec: [Fraction(0)] * (M + 1) for spec, _ in tests}
+    values = {spec: [0] * (M + 1) for spec, _ in tests}
     adj = g.adjacency()
     s = _EdgeSet(g)
     visited = 0
@@ -485,8 +497,9 @@ def class_series(
             stack.append(children(rest))
         else:
             s.pop()
+    L = g.integer_weights()[1]
     for spec, vals in values.items():
-        out[spec] = CountSeries(M, tuple(vals))
+        out[spec] = CountSeries(M, _divide(vals, L))
     return {spec: out[spec] for spec in specs}
 
 

@@ -1,17 +1,18 @@
 """Exact max-flow / min-cut, cut trees, cocycle space and maxmaxflow.
 
-All computations are exact over the rationals.  Flow queries clear
-denominators once and run Dinic's blocking-flow algorithm on integers; each
-graph's cut tree is built once and memoised on the graph.
+All computations are exact over the rationals.  Flows and cut weights are
+computed on the graph's integer weights (`WeightedMultigraph.integer_weights`,
+every weight times L) by Dinic's blocking-flow algorithm, and divided by L
+once per reported value; each graph's cut tree is built once and memoised on
+the graph.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .graph import Edge, WeightedMultigraph, _steiner_nodes, bfs_path, bfs_tree, components_of
+from .graph import WeightedMultigraph, _steiner_nodes, bfs_path, bfs_tree, components_of
 
 
 @dataclass(frozen=True)
@@ -28,27 +29,26 @@ class MinCutCertificate:
     cut_edges: frozenset[int]
 
 
-def _integer_edges(edges: Sequence[Edge]) -> tuple[list[tuple[int, int, int]], int]:
-    """The edges of positive weight as integer capacities (u, v, w·denom),
-    where denom is the least common denominator of the weights."""
-    denom = math.lcm(*(e.w.denominator for e in edges))
-    return [(e.u, e.v, e.w.numerator * (denom // e.w.denominator)) for e in edges if e.w], denom
+def _merge(pairs: Iterable[tuple[int, int, int]]) -> dict[tuple[int, int], int]:
+    """The undirected capacities (a, b, c) with parallel ones summed, by
+    (min, max) pair; pairs with a == b or c == 0 are dropped."""
+    merged: dict[tuple[int, int], int] = {}
+    for a, b, c in pairs:
+        if a != b and c:
+            key = (a, b) if a < b else (b, a)
+            merged[key] = merged.get(key, 0) + c
+    return merged
 
 
-def _dinic(k: int, pairs: Iterable[tuple[int, int, int]], s: int, t: int) -> tuple[int, list[int]]:
-    """Dinic max flow from s to t over nodes 0..k-1 joined by undirected
-    capacities (a, b, c); pairs with a == b are skipped, parallel ones merged.
+def _dinic(k: int, merged: dict[tuple[int, int], int], s: int, t: int) -> tuple[int, list[int]]:
+    """Dinic max flow from s to t over nodes 0..k-1 joined by the undirected
+    capacities of `merged` (as `_merge` returns them).
 
     Returns the flow and the levels of the last BFS, the one that fails to
     reach t: the nodes with a level >= 0 are those reachable from s in the
     final residual network, which is the minimal source side of a minimum
     cut whichever maximum flow was found.
     """
-    merged: dict[tuple[int, int], int] = {}
-    for a, b, c in pairs:
-        if a != b:
-            key = (a, b) if a < b else (b, a)
-            merged[key] = merged.get(key, 0) + c
     # arc i runs to[i ^ 1] -> to[i]; arcs i and i ^ 1 are the two directions of one pair
     to: list[int] = []
     res: list[int] = []
@@ -124,11 +124,11 @@ def max_flow(g: WeightedMultigraph, x: int, y: int) -> MinCutCertificate:
         raise ValueError("source and sink must differ")
     if x not in g._adj or y not in g._adj:
         raise ValueError("unknown vertex")
-    weighted, denom = _integer_edges(g.edges)
-    flow, level = _dinic(g.n + 1, weighted, x, y)
+    weights, L = g.integer_weights()
+    flow, level = _dinic(g.n + 1, _merge((e.u, e.v, weights[e.id]) for e in g.edges), x, y)
     reach = frozenset(v for v in g.vertices if level[v] >= 0)
     cut = frozenset(e.id for e in g.edges if (e.u in reach) != (e.v in reach))
-    return MinCutCertificate(Fraction(flow, denom), reach, cut)
+    return MinCutCertificate(Fraction(flow, L), reach, cut)
 
 
 def cut_weight(g: WeightedMultigraph, side: Iterable[int]) -> Fraction:
@@ -183,9 +183,11 @@ def _component_cut_tree(
     supernode contracted to one marker node (numbered from n + 1).  The split
     order, (x, y), the way the vertex sets are built and the representatives
     `next(iter(nodes[i]))` fix which valid tree comes out; the golden
-    `ghtree` output pins it.
+    `ghtree` output pins it.  The component's parallel edges are merged
+    once, and each split merges only the pairs its contraction joins.
     """
-    weighted, denom = _integer_edges([e for e in g.edges if e.u in comp])
+    weights, L = g.integer_weights()
+    pairs = _merge((e.u, e.v, weights[e.id]) for e in g.edges if e.u in comp).items()
     # tree over "super nodes"; each node is a set of original vertices
     nodes: list[set[int]] = [set(comp)]
     tadj: dict[int, dict[int, Fraction]] = {0: {}}
@@ -207,9 +209,9 @@ def _component_cut_tree(
                 for v in nodes[node]:
                     vmap[v] = marker
         flow, level = _dinic(
-            g.n + 1 + len(marker_of), ((vmap[u], vmap[v], c) for u, v, c in weighted), x, y
+            g.n + 1 + len(marker_of), _merge((vmap[u], vmap[v], c) for (u, v), c in pairs), x, y
         )
-        value = Fraction(flow, denom)
+        value = Fraction(flow, L)
 
         s1 = {v for v in S if level[v] >= 0}
         s2 = S - s1
@@ -345,41 +347,50 @@ def lambda_tilde_bruteforce(g: WeightedMultigraph, cap: int = 12) -> Fraction:
     """
     if g.n < 2:
         raise ValueError("requires at least two vertices")
-    best = Fraction(0)
-    any_multi = False
+    weights, L = g.integer_weights()
+    best = 0
     for comp in g.components():
         cn = len(comp)
         if cn < 2:
             continue
-        any_multi = True
         if cn > cap:
             raise ValueError(f"component with {cn} vertices exceeds brute-force cap {cap}")
-        order = sorted(comp)
-        anchor, rest = order[0], order[1:]
-        comp_edges = [e for e in g.edges if e.u in comp]
-        entries = []
-        for mask in range(2 ** (cn - 1) - 1):  # omit the full set: empty cocycle
-            side = {anchor} | {rest[i] for i in range(cn - 1) if mask >> i & 1}
-            vec = 0
-            w = Fraction(0)
-            for e in comp_edges:
-                if (e.u in side) != (e.v in side):
-                    vec |= 1 << e.id
-                    w += e.w
-            entries.append((w, mask, vec))
-        entries.sort(key=lambda t: (t[0], t[1]))
+        # the component's i-th smallest vertex is bit i of a side's mask
+        bit = {v: i for i, v in enumerate(sorted(comp))}
+        star = [0] * cn  # the edges at each vertex, as a mask over edge ids
+        degree = [0] * cn
+        nbrs: list[list[tuple[int, int]]] = [[] for _ in range(cn)]
+        for e in g.edges:
+            if e.u in comp:
+                a, b, w = bit[e.u], bit[e.v], weights[e.id]
+                star[a] ^= 1 << e.id
+                star[b] ^= 1 << e.id
+                degree[a] += w
+                degree[b] += w
+                nbrs[a].append((b, w))
+                nbrs[b].append((a, w))
+        # side k holds vertex 0 and vertex i + 1 for each bit i of k; the full
+        # side, whose cocycle is empty, is left out.  Side k is side k - low
+        # plus one vertex, and a side's cocycle is the symmetric difference
+        # of the stars of its vertices.
+        vecs, weight = [star[0]], [degree[0]]
+        for k in range(1, 2 ** (cn - 1) - 1):
+            low = k & -k
+            prev, i = k ^ low, low.bit_length()
+            side = prev << 1 | 1
+            vecs.append(vecs[prev] ^ star[i])
+            weight.append(weight[prev] + degree[i] - 2 * sum(w for j, w in nbrs[i] if side >> j & 1))
         pivots: list[int] = []
-        comp_max = Fraction(0)
-        for w, _, vec in entries:
-            if _gf2_add(pivots, vec):
-                comp_max = w
+        comp_max = 0
+        for k in sorted(range(len(vecs)), key=weight.__getitem__):  # stable: ties by k
+            if _gf2_add(pivots, vecs[k]):
+                comp_max = weight[k]
                 if len(pivots) == cn - 1:
                     break
         if len(pivots) != cn - 1:
             raise AssertionError("failed to reach full cocycle rank")
-        if comp_max > best:
-            best = comp_max
-    return best if any_multi else Fraction(0)
+        best = max(best, comp_max)
+    return Fraction(best, L)
 
 
 # -- disjoint bounded cuts around a vertex set ----------------------------

@@ -3,9 +3,15 @@
 Parsing and serialization of the line-oriented text format, structural
 decompositions (components, breadth-first trees, blocks, convex hulls) and
 generators for the standard example families.
+
+The exact layers compute on integers: `WeightedMultigraph.integer_weights`
+gives every edge's weight times L, the least common denominator of all the
+weights.  A quantity that is a sum of products of k weights is then an
+integer over L^k, and each layer divides by L^k once, when it reports.
 """
 from __future__ import annotations
 
+import math
 import random
 from collections import deque
 from dataclasses import dataclass
@@ -41,8 +47,9 @@ class WeightedMultigraph:
     """Loopless multigraph on vertices 1..n with nonnegative Fraction weights.
 
     Immutable after construction; parallel edges are kept distinct by edge id.
-    Structures derived at some cost (each component's cut tree) are memoised
-    in `_memo`, which takes no part in equality or hashing.
+    Structures derived at some cost (the integer weights, each component's
+    cut tree) are memoised in `_memo`, which takes no part in equality or
+    hashing.
     """
 
     def __init__(self, n: int, edge_triples: Iterable[tuple[int, int, Fraction]]):
@@ -74,6 +81,17 @@ class WeightedMultigraph:
 
     def adjacency(self) -> dict[int, list[tuple[int, int]]]:
         return self._adj
+
+    def integer_weights(self) -> tuple[tuple[int, ...], int]:
+        """(each edge's weight times L, by edge id; L), where L is the least
+        common denominator of the weights (1 without edges)."""
+        scaled = self._memo.get("integer_weights")
+        if scaled is None:
+            L = math.lcm(*(e.w.denominator for e in self.edges))
+            scaled = self._memo["integer_weights"] = (
+                tuple(e.w.numerator * (L // e.w.denominator) for e in self.edges), L
+            )
+        return scaled
 
     def weighted_degree(self, x: int) -> Fraction:
         if x not in self._adj:

@@ -4,6 +4,10 @@ The central comparison chain ties the peeling invariants to maxmaxflow:
 
     D <= Lambda = LambdaTilde <= Delta_2 <= Delta
     Lambda >= D_2 >= max(D, Delta_{n-1})
+
+Degrees and cut weights are sums of edge weights, so every invariant is
+computed on the graph's integer weights (`WeightedMultigraph.integer_weights`,
+every weight times L) and divided by L once, when it is returned.
 """
 from __future__ import annotations
 
@@ -16,9 +20,20 @@ from .flowcut import lambda_tilde_bruteforce, maxmaxflow
 from .graph import WeightedMultigraph
 
 
+def _integer_degrees(g: WeightedMultigraph) -> dict[int, int]:
+    """Each vertex's weighted degree times L (see `integer_weights`)."""
+    weights = g.integer_weights()[0]
+    deg = dict.fromkeys(g.vertices, 0)
+    for e in g.edges:
+        deg[e.u] += weights[e.id]
+        deg[e.v] += weights[e.id]
+    return deg
+
+
 def degree_sequence(g: WeightedMultigraph) -> list[Fraction]:
     """Weighted degrees, descending."""
-    return sorted((g.weighted_degree(x) for x in g.vertices), reverse=True)
+    L = g.integer_weights()[1]
+    return [Fraction(d, L) for d in sorted(_integer_degrees(g).values(), reverse=True)]
 
 
 def delta_k(g: WeightedMultigraph, k: int) -> Fraction:
@@ -55,19 +70,19 @@ def degeneracy(g: WeightedMultigraph) -> Fraction:
     """
     if g.n == 0:
         raise ValueError("empty graph")
-    deg = {x: g.weighted_degree(x) for x in g.vertices}
+    weights, L = g.integer_weights()
+    deg = _integer_degrees(g)
     alive = set(g.vertices)
     adj = g.adjacency()
-    best = Fraction(0)
+    best = 0
     while alive:
         x = min(alive, key=lambda v: (deg[v], v))
-        if deg[x] > best:
-            best = deg[x]
+        best = max(best, deg[x])
         alive.remove(x)
         for v, eid in adj[x]:
             if v in alive:
-                deg[v] -= g.edges[eid].w
-    return best
+                deg[v] -= weights[eid]
+    return Fraction(best, L)
 
 
 def degeneracy_k(g: WeightedMultigraph, k: int, cap: int = 10) -> Fraction:
@@ -80,20 +95,18 @@ def degeneracy_k(g: WeightedMultigraph, k: int, cap: int = 10) -> Fraction:
         raise ValueError(f"k must be in 1..{g.n}")
     if g.n > cap:
         raise ValueError(f"{g.n} vertices exceeds brute-force cap {cap}")
-    adj = g.adjacency()
-    best = Fraction(0)
+    weights, L = g.integer_weights()
+    # pair[x][y]: the total weight of the x-y edges, times L
+    pair = [[0] * (g.n + 1) for _ in range(g.n + 1)]
+    for e in g.edges:
+        pair[e.u][e.v] += weights[e.id]
+        pair[e.v][e.u] += weights[e.id]
+    best = 0
     for size in range(k, g.n + 1):
         for subset in itertools.combinations(g.vertices, size):
-            vs = set(subset)
-            degs = []
-            for x in subset:
-                degs.append(
-                    sum((g.edges[eid].w for v, eid in adj[x] if v in vs), Fraction(0))
-                )
-            degs.sort()
-            if degs[k - 1] > best:
-                best = degs[k - 1]
-    return best
+            degs = sorted([sum(map(pair[x].__getitem__, subset)) for x in subset])
+            best = max(best, degs[k - 1])
+    return Fraction(best, L)
 
 
 @dataclass(frozen=True)

@@ -197,7 +197,11 @@ def _relabel(e, ordering) -> tuple[int, int]:
     return pos[e.u], pos[e.v]
 
 
-FLOW_WEIGHTS = st.sampled_from([Fraction(w) for w in ("0", "1", "2", "1/2", "2/3", "5/2", "7/3", "3/4")])
+# 0 and coprime denominators: the flows run on the weights times their
+# least common denominator, which these make large
+FLOW_WEIGHTS = st.sampled_from(
+    [Fraction(w) for w in ("0", "1", "2", "1/2", "2/3", "5/2", "7/3", "3/4", "1/7", "2/9", "5/11")]
+)
 
 
 @st.composite

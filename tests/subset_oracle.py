@@ -2,12 +2,16 @@
 M edges against the class predicate written directly from the definitions.
 
 This is the enumeration `counting` used before it searched from the anchors.
-It shares nothing with the search but `components_of` and
+Its series share nothing with the search but `components_of` and
 `biconnected_components`, so it checks both the search and its predicates.
+`class_specs` draws the specs the tests compare on.
 """
 import itertools
 from fractions import Fraction
 
+from hypothesis import strategies as st
+
+from maxmaxflow.counting import EDGE_KINDS, class_spec
 from maxmaxflow.graph import biconnected_components, components_of
 
 
@@ -101,3 +105,22 @@ def series_by_filter(g, spec, M):
                     w *= g.edges[i].w
                 values[m] += w
     return values
+
+
+@st.composite
+def class_specs(draw, n):
+    """A spec of a random edge-subset kind with anchors in 1..n; X and Y
+    overlap freely, Y is optional where the kind allows, H draws p and r."""
+    kind = draw(st.sampled_from(sorted(EDGE_KINDS)))
+    vertices = st.integers(1, n)
+    if kind == "BLOCKPATH":
+        x, y = draw(st.lists(vertices, min_size=2, max_size=2, unique=True))
+        return class_spec(kind, x=x, y=y)
+    some = st.frozensets(vertices, min_size=1, max_size=3)
+    if kind in ("F", "BF", "BFSTAR"):
+        return class_spec(kind, X=draw(st.frozensets(vertices, max_size=3)), Y=draw(some))
+    kw = {"X": draw(some), "Y": draw(st.none() | some)}
+    if kind == "H":
+        kw["p"] = draw(st.none() | st.integers(1, 2))
+        kw["r"] = draw(st.none() | st.integers(1, 3))
+    return class_spec(kind, **kw)

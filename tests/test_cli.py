@@ -1,9 +1,11 @@
 """Command-line interface: exit codes, deterministic output, manifests."""
+import io
 import subprocess
 import sys
 
 import pytest
 
+from maxmaxflow import cli
 from maxmaxflow.cli import main
 from maxmaxflow.graph import WeightedMultigraph, cycle_graph, path_graph
 
@@ -185,7 +187,6 @@ def test_usage_error_exit_one(tri):
 
 
 def test_stdin_input(tri, monkeypatch, capsys):
-    import io
     monkeypatch.setattr(sys, "stdin", io.StringIO(TRIANGLE))
     code, out, _ = run_main(["lambda", "-"], capsys)
     assert code == 0
@@ -224,3 +225,40 @@ def test_count_deep_search_on_long_path(tmp_path, capsys, extra, nonzero):
     rows = [line.split(",") for line in out.splitlines()[4:]]
     assert [int(m) for m, _ in rows] == list(range(1500))
     assert {int(m): v for m, v in rows if v != "0"} == nonzero
+
+
+# one bad input per subcommand: exit 1, nothing on stdout and one error line
+BAD_INPUTS = {
+    "invariants": ("v 0\n", ["-"], "empty graph"),
+    "lambda": ("v 1\n", ["-"], "maxmaxflow requires at least two vertices"),
+    "ghtree": ("v 2\ne 1 3 1\n", ["-"], "line 2: endpoint outside 1..2"),
+    "cutpair": (TRIANGLE, ["-", "--set", "1"], "need at least two vertices in X"),
+    "count": (TRIANGLE, ["-", "--class", "T", "--x", "1", "-m", "-1"], "M must be >= 0"),
+    "verify": (TRIANGLE, ["-", "--bound", "prop4.3", "--x", "1", "--y", "2", "-m", "-1"], "M must be >= 0"),
+    "suite": (TRIANGLE, ["-", "--x", "1", "-m", "-1"], "M must be >= 0"),
+    "hunt": ("", ["--conjecture", "conj5.6", "--trials", "3", "-m", "-1"], "M must be >= 0"),
+    "chromatic": (TRIANGLE, ["-", "--cap", "2"], "3 vertices exceeds the cap 2"),
+    "explore8": ("", ["--nmax", "3"], "--nmax must be >= 4"),
+    "generate": ("", ["--family", "nope"], "unknown family 'nope'; choose from "
+                 "['complete', 'cycle', 'k2s', 'path', 'pns', 'random', 'star', 'stars', "
+                 "'theta', 'tree', 'trees', 'wheel']"),
+}
+
+
+def test_bad_inputs_cover_every_subcommand():
+    assert sorted(BAD_INPUTS) == sorted(cli._DISPATCH)
+
+
+@pytest.mark.parametrize("cmd", sorted(BAD_INPUTS))
+def test_bad_input_is_one_error_line(cmd, monkeypatch, capsys):
+    stdin, args, message = BAD_INPUTS[cmd]
+    monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))
+    code, out, err = run_main([cmd, *args], capsys)
+    assert code == 1 and out == ""
+    assert err.splitlines() == [f"error: {message}"]
+
+
+def test_hunt_rejects_negative_trials(capsys):
+    code, out, err = run_main(["hunt", "--conjecture", "conj5.6", "--trials", "-1"], capsys)
+    assert code == 1 and out == ""
+    assert err.splitlines() == ["error: trials must be >= 0"]

@@ -6,7 +6,7 @@ from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
-from subset_oracle import in_class, series_by_filter
+from subset_oracle import class_specs, in_class, series_by_filter
 
 from maxmaxflow.graph import (
     WeightedMultigraph,
@@ -19,7 +19,6 @@ from maxmaxflow.graph import (
     star_graph,
 )
 from maxmaxflow.counting import (
-    EDGE_KINDS,
     WorkCapExceeded,
     class_count_series,
     class_series,
@@ -197,7 +196,9 @@ def test_block_subgraphs_vs_block_trees():
 
 # -- the anchored search against the all-subsets filter ------------------
 
-_WEIGHTS = st.sampled_from([F(1), F(2), F(1, 2), F(2, 3), F(5, 2)])
+# 0 and coprime denominators: the search sums integer products of the
+# weights times their least common denominator L, and divides order k by L^k
+_WEIGHTS = st.sampled_from([F(0), F(1), F(2), F(1, 2), F(2, 3), F(5, 2), F(1, 7), F(2, 9), F(5, 11)])
 
 
 @st.composite
@@ -208,30 +209,13 @@ def _multigraphs(draw):
     return WeightedMultigraph(n, [(u, v, w) for (u, v), w in edges])
 
 
-@st.composite
-def _specs(draw, n):
-    kind = draw(st.sampled_from(sorted(EDGE_KINDS)))
-    vertices = st.integers(1, n)
-    if kind == "BLOCKPATH":
-        x, y = draw(st.lists(vertices, min_size=2, max_size=2, unique=True))
-        return class_spec(kind, x=x, y=y)
-    some = st.frozensets(vertices, min_size=1, max_size=3)
-    if kind in ("F", "BF", "BFSTAR"):
-        return class_spec(kind, X=draw(st.frozensets(vertices, max_size=3)), Y=draw(some))
-    kw = {"X": draw(some), "Y": draw(st.none() | some)}
-    if kind == "H":
-        kw["p"] = draw(st.none() | st.integers(1, 2))
-        kw["r"] = draw(st.none() | st.integers(1, 3))
-    return class_spec(kind, **kw)
-
-
 @settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_search_equals_subset_filter(data):
     # anchors overlap freely (X and Y drawn independently); Y is optional
     # on T, H, C, BT and B; H draws p and r
     g = data.draw(_multigraphs())
-    specs = data.draw(st.lists(_specs(g.n), min_size=1, max_size=4))
+    specs = data.draw(st.lists(class_specs(g.n), min_size=1, max_size=4))
     M = data.draw(st.integers(0, 6))
     batched = class_series(g, specs, M)
     for spec in specs:

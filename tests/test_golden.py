@@ -1,7 +1,8 @@
 """Byte-for-byte CLI outputs pinned in tests/golden/.
 
 Each golden file is the stdout of `python -m maxmaxflow.cli <args> < <input>`
-with the input taken from the same directory (`hunt` reads no input).  The
+with the input taken from the same directory (`hunt` reads no input); the
+`chromatic` files leave out the float `root,` lines.  The
 graph is read from stdin so the manifest's command line does not depend on
 where the input lives.
 A change to any of these bytes must be deliberate.
