@@ -1,8 +1,9 @@
 """Byte-for-byte CLI outputs pinned in tests/golden/.
 
 Each golden file is the stdout of `python -m maxmaxflow.cli <args> < <input>`
-with the input taken from the same directory (`hunt` reads no input); the
-`chromatic` files leave out the float `root,` lines.  The
+with the input taken from the same directory (`hunt` and `explore8` read no
+input); the `chromatic` files leave out the float `root,` lines and
+`explore8.csv` the three float `max_root_*` columns.  The
 graph is read from stdin so the manifest's command line does not depend on
 where the input lives.
 A change to any of these bytes must be deliberate.
@@ -97,3 +98,11 @@ def test_chromatic_matches_golden(golden, graph, monkeypatch, capsys):
     out = _run(graph, ["chromatic", "-"], monkeypatch, capsys)
     kept = [line for line in out.splitlines(keepends=True) if not line.startswith("root,")]
     assert "".join(kept) == (GOLDEN / golden).read_text()
+
+
+# explore8: Lambda, Delta and Delta2 of random unit graphs; the float
+# max_root_* columns (the last three) are cut before comparing
+def test_explore8_matches_golden(monkeypatch, capsys):
+    out = _run(None, ["explore8", "--trials", "30", "--seed", "0", "--nmax", "9"], monkeypatch, capsys)
+    kept = [",".join(line.split(",")[:6]) + "\n" for line in out.splitlines()]
+    assert "".join(kept) == (GOLDEN / "explore8.csv").read_text()
