@@ -28,7 +28,7 @@ from .counting import (
 )
 from .flowcut import max_flow, maxmaxflow
 from .graph import WeightedMultigraph, bfs_path, k2_multi, random_multigraph, star_graph, star_multi
-from .intervals import Interval, UndecidedComparison, log_interval
+from .intervals import Interval, UndecidedComparison, _coerce, log_interval
 from .invariants import max_degree
 
 VIOLATION = "VIOLATION"
@@ -166,10 +166,6 @@ class BoundResult:
         return self.lhs_hi / self.rhs_lo
 
 
-def _as_interval(x) -> Interval:
-    return x if isinstance(x, Interval) else Interval.point(x)
-
-
 def _sum_result(bound_id: str, M: int, terms, rhs, note: str = "") -> BoundResult:
     exact = all(isinstance(t, Fraction) for t in terms) and isinstance(rhs, Fraction)
     if exact:
@@ -183,8 +179,8 @@ def _sum_result(bound_id: str, M: int, terms, rhs, note: str = "") -> BoundResul
         return BoundResult(bound_id, verdict, M, s, s, rhs, rhs, True, note)
     S = Interval.point(0)
     for t in terms:
-        S = S + _as_interval(t)
-    R = _as_interval(rhs)
+        S = S + _coerce(t)
+    R = _coerce(rhs)
     if S.definitely_gt(R):
         verdict = VIOLATION
     elif S.definitely_le(R):
@@ -203,7 +199,7 @@ def _pointwise_result(bound_id: str, M: int, pairs, note: str = "") -> BoundResu
     hit_equality = False
     first = True
     for a, b in pairs:
-        A, Bv = _as_interval(a), _as_interval(b)
+        A, Bv = _coerce(a), _coerce(b)
         if A.definitely_gt(Bv):
             return BoundResult(bound_id, VIOLATION, M, A.lo, A.hi, Bv.lo, Bv.hi, False, note)
         if not A.definitely_le(Bv):

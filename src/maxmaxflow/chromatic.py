@@ -1,9 +1,10 @@
 """Chromatic polynomials by deletion-contraction, and root exploration.
 
-The polynomial ignores edge weights and parallel multiplicities (parallel
-families are collapsed to a single edge before recursing).  Everything here
-is exact integer arithmetic except the numerical root finder, which is the
-one deliberately floating-point corner of the package.
+The polynomial ignores edge weights and parallel multiplicities: it recurses
+on the adjacent pairs of the graph's pair table
+(`WeightedMultigraph.pair_weights`), where each parallel family is one pair.
+Everything here is exact integer arithmetic except the numerical root
+finder, which is the one deliberately floating-point corner of the package.
 """
 from __future__ import annotations
 
@@ -46,10 +47,6 @@ def _poly_sub(a: Poly, b: Poly) -> Poly:
 
 def _poly_shift(a: Poly, k: int) -> Poly:
     return tuple([0] * k + list(a))
-
-
-def _simple_pairs(g_edges) -> list[tuple[int, int]]:
-    return sorted({(min(u, v), max(u, v)) for u, v in g_edges})
 
 
 def _canonical_key(vs: tuple[int, ...], pairs: list[tuple[int, int]]):
@@ -135,7 +132,8 @@ def chromatic_polynomial(g: WeightedMultigraph, cap: int = DEFAULT_VERTEX_CAP) -
         raise ValueError(f"{g.n} vertices exceeds the cap {cap}")
     if g.n == 0:
         return (1,)
-    pairs = _simple_pairs([(e.u, e.v) for e in g.edges])
+    A = g.pair_weights()[0]
+    pairs = sorted((u, v) for u, nbrs in A.items() for v in nbrs if u < v)
     return _chromatic_simple(tuple(g.vertices), pairs, {})
 
 
@@ -149,7 +147,7 @@ def evaluate_poly(poly: Poly, q) -> Fraction:
 
 def coloring_count(g: WeightedMultigraph, q: int) -> int:
     """Brute-force proper coloring count; the oracle for small graphs."""
-    pairs = _simple_pairs([(e.u, e.v) for e in g.edges])
+    pairs = {(e.u, e.v) for e in g.edges}
     count = 0
     for coloring in itertools.product(range(q), repeat=g.n):
         color = dict(zip(g.vertices, coloring))
@@ -190,6 +188,8 @@ def explore_roots(
 ) -> list[ExploreRecord]:
     """Random unweighted graphs: chromatic roots next to maxmaxflow and the
     degree statistics, for eyeballing linear root bounds."""
+    if trials < 0:
+        raise ValueError("trials must be >= 0")
     out: list[ExploreRecord] = []
     trial = 0
     attempts = 0

@@ -13,6 +13,9 @@ Every family is counted on the graph's integer weights
 (`WeightedMultigraph.integer_weights`, every weight times L): a member with
 k edges or steps carries an integer product, each order sums integers, and
 the sum of order k is divided by L^k once, when the `CountSeries` is built.
+The walk families step between vertices, so they read the graph's pair
+table (`WeightedMultigraph.pair_weights`), where parallel edges are summed
+once; the subgraph classes read the edges themselves.
 """
 from __future__ import annotations
 
@@ -113,16 +116,6 @@ def _divide(values: list[int], L: int) -> tuple[Fraction, ...]:
     return tuple(Fraction(a, L**k) for k, a in enumerate(values))
 
 
-def _pair_weights(g: WeightedMultigraph) -> tuple[dict[int, dict[int, int]], int]:
-    """(the total weight of the edges joining each adjacent pair, times L; L)."""
-    weights, L = g.integer_weights()
-    A: dict[int, dict[int, int]] = {v: {} for v in g.vertices}
-    for e in g.edges:
-        A[e.u][e.v] = A[e.u].get(e.v, 0) + weights[e.id]
-        A[e.v][e.u] = A[e.v].get(e.u, 0) + weights[e.id]
-    return A, L
-
-
 def _require_vertices(g: WeightedMultigraph, vs: Iterable[int]):
     for v in vs:
         if not 1 <= v <= g.n:
@@ -142,7 +135,7 @@ def _transfer(
 ) -> tuple[Fraction, ...]:
     """(f_0(x), ..., f_M(x)) for f_0 the indicator of `start` and f_k the
     one-step convolution of f_{k-1}, forced to 0 on the absorbing vertices."""
-    A, L = _pair_weights(g)
+    A, L = g.pair_weights()
     ones = set(start)
     cur = {v: int(v in ones) for v in g.vertices}
     out = [cur[x]]
@@ -157,7 +150,7 @@ def _self_avoiding(g: WeightedMultigraph, x: int, Ys: frozenset[int], M: int) ->
 
     Parallel steps aggregate by weight.
     """
-    A, L = _pair_weights(g)
+    A, L = g.pair_weights()
     out = [0] * (M + 1)
     if x in Ys:
         out[0] = 1

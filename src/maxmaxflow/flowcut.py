@@ -1,10 +1,10 @@
 """Exact max-flow / min-cut, cut trees, cocycle space and maxmaxflow.
 
 All computations are exact over the rationals.  Flows and cut weights are
-computed on the graph's integer weights (`WeightedMultigraph.integer_weights`,
-every weight times L) by Dinic's blocking-flow algorithm, and divided by L
-once per reported value; each graph's cut tree is built once and memoised on
-the graph.
+computed on the graph's pair table (`WeightedMultigraph.pair_weights`: the
+parallel edges of each pair summed once, every weight times L) by Dinic's
+blocking-flow algorithm, and divided by L once per reported value; each
+graph's cut tree is built once and memoised on the graph.
 """
 from __future__ import annotations
 
@@ -30,11 +30,11 @@ class MinCutCertificate:
 
 
 def _merge(pairs: Iterable[tuple[int, int, int]]) -> dict[tuple[int, int], int]:
-    """The undirected capacities (a, b, c) with parallel ones summed, by
-    (min, max) pair; pairs with a == b or c == 0 are dropped."""
+    """The undirected capacities (a, b, c) of a contracted network re-summed
+    by (min, max) pair; pairs with a == b are dropped."""
     merged: dict[tuple[int, int], int] = {}
     for a, b, c in pairs:
-        if a != b and c:
+        if a != b:
             key = (a, b) if a < b else (b, a)
             merged[key] = merged.get(key, 0) + c
     return merged
@@ -42,7 +42,7 @@ def _merge(pairs: Iterable[tuple[int, int, int]]) -> dict[tuple[int, int], int]:
 
 def _dinic(k: int, merged: dict[tuple[int, int], int], s: int, t: int) -> tuple[int, list[int]]:
     """Dinic max flow from s to t over nodes 0..k-1 joined by the undirected
-    capacities of `merged` (as `_merge` returns them).
+    capacities of `merged`, one per (min, max) pair.
 
     Returns the flow and the levels of the last BFS, the one that fails to
     reach t: the nodes with a level >= 0 are those reachable from s in the
@@ -60,13 +60,15 @@ def _dinic(k: int, merged: dict[tuple[int, int], int], s: int, t: int) -> tuple[
         res += (c, c)
     flow = 0
     while True:
-        # BFS levels; dag[u] collects the residual arcs from u to the next level
+        # BFS levels; dag[u] collects the residual arcs from u to the next
+        # level.  Once a node on t's level leaves the queue, every node before
+        # that level has been expanded, and no arc from t's level leads to t.
         level = [-1] * k
         level[s] = 0
         dag: list[list[int]] = [[] for _ in range(k)]
         queue = [s]
         for u in queue:
-            if u == t:
+            if level[u] == level[t]:
                 break
             nxt = level[u] + 1
             out = dag[u]
@@ -124,8 +126,9 @@ def max_flow(g: WeightedMultigraph, x: int, y: int) -> MinCutCertificate:
         raise ValueError("source and sink must differ")
     if x not in g._adj or y not in g._adj:
         raise ValueError("unknown vertex")
-    weights, L = g.integer_weights()
-    flow, level = _dinic(g.n + 1, _merge((e.u, e.v, weights[e.id]) for e in g.edges), x, y)
+    A, L = g.pair_weights()
+    merged = {(u, v): c for u, nbrs in A.items() for v, c in nbrs.items() if u < v}
+    flow, level = _dinic(g.n + 1, merged, x, y)
     reach = frozenset(v for v in g.vertices if level[v] >= 0)
     cut = frozenset(e.id for e in g.edges if (e.u in reach) != (e.v in reach))
     return MinCutCertificate(Fraction(flow, L), reach, cut)
@@ -133,7 +136,8 @@ def max_flow(g: WeightedMultigraph, x: int, y: int) -> MinCutCertificate:
 
 def cut_weight(g: WeightedMultigraph, side: Iterable[int]) -> Fraction:
     s = set(side)
-    return sum((e.w for e in g.edges if (e.u in s) != (e.v in s)), Fraction(0))
+    A, L = g.pair_weights()
+    return Fraction(sum(c for u in s if u in A for v, c in A[u].items() if v not in s), L)
 
 
 # -- cut trees ------------------------------------------------------------
@@ -183,11 +187,11 @@ def _component_cut_tree(
     supernode contracted to one marker node (numbered from n + 1).  The split
     order, (x, y), the way the vertex sets are built and the representatives
     `next(iter(nodes[i]))` fix which valid tree comes out; the golden
-    `ghtree` output pins it.  The component's parallel edges are merged
-    once, and each split merges only the pairs its contraction joins.
+    `ghtree` output pins it.  The component's pairs come from the graph's
+    pair table, and each split re-sums the pairs its contraction joins.
     """
-    weights, L = g.integer_weights()
-    pairs = _merge((e.u, e.v, weights[e.id]) for e in g.edges if e.u in comp).items()
+    A, L = g.pair_weights()
+    pairs = [(u, v, c) for u in comp for v, c in A[u].items() if u < v]
     # tree over "super nodes"; each node is a set of original vertices
     nodes: list[set[int]] = [set(comp)]
     tadj: dict[int, dict[int, Fraction]] = {0: {}}
@@ -209,7 +213,7 @@ def _component_cut_tree(
                 for v in nodes[node]:
                     vmap[v] = marker
         flow, level = _dinic(
-            g.n + 1 + len(marker_of), _merge((vmap[u], vmap[v], c) for (u, v), c in pairs), x, y
+            g.n + 1 + len(marker_of), _merge((vmap[u], vmap[v], c) for u, v, c in pairs), x, y
         )
         value = Fraction(flow, L)
 
@@ -347,7 +351,7 @@ def lambda_tilde_bruteforce(g: WeightedMultigraph, cap: int = 12) -> Fraction:
     """
     if g.n < 2:
         raise ValueError("requires at least two vertices")
-    weights, L = g.integer_weights()
+    A, L = g.pair_weights()
     best = 0
     for comp in g.components():
         cn = len(comp)
@@ -356,19 +360,17 @@ def lambda_tilde_bruteforce(g: WeightedMultigraph, cap: int = 12) -> Fraction:
         if cn > cap:
             raise ValueError(f"component with {cn} vertices exceeds brute-force cap {cap}")
         # the component's i-th smallest vertex is bit i of a side's mask
-        bit = {v: i for i, v in enumerate(sorted(comp))}
-        star = [0] * cn  # the edges at each vertex, as a mask over edge ids
-        degree = [0] * cn
-        nbrs: list[list[tuple[int, int]]] = [[] for _ in range(cn)]
-        for e in g.edges:
-            if e.u in comp:
-                a, b, w = bit[e.u], bit[e.v], weights[e.id]
-                star[a] ^= 1 << e.id
-                star[b] ^= 1 << e.id
-                degree[a] += w
-                degree[b] += w
-                nbrs[a].append((b, w))
-                nbrs[b].append((a, w))
+        order = sorted(comp)
+        bit = {v: i for i, v in enumerate(order)}
+        degree = [sum(A[v].values()) for v in order]
+        nbrs = [[(bit[u], w) for u, w in A[v].items()] for v in order]
+        # the pairs at each vertex, as a mask over pair numbers: a cocycle
+        # holds all or none of a parallel family, so one bit per pair keeps
+        # every rank and weight
+        star = [0] * cn
+        for p, (a, b) in enumerate((a, b) for a in range(cn) for b, _ in nbrs[a] if a < b):
+            star[a] ^= 1 << p
+            star[b] ^= 1 << p
         # side k holds vertex 0 and vertex i + 1 for each bit i of k; the full
         # side, whose cocycle is empty, is left out.  Side k is side k - low
         # plus one vertex, and a side's cocycle is the symmetric difference

@@ -8,6 +8,8 @@ The exact layers compute on integers: `WeightedMultigraph.integer_weights`
 gives every edge's weight times L, the least common denominator of all the
 weights.  A quantity that is a sum of products of k weights is then an
 integer over L^k, and each layer divides by L^k once, when it reports.
+Parallel edges are summed once per graph, in its pair table
+(`WeightedMultigraph.pair_weights`), which every pair-level reader uses.
 """
 from __future__ import annotations
 
@@ -47,9 +49,9 @@ class WeightedMultigraph:
     """Loopless multigraph on vertices 1..n with nonnegative Fraction weights.
 
     Immutable after construction; parallel edges are kept distinct by edge id.
-    Structures derived at some cost (the integer weights, each component's
-    cut tree) are memoised in `_memo`, which takes no part in equality or
-    hashing.
+    Structures derived at some cost (the integer weights, the pair table,
+    each component's cut tree) are memoised in `_memo`, which takes no part
+    in equality or hashing.
     """
 
     def __init__(self, n: int, edge_triples: Iterable[tuple[int, int, Fraction]]):
@@ -93,6 +95,24 @@ class WeightedMultigraph:
             )
         return scaled
 
+    def pair_weights(self) -> tuple[dict[int, dict[int, int]], int]:
+        """(each vertex's neighbours, each with the total integer weight of
+        the edges joining the two; L), scaled as in `integer_weights`.
+
+        The one place where parallel edges are summed; a pair joined only by
+        zero-weight edges is kept with weight 0.  Callers share the table
+        and must not modify it.
+        """
+        table = self._memo.get("pair_weights")
+        if table is None:
+            weights, L = self.integer_weights()
+            A: dict[int, dict[int, int]] = {v: {} for v in self.vertices}
+            for e in self.edges:
+                A[e.u][e.v] = A[e.u].get(e.v, 0) + weights[e.id]
+                A[e.v][e.u] = A[e.v].get(e.u, 0) + weights[e.id]
+            table = self._memo["pair_weights"] = (A, L)
+        return table
+
     def weighted_degree(self, x: int) -> Fraction:
         if x not in self._adj:
             raise GraphFormatError(f"unknown vertex {x}")
@@ -110,17 +130,12 @@ class WeightedMultigraph:
         """Replace every parallel family by one edge carrying the summed weight.
 
         Never applied implicitly anywhere; the subgraph classes that allow
-        multiple edges must see the original multigraph.
+        multiple edges must see the original multigraph.  The edges come in
+        the order of the pair table: by smaller end, then as first met.
         """
-        acc: dict[tuple[int, int], Fraction] = {}
-        order: list[tuple[int, int]] = []
-        for e in self.edges:
-            key = (min(e.u, e.v), max(e.u, e.v))
-            if key not in acc:
-                acc[key] = Fraction(0)
-                order.append(key)
-            acc[key] += e.w
-        return WeightedMultigraph(self.n, [(u, v, acc[(u, v)]) for u, v in order])
+        A, L = self.pair_weights()
+        triples = [(u, v, Fraction(c, L)) for u, nbrs in A.items() for v, c in nbrs.items() if u < v]
+        return WeightedMultigraph(self.n, triples)
 
     def scaled(self, c: Fraction) -> "WeightedMultigraph":
         c = Fraction(c)

@@ -6,8 +6,9 @@ The central comparison chain ties the peeling invariants to maxmaxflow:
     Lambda >= D_2 >= max(D, Delta_{n-1})
 
 Degrees and cut weights are sums of edge weights, so every invariant is
-computed on the graph's integer weights (`WeightedMultigraph.integer_weights`,
-every weight times L) and divided by L once, when it is returned.
+computed on the graph's pair table (`WeightedMultigraph.pair_weights`: the
+parallel edges of each pair summed once, every weight times L) and divided
+by L once, when it is returned.
 """
 from __future__ import annotations
 
@@ -20,20 +21,11 @@ from .flowcut import lambda_tilde_bruteforce, maxmaxflow
 from .graph import WeightedMultigraph
 
 
-def _integer_degrees(g: WeightedMultigraph) -> dict[int, int]:
-    """Each vertex's weighted degree times L (see `integer_weights`)."""
-    weights = g.integer_weights()[0]
-    deg = dict.fromkeys(g.vertices, 0)
-    for e in g.edges:
-        deg[e.u] += weights[e.id]
-        deg[e.v] += weights[e.id]
-    return deg
-
-
 def degree_sequence(g: WeightedMultigraph) -> list[Fraction]:
     """Weighted degrees, descending."""
-    L = g.integer_weights()[1]
-    return [Fraction(d, L) for d in sorted(_integer_degrees(g).values(), reverse=True)]
+    A, L = g.pair_weights()
+    degrees = sorted((sum(nbrs.values()) for nbrs in A.values()), reverse=True)
+    return [Fraction(d, L) for d in degrees]
 
 
 def delta_k(g: WeightedMultigraph, k: int) -> Fraction:
@@ -70,18 +62,17 @@ def degeneracy(g: WeightedMultigraph) -> Fraction:
     """
     if g.n == 0:
         raise ValueError("empty graph")
-    weights, L = g.integer_weights()
-    deg = _integer_degrees(g)
+    A, L = g.pair_weights()
+    deg = {v: sum(nbrs.values()) for v, nbrs in A.items()}
     alive = set(g.vertices)
-    adj = g.adjacency()
     best = 0
     while alive:
         x = min(alive, key=lambda v: (deg[v], v))
         best = max(best, deg[x])
         alive.remove(x)
-        for v, eid in adj[x]:
+        for v, c in A[x].items():
             if v in alive:
-                deg[v] -= weights[eid]
+                deg[v] -= c
     return Fraction(best, L)
 
 
@@ -95,16 +86,11 @@ def degeneracy_k(g: WeightedMultigraph, k: int, cap: int = 10) -> Fraction:
         raise ValueError(f"k must be in 1..{g.n}")
     if g.n > cap:
         raise ValueError(f"{g.n} vertices exceeds brute-force cap {cap}")
-    weights, L = g.integer_weights()
-    # pair[x][y]: the total weight of the x-y edges, times L
-    pair = [[0] * (g.n + 1) for _ in range(g.n + 1)]
-    for e in g.edges:
-        pair[e.u][e.v] += weights[e.id]
-        pair[e.v][e.u] += weights[e.id]
+    A, L = g.pair_weights()
     best = 0
     for size in range(k, g.n + 1):
         for subset in itertools.combinations(g.vertices, size):
-            degs = sorted([sum(map(pair[x].__getitem__, subset)) for x in subset])
+            degs = sorted([sum(map(A[x].get, subset, itertools.repeat(0))) for x in subset])
             best = max(best, degs[k - 1])
     return Fraction(best, L)
 

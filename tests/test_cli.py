@@ -262,3 +262,9 @@ def test_hunt_rejects_negative_trials(capsys):
     code, out, err = run_main(["hunt", "--conjecture", "conj5.6", "--trials", "-1"], capsys)
     assert code == 1 and out == ""
     assert err.splitlines() == ["error: trials must be >= 0"]
+
+
+def test_explore8_rejects_negative_trials(capsys):
+    code, out, err = run_main(["explore8", "--trials", "-1"], capsys)
+    assert code == 1 and out == ""
+    assert err.splitlines() == ["error: trials must be >= 0"]

@@ -118,6 +118,10 @@ def test_merge_parallel():
     g = WeightedMultigraph(2, [(1, 2, F(1)), (1, 2, F(2))])
     m = g.merge_parallel()
     assert m.m == 1 and m.edges[0].w == F(3)
+    # a zero-weight pair stays, and a second parallel pair is summed apart
+    g = WeightedMultigraph(4, [(3, 2, F(1, 2)), (1, 4, F(0)), (2, 3, F(1, 3)), (2, 1, F(2)), (1, 2, F(1, 4))])
+    m = g.merge_parallel()
+    assert [(e.u, e.v, e.w) for e in m.edges] == [(1, 4, F(0)), (1, 2, F(9, 4)), (2, 3, F(5, 6))]
 
 
 # -- blocks ---------------------------------------------------------------

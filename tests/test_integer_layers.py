@@ -44,6 +44,10 @@ def test_integer_weights():
     assert g.integer_weights() == ((4, 15, 0, 54), 18)
     assert g.integer_weights() is g.integer_weights()
     assert WeightedMultigraph(2, []).integer_weights() == ((), 1)
+    # the pair table: the parallel pair (1, 2) summed, the zero pair (1, 3) kept
+    assert g.pair_weights() == ({1: {2: 58, 3: 0}, 2: {1: 58, 3: 15}, 3: {2: 15, 1: 0}}, 18)
+    assert g.pair_weights() is g.pair_weights()
+    assert WeightedMultigraph(2, []).pair_weights() == ({1: {}, 2: {}}, 1)
 
 
 @settings(max_examples=150, deadline=None)
