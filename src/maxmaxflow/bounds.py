@@ -156,7 +156,6 @@ class BoundResult:
     lhs_hi: Fraction
     rhs_lo: Fraction
     rhs_hi: Fraction
-    exact: bool
     note: str = ""
 
     @property
@@ -167,8 +166,7 @@ class BoundResult:
 
 
 def _sum_result(bound_id: str, M: int, terms, rhs, note: str = "") -> BoundResult:
-    exact = all(isinstance(t, Fraction) for t in terms) and isinstance(rhs, Fraction)
-    if exact:
+    if all(isinstance(t, Fraction) for t in terms) and isinstance(rhs, Fraction):
         s = sum(terms, Fraction(0))
         if s > rhs:
             verdict = VIOLATION
@@ -176,7 +174,7 @@ def _sum_result(bound_id: str, M: int, terms, rhs, note: str = "") -> BoundResul
             verdict = EQUALITY
         else:
             verdict = CONSISTENT
-        return BoundResult(bound_id, verdict, M, s, s, rhs, rhs, True, note)
+        return BoundResult(bound_id, verdict, M, s, s, rhs, rhs, note)
     S = Interval.point(0)
     for t in terms:
         S = S + _coerce(t)
@@ -189,7 +187,7 @@ def _sum_result(bound_id: str, M: int, terms, rhs, note: str = "") -> BoundResul
         raise UndecidedComparison(
             f"{bound_id}: sum enclosure [{S.lo},{S.hi}] straddles the bound"
         )
-    return BoundResult(bound_id, verdict, M, S.lo, S.hi, R.lo, R.hi, False, note)
+    return BoundResult(bound_id, verdict, M, S.lo, S.hi, R.lo, R.hi, note)
 
 
 def _pointwise_result(bound_id: str, M: int, pairs, note: str = "") -> BoundResult:
@@ -201,7 +199,7 @@ def _pointwise_result(bound_id: str, M: int, pairs, note: str = "") -> BoundResu
     for a, b in pairs:
         A, Bv = _coerce(a), _coerce(b)
         if A.definitely_gt(Bv):
-            return BoundResult(bound_id, VIOLATION, M, A.lo, A.hi, Bv.lo, Bv.hi, False, note)
+            return BoundResult(bound_id, VIOLATION, M, A.lo, A.hi, Bv.lo, Bv.hi, note)
         if not A.definitely_le(Bv):
             raise UndecidedComparison(f"{bound_id}: pointwise term undecided")
         if isinstance(a, Fraction) and isinstance(b, Fraction) and a == b and b > 0:
@@ -211,7 +209,7 @@ def _pointwise_result(bound_id: str, M: int, pairs, note: str = "") -> BoundResu
             worst_lhs, worst_rhs = A.hi, Bv.lo
             first = False
     verdict = EQUALITY if hit_equality else CONSISTENT
-    return BoundResult(bound_id, verdict, M, worst_lhs, worst_lhs, worst_rhs, worst_rhs, True, note)
+    return BoundResult(bound_id, verdict, M, worst_lhs, worst_lhs, worst_rhs, worst_rhs, note)
 
 
 def _discounted(values, base: Fraction) -> list:

@@ -180,14 +180,13 @@ class ExploreRecord:
     graph_text: str
 
 
-def explore_roots(
-    trials: int,
-    seed: int = 0,
-    n_max: int = 12,
-    edge_cap: int = 22,
-) -> list[ExploreRecord]:
-    """Random unweighted graphs: chromatic roots next to maxmaxflow and the
-    degree statistics, for eyeballing linear root bounds."""
+_EXPLORE_EDGE_CAP = 22
+
+
+def explore_roots(trials: int, seed: int = 0, n_max: int = 12) -> list[ExploreRecord]:
+    """Random unweighted graphs with 1 to `_EXPLORE_EDGE_CAP` edges: chromatic
+    roots next to maxmaxflow and the degree statistics, for eyeballing linear
+    root bounds."""
     if trials < 0:
         raise ValueError("trials must be >= 0")
     out: list[ExploreRecord] = []
@@ -198,7 +197,7 @@ def explore_roots(
         rng = random.Random(f"explore:{seed}:{attempts}")
         n = rng.randint(4, n_max)
         g = random_multigraph(rng, n, p=rng.uniform(0.15, 0.35), weights="unit")
-        if g.m == 0 or g.m > edge_cap or g.n < 2:
+        if g.m == 0 or g.m > _EXPLORE_EDGE_CAP or g.n < 2:
             continue
         poly = chromatic_polynomial(g)
         roots = chromatic_roots(poly)

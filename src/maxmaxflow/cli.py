@@ -27,7 +27,7 @@ from .bounds import (
 from .chromatic import chromatic_polynomial, chromatic_roots, explore_roots
 from .counting import WorkCapExceeded, class_count_series, class_spec
 from .flowcut import cut_pair, cut_tree, maxmaxflow
-from .graph import WeightedMultigraph, generate
+from .graph import GraphFormatError, WeightedMultigraph, generate, parse_weight
 from .invariants import inequality_chain
 
 
@@ -40,8 +40,8 @@ class _Parser(argparse.ArgumentParser):
 
 def _frac(text: str) -> Fraction:
     try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError):
+        return parse_weight(text)
+    except GraphFormatError:
         raise argparse.ArgumentTypeError(f"bad rational {text!r}")
 
 
@@ -50,10 +50,6 @@ def _vertex_list(text: str) -> list[int]:
         return [int(t) for t in text.split(",") if t]
     except ValueError:
         raise argparse.ArgumentTypeError(f"bad vertex list {text!r}")
-
-
-def _fmt(q: Fraction) -> str:
-    return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
 
 
 def _load_graph(path: str) -> tuple[WeightedMultigraph, str]:
@@ -182,7 +178,7 @@ def _cmd_invariants(args) -> int:
         ("Delta_{n-1}", rep.Delta_n_minus_1), ("D", rep.D), ("D2", rep.D2),
         ("Lambda", rep.Lambda), ("LambdaTilde", rep.LambdaTilde),
     ]:
-        lines.append(f"{name},{_fmt(val) if val is not None else 'n/a'}")
+        lines.append(f"{name},{'n/a' if val is None else val}")
     for c in rep.checks:
         lines.append(f"check:{c.name},{'ok' if c.holds else 'FAIL'}")
     _emit(lines, args.output)
@@ -191,7 +187,7 @@ def _cmd_invariants(args) -> int:
 
 def _cmd_lambda(args) -> int:
     g, _ = _load_graph(args.graph)
-    print(_fmt(maxmaxflow(g)))
+    print(maxmaxflow(g))
     return 0
 
 
@@ -201,7 +197,7 @@ def _cmd_ghtree(args) -> int:
     lines = _manifest(args, {"input-sha256": _digest(text)})
     lines.append(f"v {g.n}")
     for u, v, w in sorted(tree.edges):
-        lines.append(f"e {u} {v} {_fmt(w)}")
+        lines.append(f"e {u} {v} {w}")
     _emit(lines, args.output)
     return 0
 
@@ -212,7 +208,7 @@ def _cmd_cutpair(args) -> int:
     lam = maxmaxflow(g)
     for xi, side, w in [(cp.x1, cp.side1, cp.weight1), (cp.x2, cp.side2, cp.weight2)]:
         vs = ",".join(str(v) for v in sorted(side))
-        print(f"x={xi} side={{{vs}}} cutweight={_fmt(w)} Lambda={_fmt(lam)}")
+        print(f"x={xi} side={{{vs}}} cutweight={w} Lambda={lam}")
     return 0
 
 
@@ -241,7 +237,7 @@ def _cmd_count(args) -> int:
     lines = _manifest(args, {"input-sha256": _digest(text)})
     lines.append("m,value")
     for m, val in enumerate(series.values):
-        lines.append(f"{m},{_fmt(val)}")
+        lines.append(f"{m},{val}")
     _emit(lines, args.output)
     return 0
 
@@ -249,7 +245,7 @@ def _cmd_count(args) -> int:
 def _result_row(res) -> str:
     return ",".join([
         res.bound_id, res.verdict, str(res.M),
-        _fmt(res.lhs_lo), _fmt(res.lhs_hi), _fmt(res.rhs_lo), _fmt(res.rhs_hi),
+        str(res.lhs_lo), str(res.lhs_hi), str(res.rhs_lo), str(res.rhs_hi),
         res.note.replace(",", ";"),
     ])
 
@@ -296,7 +292,7 @@ def _cmd_hunt(args) -> int:
         ys = " ".join(map(str, f.Y))
         lines.append(
             f"{f.conjecture},{f.trial},{f.family},{f.verdict},"
-            f"{_fmt(f.ratio)},{_fmt(f.lhs_hi)},{_fmt(f.rhs_lo)},{xs},{ys},{graph_inline}"
+            f"{f.ratio},{f.lhs_hi},{f.rhs_lo},{xs},{ys},{graph_inline}"
         )
     _emit(lines, args.output)
     return 2 if any(f.verdict == VIOLATION for f in findings) else 0
@@ -322,8 +318,8 @@ def _cmd_explore8(args) -> int:
     lines.append("trial,n,m,Lambda,Delta,Delta2,max_root_abs,max_root_re,max_root_im")
     for rec in records:
         lines.append(
-            f"{rec.trial},{rec.n},{rec.m},{_fmt(rec.Lambda)},{_fmt(rec.Delta)},"
-            f"{_fmt(rec.Delta2)},{rec.max_root_abs:.10g},"
+            f"{rec.trial},{rec.n},{rec.m},{rec.Lambda},{rec.Delta},"
+            f"{rec.Delta2},{rec.max_root_abs:.10g},"
             f"{rec.max_root.real:.10g},{rec.max_root.imag:.10g}"
         )
     _emit(lines, args.output)

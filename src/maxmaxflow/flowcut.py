@@ -3,8 +3,9 @@
 All computations are exact over the rationals.  Flows and cut weights are
 computed on the graph's pair table (`WeightedMultigraph.pair_weights`: the
 parallel edges of each pair summed once, every weight times L) by Dinic's
-blocking-flow algorithm, and divided by L once per reported value; each
-graph's cut tree is built once and memoised on the graph.
+blocking-flow algorithm, which takes plain arc lists with parallel arcs
+allowed, and divided by L once per reported value; each graph's cut tree
+is built once and memoised on the graph.
 """
 from __future__ import annotations
 
@@ -29,31 +30,21 @@ class MinCutCertificate:
     cut_edges: frozenset[int]
 
 
-def _merge(pairs: Iterable[tuple[int, int, int]]) -> dict[tuple[int, int], int]:
-    """The undirected capacities (a, b, c) of a contracted network re-summed
-    by (min, max) pair; pairs with a == b are dropped."""
-    merged: dict[tuple[int, int], int] = {}
-    for a, b, c in pairs:
-        if a != b:
-            key = (a, b) if a < b else (b, a)
-            merged[key] = merged.get(key, 0) + c
-    return merged
-
-
-def _dinic(k: int, merged: dict[tuple[int, int], int], s: int, t: int) -> tuple[int, list[int]]:
+def _dinic(k: int, arcs: Iterable[tuple[int, int, int]], s: int, t: int) -> tuple[int, list[int]]:
     """Dinic max flow from s to t over nodes 0..k-1 joined by the undirected
-    capacities of `merged`, one per (min, max) pair.
+    arcs (a, b, c) of capacity c; parallel arcs are allowed, since splitting
+    an arc into parallel ones changes no cut.
 
     Returns the flow and the levels of the last BFS, the one that fails to
     reach t: the nodes with a level >= 0 are those reachable from s in the
     final residual network, which is the minimal source side of a minimum
     cut whichever maximum flow was found.
     """
-    # arc i runs to[i ^ 1] -> to[i]; arcs i and i ^ 1 are the two directions of one pair
+    # arc i runs to[i ^ 1] -> to[i]; arcs i and i ^ 1 are the two directions of one input arc
     to: list[int] = []
     res: list[int] = []
     adj: list[list[int]] = [[] for _ in range(k)]
-    for (a, b), c in merged.items():
+    for a, b, c in arcs:
         adj[a].append(len(to))
         adj[b].append(len(to) + 1)
         to += (b, a)
@@ -127,8 +118,7 @@ def max_flow(g: WeightedMultigraph, x: int, y: int) -> MinCutCertificate:
     if x not in g._adj or y not in g._adj:
         raise ValueError("unknown vertex")
     A, L = g.pair_weights()
-    merged = {(u, v): c for u, nbrs in A.items() for v, c in nbrs.items() if u < v}
-    flow, level = _dinic(g.n + 1, merged, x, y)
+    flow, level = _dinic(g.n + 1, [(u, v, c) for u in A for v, c in A[u].items() if u < v], x, y)
     reach = frozenset(v for v in g.vertices if level[v] >= 0)
     cut = frozenset(e.id for e in g.edges if (e.u in reach) != (e.v in reach))
     return MinCutCertificate(Fraction(flow, L), reach, cut)
@@ -188,7 +178,9 @@ def _component_cut_tree(
     order, (x, y), the way the vertex sets are built and the representatives
     `next(iter(nodes[i]))` fix which valid tree comes out; the golden
     `ghtree` output pins it.  The component's pairs come from the graph's
-    pair table, and each split re-sums the pairs its contraction joins.
+    pair table; each split relabels them through the contraction and drops
+    those whose ends land in one node, leaving the parallel arcs that the
+    contraction makes to Dinic.
     """
     A, L = g.pair_weights()
     pairs = [(u, v, c) for u in comp for v, c in A[u].items() if u < v]
@@ -206,15 +198,14 @@ def _component_cut_tree(
 
         marker_of: dict[int, int] = {}  # neighbor node -> marker node
         vmap = list(range(g.n + 1))
-        arcs = {i: d.items() for i, d in tadj.items()}
+        tree = {i: d.items() for i, d in tadj.items()}
         for marker, nb in enumerate(tadj[idx], start=g.n + 1):
             marker_of[nb] = marker
-            for node in bfs_tree(arcs, nb, banned=(idx,)):
+            for node in bfs_tree(tree, nb, banned=(idx,)):
                 for v in nodes[node]:
                     vmap[v] = marker
-        flow, level = _dinic(
-            g.n + 1 + len(marker_of), _merge((vmap[u], vmap[v], c) for u, v, c in pairs), x, y
-        )
+        arcs = [(a, b, c) for u, v, c in pairs if (a := vmap[u]) != (b := vmap[v])]
+        flow, level = _dinic(g.n + 1 + len(marker_of), arcs, x, y)
         value = Fraction(flow, L)
 
         s1 = {v for v in S if level[v] >= 0}

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 import random
+import re
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
@@ -36,13 +37,19 @@ class Edge:
         return self.v if x == self.u else self.u
 
 
+_RATIONAL = re.compile(r"[+-]?[0-9]+(?:/[0-9]+|\.[0-9]+)?")
+
+
 def parse_weight(tok: str) -> Fraction:
-    # accepts "3", "3/2" and decimal "0.5"; Fraction handles all exactly
+    """A rational token: an optional sign, digits, then optionally "/digits"
+    or ".digits" ("3", "-3/2", "0.25"); no exponents, so a short token
+    cannot stand for a huge number."""
+    if not _RATIONAL.fullmatch(tok):
+        raise GraphFormatError(f"bad weight {tok!r}")
     try:
-        w = Fraction(tok)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise GraphFormatError(f"bad weight {tok!r}") from exc
-    return w
+        return Fraction(tok)
+    except ZeroDivisionError:
+        raise GraphFormatError(f"bad weight {tok!r}") from None
 
 
 class WeightedMultigraph:
@@ -154,9 +161,7 @@ class WeightedMultigraph:
     def serialize(self) -> str:
         lines = [f"v {self.n}"]
         for e in self.edges:
-            w = e.w
-            tok = str(w.numerator) if w.denominator == 1 else f"{w.numerator}/{w.denominator}"
-            lines.append(f"e {e.u} {e.v} {tok}")
+            lines.append(f"e {e.u} {e.v} {e.w}")
         return "\n".join(lines) + "\n"
 
     @classmethod

@@ -104,16 +104,20 @@ def _atanh_interval(t: Fraction, tol: Fraction) -> Interval:
             return Interval(total, total + tail)
 
 
-def log_interval(q, tol: Fraction = Fraction(1, 2**300)) -> Interval:
-    """Enclosure of the natural log of a positive rational."""
+_LOG_TOL = Fraction(1, 2**300)
+
+
+def log_interval(q) -> Interval:
+    """Enclosure of the natural log of a positive rational, at most
+    `_LOG_TOL` wide."""
     q = Fraction(q)
     if q <= 0:
         raise ValueError("log of nonpositive number")
     if q == 1:
         return Interval.point(0)
     if q < 1:
-        inner = log_interval(1 / q, tol)
+        inner = log_interval(1 / q)
         return Interval(-inner.hi, -inner.lo)
     t = (q - 1) / (q + 1)
-    inner = _atanh_interval(t, tol / 2)
+    inner = _atanh_interval(t, _LOG_TOL / 2)
     return Interval(2 * inner.lo, 2 * inner.hi)

@@ -186,6 +186,19 @@ def test_usage_error_exit_one(tri):
     assert proc.returncode == 1
 
 
+@pytest.mark.parametrize("flag,value", [("--alpha", "1e0"), ("--alpha", "3_2"), ("--weight", "1e5")])
+def test_rational_options_take_the_weight_grammar(tri, capsys, flag, value):
+    args = (["verify", tri, "--bound", "prop7.2", "--x", "1", "--y", "2"] if flag == "--alpha"
+            else ["generate", "--family", "cycle", "--n", "3"])
+    with pytest.raises(SystemExit) as ei:
+        main([*args, flag, value])
+    err = capsys.readouterr().err
+    assert ei.value.code == 1
+    assert [line for line in err.splitlines() if line.startswith("error:")] == [
+        f"error: argument {flag}: bad rational {value!r}"
+    ]
+
+
 def test_stdin_input(tri, monkeypatch, capsys):
     monkeypatch.setattr(sys, "stdin", io.StringIO(TRIANGLE))
     code, out, _ = run_main(["lambda", "-"], capsys)

@@ -4,7 +4,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
 import flow_oracle
 from flow_oracle import flow_graphs, maxmaxflow_blockwise
@@ -341,6 +341,35 @@ def test_engine_equals_oracle(g):
         cert = max_flow(g, x, y)
         assert (cert.value, cert.side, cert.cut_edges) == flow_oracle.max_flow(g, x, y)
     assert maxmaxflow(g) == maxmaxflow_blockwise(g) == flow_oracle.maxmaxflow(g)
+
+
+@st.composite
+def split_networks(draw):
+    """(k, arcs, split, s, t): one arc per node pair, and the same network with
+    every arc cut into 1-3 parallel arcs of either direction whose
+    capacities, zeros included, sum to the original's."""
+    k = draw(st.integers(2, 7))
+    s, t = draw(st.permutations(range(k)))[:2]
+    pairs = draw(st.lists(st.sampled_from(list(itertools.combinations(range(k), 2))), unique=True))
+    arcs = [(a, b, draw(st.integers(0, 6))) for a, b in pairs]
+    split = []
+    for a, b, c in arcs:
+        cuts = sorted(draw(st.lists(st.integers(0, c), max_size=2)))
+        for lo, hi in zip([0, *cuts], [*cuts, c]):
+            split.append((b, a, hi - lo) if draw(st.booleans()) else (a, b, hi - lo))
+    return k, arcs, draw(st.permutations(split)), s, t
+
+
+# splitting an arc into parallel arcs changes no cut, so neither the flow nor
+# the minimal source side, which the cut tree's splits are read from
+@settings(max_examples=300, deadline=None)
+@given(split_networks())
+def test_dinic_ignores_how_capacities_split_into_parallel_arcs(net):
+    k, arcs, split, s, t = net
+    flow, level = flowcut._dinic(k, arcs, s, t)
+    split_flow, split_level = flowcut._dinic(k, split, s, t)
+    assert split_flow == flow
+    assert {v for v in range(k) if split_level[v] >= 0} == {v for v in range(k) if level[v] >= 0}
 
 
 # -- one cut tree per graph -----------------------------------------------

@@ -70,6 +70,15 @@ def test_parse_error_reports_line_number():
     assert "line 3" in str(ei.value)
 
 
+# Fraction would read these, and an exponent lets a few bytes stand for a
+# number of millions of digits
+@pytest.mark.parametrize("tok", ["1e5", "1_0", "1E-3", "2.5e1", ".5", "5."])
+def test_parse_rejects_tokens_outside_the_weight_grammar(tok):
+    with pytest.raises(GraphFormatError) as ei:
+        WeightedMultigraph.parse(f"v 2\ne 1 2 1\ne 1 2 {tok}\n")
+    assert str(ei.value) == f"line 3: bad weight {tok!r}"
+
+
 def test_serialize_lowest_terms():
     g = WeightedMultigraph(2, [(1, 2, F(2, 4))])
     assert "1/2" in g.serialize()
