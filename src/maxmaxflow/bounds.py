@@ -20,6 +20,7 @@ from .counting import (
     SubgraphClassSpec,
     _require_vertices,
     class_count_series,
+    class_series,
     class_spec,
     saw_counts,
     fpw_counts,
@@ -278,6 +279,12 @@ class SeriesProvider:
     def edge_class(self, spec: SubgraphClassSpec) -> CountSeries:
         return self._get(spec, lambda: class_count_series(self.g, spec, self.M, self.cap))
 
+    def edge_classes(self, specs: Iterable[SubgraphClassSpec]):
+        """Cache the series of every spec not cached yet, all from one search."""
+        todo = [spec for spec in specs if spec not in self._cache]
+        if todo:
+            self._cache.update(class_series(self.g, todo, self.M, self.cap))
+
     def walk_total(self, x: int) -> CountSeries:
         return self._get(("walk_total", x), lambda: walk_total_counts(self.g, x, self.M))
 
@@ -354,26 +361,36 @@ def _discount_terms(values, base_kind: str, ctx: SeriesProvider):
     return _log_discounted(values, _ln_over(log_arg(ctx), q))
 
 
-def _x_class(kind: str, *params: str):
+class _Series(NamedTuple):
+    """A series the bounds read: the anchors it needs, of x, y, X, Y and e;
+    the series for a context; and, for an edge-subset class of G, the
+    class's spec for a context, from which `lookup` reads it."""
+
+    needs: frozenset[str]
+    lookup: Callable[[SeriesProvider], CountSeries]
+    spec: Optional[Callable[[SeriesProvider], SubgraphClassSpec]] = None
+
+
+def _edge_class(needs: str, spec: Callable[[SeriesProvider], SubgraphClassSpec]) -> _Series:
+    return _Series(frozenset({needs}), lambda ctx: ctx.edge_class(spec(ctx)), spec)
+
+
+def _x_class(kind: str, *params: str) -> _Series:
     """A class anchored at X, with the named parameters (p, r) of the context."""
-    return frozenset({"X"}), lambda ctx: ctx.edge_class(
-        class_spec(kind, X=ctx.X, **{k: getattr(ctx, k) for k in params})
-    )
+    return _edge_class("X", lambda ctx: class_spec(kind, X=ctx.X, **{k: getattr(ctx, k) for k in params}))
 
 
-def _y_class(kind: str):
+def _y_class(kind: str) -> _Series:
     """A class whose components each meet Y, with X minus Y as further anchors."""
-    return frozenset({"Y"}), lambda ctx: ctx.edge_class(
-        class_spec(kind, X=ctx.X_disjoint(), Y=ctx.Y)
-    )
+    return _edge_class("Y", lambda ctx: class_spec(kind, X=ctx.X_disjoint(), Y=ctx.Y))
 
 
-# series name -> (the anchors it needs, of x, y, X, Y and e; the series for a context)
-_SERIES: dict[str, tuple[frozenset[str], Callable[[SeriesProvider], CountSeries]]] = {
-    "walk": (frozenset({"x"}), lambda ctx: ctx.walk_total(ctx.x)),
-    "fpw": (frozenset({"x", "Y"}), lambda ctx: ctx.fpw(ctx.x, ctx.Y)),
-    "saw": (frozenset({"x", "y"}), lambda ctx: ctx.saw(ctx.x, ctx.y)),
-    "b_e": (frozenset({"e"}), lambda ctx: ctx.through_edge(ctx.eid)),
+_SERIES: dict[str, _Series] = {
+    "walk": _Series(frozenset({"x"}), lambda ctx: ctx.walk_total(ctx.x)),
+    "fpw": _Series(frozenset({"x", "Y"}), lambda ctx: ctx.fpw(ctx.x, ctx.Y)),
+    "saw": _Series(frozenset({"x", "y"}), lambda ctx: ctx.saw(ctx.x, ctx.y)),
+    # nonseparable subgraphs through e: a search of G - e, not of G
+    "b_e": _Series(frozenset({"e"}), lambda ctx: ctx.through_edge(ctx.eid)),
     "f": _y_class("F"),
     "t": _x_class("T"),
     "h": _x_class("H", "p", "r"),
@@ -404,16 +421,24 @@ class _Bound(NamedTuple):
     custom: Optional[Callable[[str, tuple, SeriesProvider], BoundResult]] = None
 
 
+def _inapplicable(bound_id: str, ctx: SeriesProvider) -> Optional[str]:
+    """Why the bound does not apply to the context's anchors, or None."""
+    series = BOUNDS[bound_id].series
+    missing = _SERIES[series].needs - ctx.anchors
+    if missing:
+        return f"{bound_id} needs anchors {sorted(missing)}"
+    if series == "h" and len(ctx.X) < ctx.r * ctx.p:
+        return f"{bound_id} needs |X| >= r*p"
+    return None
+
+
 def _evaluate(bound_id: str, ctx: SeriesProvider) -> BoundResult:
     """One bound on the context; ValueError when it does not apply there."""
+    reason = _inapplicable(bound_id, ctx)
+    if reason is not None:
+        raise ValueError(reason)
     row = BOUNDS[bound_id]
-    needs, series = _SERIES[row.series]
-    missing = needs - ctx.anchors
-    if missing:
-        raise ValueError(f"{bound_id} needs anchors {sorted(missing)}")
-    if row.series == "h" and len(ctx.X) < ctx.r * ctx.p:
-        raise ValueError(f"{bound_id} needs |X| >= r*p")
-    vals = series(ctx).values
+    vals = _SERIES[row.series].lookup(ctx).values
     if row.custom is not None:
         return row.custom(bound_id, vals, ctx)
     if row.discount is None:
@@ -557,7 +582,10 @@ def run_suite(
     meaning is unambiguous (x from X, y from Y).  Bad input raises
     ValueError, as in `verify_bound`; bounds whose anchors are still
     missing, or which need the graph invariants to exist (Lambda needs two
-    vertices), are skipped.
+    vertices), are skipped.  Before any bound is evaluated, one
+    `class_series` search computes every edge-subset class of G that the
+    applicable bounds read, and the work cap bounds that one search; the
+    through-edge series of cor7.5 and cor7.13 searches G - e on its own.
     """
     Xs, Ys = frozenset(X or ()), frozenset(Y or ())
     if x is None and Xs:
@@ -567,13 +595,17 @@ def run_suite(
     if y is not None and x == y and Xs and len(Xs) > 1:
         y = min(v for v in Xs if v != x)
     ctx = SeriesProvider(g, M, X=Xs, Y=Ys, x=x, y=y, eid=eid, p=p, r=r, alpha=alpha, cap=cap)
+    ids = [
+        bound_id for bound_id in sorted(BOUNDS)
+        if (include_conjectures or not bound_id.startswith("conj")) and _inapplicable(bound_id, ctx) is None
+    ]
+    series = [_SERIES[BOUNDS[bound_id].series] for bound_id in ids]
+    ctx.edge_classes(s.spec(ctx) for s in series if s.spec is not None)
     out: list[BoundResult] = []
-    for bound_id in sorted(BOUNDS):
-        if bound_id.startswith("conj") and not include_conjectures:
-            continue
+    for bound_id in ids:
         try:
             out.append(_evaluate(bound_id, ctx))
-        except ValueError:  # the bound does not apply to these anchors or this graph
+        except ValueError:  # the graph lacks an invariant the bound reads
             continue
     return out
 

@@ -9,6 +9,7 @@ Exit codes: 0 success (or all bounds consistent), 2 a violation was found,
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import sys
 from fractions import Fraction
@@ -164,6 +165,12 @@ def build_parser() -> _Parser:
     sp.add_argument("--seed", type=int)
     sp.add_argument("-o", "--output")
     return p
+
+
+@functools.cache
+def _parser() -> _Parser:
+    """The parser, built once per process; each `parse_args` returns a new namespace."""
+    return build_parser()
 
 
 def _cmd_invariants(args) -> int:
@@ -357,8 +364,7 @@ _DISPATCH = {
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     args.argv = sys.argv[1:] if argv is None else argv
     try:
         return _DISPATCH[args.cmd](args)

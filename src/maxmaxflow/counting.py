@@ -222,8 +222,9 @@ class _EdgeSet:
     It keeps the facts the class predicates read: the size, the product
     of the integer weights, the degrees, the number of edges that closed a
     cycle, and a union-find with rollback (union by size, no path
-    compression) from which the components are read.  The blocks are
-    computed at most once per edge set, when a predicate first asks.  A
+    compression) from which the components are read.  The components and
+    the blocks are each computed at most once per edge set, when a
+    predicate first asks, so the classes of one search share them.  A
     spec's subgraph has the canonical vertex set "the spec's anchors plus
     the endpoints of the edges", so its components and blocks are those of
     the edges plus one single vertex per anchor that no edge touches.
@@ -240,6 +241,7 @@ class _EdgeSet:
         self.cycles = 0
         self.weight = 1
         self._undo: list[tuple] = []
+        self._components = None
         self._blocks = None
 
     @property
@@ -272,7 +274,7 @@ class _EdgeSet:
         self.adj[e.u].append((e.v, eid))
         self.adj[e.v].append((e.u, eid))
         self.weight *= self.edge_weights[eid]
-        self._blocks = None
+        self._components = self._blocks = None
 
     def pop(self):
         eid, self.weight, child = self._undo.pop()
@@ -289,7 +291,7 @@ class _EdgeSet:
                 self.verts.pop()
         self.adj[e.u].pop()
         self.adj[e.v].pop()
-        self._blocks = None
+        self._components = self._blocks = None
 
     def isolated(self, anchors: frozenset[int]) -> list[int]:
         """The anchors that no edge touches."""
@@ -297,10 +299,12 @@ class _EdgeSet:
 
     def components(self, anchors: frozenset[int]) -> list[frozenset[int]]:
         """Vertex sets of the components of the spec's subgraph."""
-        groups: dict[int, set[int]] = {}
-        for v in self.verts:
-            groups.setdefault(self._find(v), set()).add(v)
-        return [frozenset(c) for c in groups.values()] + [frozenset((v,)) for v in self.isolated(anchors)]
+        if self._components is None:
+            groups: dict[int, set[int]] = {}
+            for v in self.verts:
+                groups.setdefault(self._find(v), set()).add(v)
+            self._components = [frozenset(c) for c in groups.values()]
+        return self._components + [frozenset((v,)) for v in self.isolated(anchors)]
 
     def leaves_within(self, anchors: frozenset[int], allowed: frozenset[int]) -> bool:
         """Every vertex of degree <= 1 in the spec's subgraph lies in `allowed`."""
@@ -329,18 +333,19 @@ def _blocks_anchored(s: _EdgeSet, spec_anchors: frozenset[int], anchors: frozens
     return True
 
 
-def _tree(s: _EdgeSet, spec: SubgraphClassSpec) -> bool:
-    A = _anchor_set(spec)
+# each predicate reads the edge set, the spec and the spec's anchor set A
+# (`_anchor_set`), which the caller works out once per spec
+
+
+def _tree(s: _EdgeSet, spec: SubgraphClassSpec, A: frozenset[int]) -> bool:
     return not s.cycles and s.leaves_within(A, spec.X) and len(s.components(A)) == 1
 
 
-def _forest(s: _EdgeSet, spec: SubgraphClassSpec) -> bool:
-    A = _anchor_set(spec)
-    return not s.cycles and s.leaves_within(A, A) and _one_y_each(s, spec)
+def _forest(s: _EdgeSet, spec: SubgraphClassSpec, A: frozenset[int]) -> bool:
+    return not s.cycles and s.leaves_within(A, A) and _one_y_each(s, spec, A)
 
 
-def _h_forest(s: _EdgeSet, spec: SubgraphClassSpec) -> bool:
-    A = _anchor_set(spec)
+def _h_forest(s: _EdgeSet, spec: SubgraphClassSpec, A: frozenset[int]) -> bool:
     if s.cycles or not s.leaves_within(A, spec.X):
         return False
     comps = s.components(A)
@@ -349,34 +354,31 @@ def _h_forest(s: _EdgeSet, spec: SubgraphClassSpec) -> bool:
     return spec.r is None or len(comps) == spec.r
 
 
-def _anchored(s: _EdgeSet, spec: SubgraphClassSpec) -> bool:
-    return all(c & spec.X for c in s.components(_anchor_set(spec)))
+def _anchored(s: _EdgeSet, spec: SubgraphClassSpec, A: frozenset[int]) -> bool:
+    return all(c & spec.X for c in s.components(A))
 
 
-def _one_y_each(s: _EdgeSet, spec: SubgraphClassSpec) -> bool:
-    return all(len(c & spec.Y) == 1 for c in s.components(_anchor_set(spec)))
+def _one_y_each(s: _EdgeSet, spec: SubgraphClassSpec, A: frozenset[int]) -> bool:
+    return all(len(c & spec.Y) == 1 for c in s.components(A))
 
 
-def _block_tree(s: _EdgeSet, spec: SubgraphClassSpec) -> bool:
-    A = _anchor_set(spec)
+def _block_tree(s: _EdgeSet, spec: SubgraphClassSpec, A: frozenset[int]) -> bool:
     # an xy-block path is a block tree anchored at {x, y}: two anchors allow
     # two end blocks, one holding each of x and y as a non-cut vertex
     X = A if spec.kind == "BLOCKPATH" else spec.X
     return len(s.components(A)) == 1 and _blocks_anchored(s, A, X)
 
 
-def _block_forest(s: _EdgeSet, spec: SubgraphClassSpec) -> bool:
-    A = _anchor_set(spec)
-    return _one_y_each(s, spec) and _blocks_anchored(s, A, A)
+def _block_forest(s: _EdgeSet, spec: SubgraphClassSpec, A: frozenset[int]) -> bool:
+    return _one_y_each(s, spec, A) and _blocks_anchored(s, A, A)
 
 
-def _block_forest_star(s: _EdgeSet, spec: SubgraphClassSpec) -> bool:
-    A = _anchor_set(spec)
+def _block_forest_star(s: _EdgeSet, spec: SubgraphClassSpec, A: frozenset[int]) -> bool:
     return all(c & spec.Y for c in s.components(A)) and _blocks_anchored(s, A, A)
 
 
-def _block_subgraph(s: _EdgeSet, spec: SubgraphClassSpec) -> bool:
-    return _blocks_anchored(s, _anchor_set(spec), spec.X)
+def _block_subgraph(s: _EdgeSet, spec: SubgraphClassSpec, A: frozenset[int]) -> bool:
+    return _blocks_anchored(s, A, spec.X)
 
 
 _PREDICATES = {
@@ -400,11 +402,12 @@ def is_in_class(g: WeightedMultigraph, edge_ids: Iterable[int], spec: SubgraphCl
     """
     if spec.kind in WALK_KINDS:
         raise ValueError(f"{spec.kind} is a walk family, not an edge-subset class")
-    _require_vertices(g, _anchor_set(spec))
+    A = _anchor_set(spec)
+    _require_vertices(g, A)
     s = _EdgeSet(g)
     for eid in sorted(set(edge_ids)):
         s.add(eid)
-    return _PREDICATES[spec.kind](s, spec)
+    return _PREDICATES[spec.kind](s, spec, A)
 
 
 def _walk_series(g: WeightedMultigraph, spec: SubgraphClassSpec, M: int) -> CountSeries:
@@ -429,22 +432,25 @@ def class_series(
     time, each child giving up the frontier edges before its own for good,
     so every set of at most M edges is visited exactly once (reverse
     search, Avis and Fukuda 1996) and the stack is at most M deep.
-    Each visited set is tested against every class and adds its integer
-    weight product to each order-k sum that accepts it; the sums are
-    divided by L^k at the end.  The work cap bounds the number of sets
-    visited and is checked as the search goes.
+    Each visited set is tested against every class, the classes sharing
+    its components and blocks, and adds its integer weight product to each
+    order-k sum that accepts it; the sums are divided by L^k at the end.
+    The work cap bounds the number of sets this one search visits, however
+    many classes it serves, and is checked as the search goes; so
+    `bounds.run_suite`, which asks for all its edge-subset classes in one
+    call, is capped as one search.
     """
     if M < 0:
         raise ValueError("M must be >= 0")
     specs = list(dict.fromkeys(specs))
     out = {spec: _walk_series(g, spec, M) for spec in specs if spec.kind in WALK_KINDS}
-    tests = [(spec, _PREDICATES[spec.kind]) for spec in specs if spec.kind in EDGE_KINDS]
+    tests = [(spec, _PREDICATES[spec.kind], _anchor_set(spec)) for spec in specs if spec.kind in EDGE_KINDS]
     if not tests:
         return out
-    A = frozenset().union(*(_anchor_set(spec) for spec, _ in tests))
+    A = frozenset().union(*(anchors for _, _, anchors in tests))
     _require_vertices(g, A)
     limit = cap if cap is not None else work_cap()
-    values = {spec: [0] * (M + 1) for spec, _ in tests}
+    values = {spec: [0] * (M + 1) for spec, _, _ in tests}
     adj = g.adjacency()
     s = _EdgeSet(g)
     visited = 0
@@ -457,8 +463,8 @@ def class_series(
         visited += 1
         if visited > limit:
             raise WorkCapExceeded(f"the search visited more than {limit} edge sets, the work cap")
-        for spec, accepts in tests:
-            if accepts(s, spec):
+        for spec, accepts, anchors in tests:
+            if accepts(s, spec, anchors):
                 values[spec][s.k] += s.weight
 
     def children(frontier: list[int]):

@@ -7,10 +7,18 @@ from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from maxmaxflow import bounds
 
+from maxmaxflow.counting import (
+    WorkCapExceeded,
+    class_count_series,
+    class_spec,
+    two_connected_through_edge_series,
+)
 from maxmaxflow.graph import (
+    WeightedMultigraph,
     complete_graph,
     cycle_graph,
     k2_multi,
@@ -18,6 +26,7 @@ from maxmaxflow.graph import (
     random_multigraph,
     star_graph,
     theta_graph,
+    wheel_graph,
 )
 from maxmaxflow.bounds import (
     BOUNDS,
@@ -217,6 +226,95 @@ def test_run_suite_covers_registry_and_is_consistent():
     ids = {r.bound_id for r in results}
     assert ids <= set(BOUNDS)
     assert len(ids) > 10
+
+
+# -- the suite's one search ----------------------------------------------
+
+# 0 and 1/7-type weights: the search scales every weight by the least
+# common denominator and divides order k by its k-th power
+_WEIGHTS = st.sampled_from([F(0), F(1), F(2), F(1, 2), F(1, 7), F(2, 7), F(3, 7), F(5, 11)])
+
+
+@st.composite
+def _suite_inputs(draw):
+    """A multigraph with n <= 6 and anchors that run_suite fills in nothing for."""
+    n = draw(st.integers(1, 6))
+    edges = []
+    if n > 1:
+        pair = st.tuples(st.integers(1, n), st.integers(1, n)).filter(lambda p: p[0] != p[1])
+        edges = draw(st.lists(st.tuples(pair, _WEIGHTS), max_size=9))
+    g = WeightedMultigraph(n, [(u, v, w) for (u, v), w in edges])
+    vertex = st.integers(1, n)
+    X = draw(st.frozensets(vertex, max_size=3))
+    Y = draw(st.frozensets(vertex, max_size=3))
+    # run_suite takes x from X and y from Y when they are missing, and moves
+    # y off x when X has two members; x and y are drawn so neither happens
+    x = draw(vertex if X else st.none() | vertex)
+    ys = st.sampled_from([v for v in range(1, n + 1) if v != x or len(X) < 2])
+    y = draw(ys if Y else st.none() | ys)
+    eid = draw(st.none() | st.integers(0, g.m - 1)) if g.m else None
+    return g, {
+        "X": X, "Y": Y, "x": x, "y": y, "eid": eid,
+        "p": draw(st.integers(1, 2)), "r": draw(st.integers(1, 2)),
+        "alpha": draw(st.sampled_from([F(2), F(3, 2)])),
+    }
+
+
+@settings(max_examples=120, deadline=None)
+@given(_suite_inputs(), st.integers(0, 4))
+def test_suite_rows_equal_verify_bound(inputs, M):
+    # the suite computes its edge-subset classes in one search up front; each
+    # row must be what the bound gives on its own, and the suite must skip
+    # exactly the bounds verify_bound refuses
+    g, kw = inputs
+    rows = run_suite(g, M, include_conjectures=True, **kw)
+    alone = {}
+    for bound_id in BOUNDS:
+        try:
+            alone[bound_id] = verify_bound(g, bound_id, M, **kw)
+        except ValueError:
+            continue
+    assert {res.bound_id: res for res in rows} == alone
+    assert len(rows) == len(alone)
+
+
+def _raises_cap(search, cap: int) -> bool:
+    try:
+        search(cap)
+    except WorkCapExceeded:
+        return True
+    return False
+
+
+def _least_cap(search) -> int:
+    """The least work cap at which search(cap) finishes."""
+    hi = 1
+    while _raises_cap(search, hi):
+        hi *= 2
+    lo = hi // 2  # raises, or 0
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if _raises_cap(search, mid) else (lo, mid)
+    return hi
+
+
+@pytest.mark.parametrize("eid", [None, 0, 7])
+def test_suite_cap_fails_exactly_when_a_family_would(eid):
+    # the suite raises WorkCapExceeded at cap c exactly when one of the
+    # searches it replaces would: one per edge-subset family of G with these
+    # anchors, and the through-edge search of G - e
+    g, M, X, Y = wheel_graph(5), 4, {1, 2}, {4}
+    specs = [class_spec(k, X=X) for k in ("T", "H", "C", "BT", "B")]
+    specs += [class_spec(k, X=X, Y=Y) for k in ("F", "BF", "BFSTAR")]
+    searches = [lambda cap, spec=spec: class_count_series(g, spec, M, cap) for spec in specs]
+    if eid is not None:
+        searches.append(lambda cap: two_connected_through_edge_series(g, eid, M, cap))
+    least = sorted({_least_cap(search) for search in searches})
+    assert len(least) > 1
+    for c in least:
+        for cap in (c - 1, c):
+            expected = any(_raises_cap(search, cap) for search in searches)
+            assert _raises_cap(lambda cap: run_suite(g, M, X=X, Y=Y, eid=eid, cap=cap), cap) == expected
 
 
 # -- the conjecture hunt --------------------------------------------------

@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from maxmaxflow import cli
+from maxmaxflow import bounds, cli, counting
 from maxmaxflow.cli import main
 from maxmaxflow.graph import WeightedMultigraph, cycle_graph, path_graph
 
@@ -217,6 +217,31 @@ def test_suite_rejects_bad_input_as_verify_does(tri, capsys, bound, extra, messa
         code, out, err = run_main([*command, "-m", "3", *extra], capsys)
         assert code == 1 and out == ""
         assert err.splitlines() == [f"error: {message}"]
+
+
+# suite asks for every edge-subset class of G in one search; the through-edge
+# series of cor7.5 and cor7.13 is one more, on G - e
+@pytest.mark.parametrize("extra,searched", [([], [3]), (["--edge", "0"], [3, 2])])
+def test_suite_runs_one_search_per_graph(tri, capsys, monkeypatch, extra, searched):
+    seen = []
+    search = counting.class_series
+
+    def spy(g, specs, M, cap=None):
+        seen.append(g.m)
+        return search(g, specs, M, cap)
+
+    # bounds holds its own reference to the function
+    for module in (counting, bounds):
+        monkeypatch.setattr(module, "class_series", spy)
+    code, out, _ = run_main(["suite", tri, "--x", "1,2", "--y", "3", "-m", "3", *extra], capsys)
+    assert code == 0 and "cor5.3," in out
+    assert seen == searched
+
+
+def test_suite_cap_is_one_error_line(tri, capsys):
+    code, out, err = run_main(["suite", tri, "--x", "1,2", "--y", "3", "-m", "3", "--cap", "2"], capsys)
+    assert code == 1 and out == ""
+    assert err.splitlines() == ["error: the search visited more than 2 edge sets, the work cap"]
 
 
 def test_verify_checks_anchors_the_bound_does_not_read(tri, capsys):

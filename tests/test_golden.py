@@ -106,3 +106,20 @@ def test_explore8_matches_golden(monkeypatch, capsys):
     out = _run(None, ["explore8", "--trials", "30", "--seed", "0", "--nmax", "9"], monkeypatch, capsys)
     kept = [",".join(line.split(",")[:6]) + "\n" for line in out.splitlines()]
     assert "".join(kept) == (GOLDEN / "explore8.csv").read_text()
+
+
+def test_commands_in_one_process_match_golden(monkeypatch, capsys):
+    # the parser is built once per process: options a command sets (alpha,
+    # y, the edge) must not carry over to the next, and a usage error must
+    # leave the parser working
+    cases = {golden: (graph, argv) for golden, graph, argv in CASES}
+    for golden in ("suite_wheel.csv", "verify_prop7.2.txt", "suite_wheel_x13.csv"):
+        assert _run(*cases[golden], monkeypatch, capsys) == (GOLDEN / golden).read_text()
+    with pytest.raises(SystemExit) as ei:
+        main(["verify", "-", "-m", "3"])
+    assert ei.value.code == 1
+    err = capsys.readouterr().err
+    assert [line for line in err.splitlines() if line.startswith("error:")] == [
+        "error: the following arguments are required: --bound"
+    ]
+    assert _run(*cases["suite_wheel.csv"], monkeypatch, capsys) == (GOLDEN / "suite_wheel.csv").read_text()
