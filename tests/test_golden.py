@@ -44,6 +44,12 @@ CASES += [
     ("suite_wheel_x13.csv", "wheel.txt", ["suite", "-", "--x", "1,3", "-m", "4"]),
     ("suite_single_vertex.csv", "single_vertex.txt", ["suite", "-", "--x", "1", "--y", "1", "-m", "3"]),
 ]
+# x and y in different components (lambda(x,y) = 0, dist=None), the edge in
+# the other component from x
+CASES.append(
+    ("suite_flow_multigraph.csv", "flow_multigraph.txt",
+     ["suite", "-", "--x", "1", "--y", "7", "--edge", "12", "-m", "4"])
+)
 CASES += [
     (f"hunt_{conj}.csv", None, ["hunt", "--conjecture", conj, "--trials", "300", "-m", "4"])
     for conj in ("conj5.6", "conj5.7", "conj7.9", "conj7.10", "conj7.11")
@@ -75,6 +81,10 @@ CASES += [
         ("prop7.1", "edgeless.txt", ["--y", "2"], "4"),
     ]
 ]
+# Lambda(G - e) = 0: the other two edges of the triangle weigh 0
+CASES.append(
+    ("verify_cor7.5_zero.txt", "triangle_zero.txt", ["verify", "-", "--bound", "cor7.5", "--edge", "0", "-m", "4"])
+)
 
 
 # chromatic: the manifest and the exact coefficients; the float `root,` lines
