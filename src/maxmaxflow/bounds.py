@@ -6,12 +6,16 @@ series: a truncation exceeding the claimed bound is a genuine violation,
 while agreement only certifies consistency up to the truncation order.
 Comparisons against irrational discounts go through certified rational
 interval enclosures.
+
+Every bound is one row of `BOUNDS`, and `_evaluate` runs every row on a
+`SeriesProvider`, which computes each fact a row reads once per context.
 """
 from __future__ import annotations
 
 import math
 import random
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Callable, Iterable, NamedTuple, Optional
 
@@ -19,6 +23,7 @@ from .counting import (
     CountSeries,
     SubgraphClassSpec,
     _require_vertices,
+    _work_limit,
     class_count_series,
     class_series,
     class_spec,
@@ -27,7 +32,7 @@ from .counting import (
     two_connected_through_edge_series,
     walk_total_counts,
 )
-from .flowcut import max_flow, maxmaxflow
+from .flowcut import cut_tree, maxmaxflow
 from .graph import WeightedMultigraph, bfs_path, k2_multi, random_multigraph, star_graph, star_multi
 from .intervals import Interval, UndecidedComparison, _coerce, log_interval
 from .invariants import max_degree
@@ -161,72 +166,54 @@ class BoundResult:
 
     @property
     def ratio_upper(self) -> Optional[Fraction]:
-        if self.rhs_lo <= 0:
-            return None
-        return self.lhs_hi / self.rhs_lo
+        return None if self.rhs_lo <= 0 else self.lhs_hi / self.rhs_lo
 
 
 def _sum_result(bound_id: str, M: int, terms, rhs, note: str = "") -> BoundResult:
     if all(isinstance(t, Fraction) for t in terms) and isinstance(rhs, Fraction):
         s = sum(terms, Fraction(0))
-        if s > rhs:
-            verdict = VIOLATION
-        elif s == rhs:
-            verdict = EQUALITY
-        else:
-            verdict = CONSISTENT
+        verdict = VIOLATION if s > rhs else EQUALITY if s == rhs else CONSISTENT
         return BoundResult(bound_id, verdict, M, s, s, rhs, rhs, note)
-    S = Interval.point(0)
-    for t in terms:
-        S = S + _coerce(t)
-    R = _coerce(rhs)
+    S, R = sum(terms, Interval.point(0)), _coerce(rhs)
     if S.definitely_gt(R):
         verdict = VIOLATION
     elif S.definitely_le(R):
         verdict = CONSISTENT
     else:
-        raise UndecidedComparison(
-            f"{bound_id}: sum enclosure [{S.lo},{S.hi}] straddles the bound"
-        )
+        raise UndecidedComparison(f"{bound_id}: sum enclosure [{S.lo},{S.hi}] straddles the bound")
     return BoundResult(bound_id, verdict, M, S.lo, S.hi, R.lo, R.hi, note)
 
 
-def _pointwise_result(bound_id: str, M: int, pairs, note: str = "") -> BoundResult:
+def _pointwise_result(bound_id: str, M: int, pairs) -> BoundResult:
     """pairs: (a_m, bound_m).  Violation if any term exceeds its bound."""
-    worst_lhs = Fraction(0)
-    worst_rhs = Fraction(0)
+    worst = None  # the tightest pair seen: (slack, lhs, rhs)
     hit_equality = False
-    first = True
     for a, b in pairs:
         A, Bv = _coerce(a), _coerce(b)
         if A.definitely_gt(Bv):
-            return BoundResult(bound_id, VIOLATION, M, A.lo, A.hi, Bv.lo, Bv.hi, note)
+            return BoundResult(bound_id, VIOLATION, M, A.lo, A.hi, Bv.lo, Bv.hi)
         if not A.definitely_le(Bv):
             raise UndecidedComparison(f"{bound_id}: pointwise term undecided")
         if isinstance(a, Fraction) and isinstance(b, Fraction) and a == b and b > 0:
             hit_equality = True
-        # report the tightest pair seen
-        if first or (Bv.lo - A.hi) < (worst_rhs - worst_lhs):
-            worst_lhs, worst_rhs = A.hi, Bv.lo
-            first = False
-    verdict = EQUALITY if hit_equality else CONSISTENT
-    return BoundResult(bound_id, verdict, M, worst_lhs, worst_lhs, worst_rhs, worst_rhs, note)
+        if worst is None or Bv.lo - A.hi < worst[0]:
+            worst = (Bv.lo - A.hi, A.hi, Bv.lo)
+    _, lhs, rhs = worst
+    return BoundResult(bound_id, EQUALITY if hit_equality else CONSISTENT, M, lhs, lhs, rhs, rhs)
 
 
-def _discounted(values, base: Fraction) -> list:
-    """Per-term base^-m * a_m; a zero base keeps only the m=0 term.
+def _discounted(values, zeta) -> list:
+    """Per-term a_m * zeta^m for a discount zeta (see `SeriesProvider.discount`).
 
-    When the base is 0 the family can have no positive terms beyond m=0
-    (all edge weights vanish), so the remaining terms are dropped after
-    checking they are zero.
+    zeta is None for a zero discount base: the family then has no positive
+    term beyond m=0 (every edge it can use weighs 0), so the remaining terms
+    are dropped after checking they are zero.
     """
-    if base == 0:
-        for a in values[1:]:
-            if a != 0:
-                raise AssertionError("zero discount base with a positive term")
+    if zeta is None:
+        if any(values[1:]):
+            raise ValueError("zero discount base with a positive term")
         return [values[0]]
-    inv = 1 / base
-    return [a * inv**m for m, a in enumerate(values)]
+    return [a * zeta**m if a != 0 else Fraction(0) for m, a in enumerate(values)]
 
 
 # -- bound evaluation -----------------------------------------------------
@@ -235,9 +222,12 @@ def _discounted(values, base: Fraction) -> list:
 class SeriesProvider:
     """The inputs of the bounds on one graph: the truncation order M, the
     anchors (x, y, X, Y and the edge id), p, r, alpha and the work cap,
-    checked once on construction.  It caches the per-family series and
-    Λ(G−e) for the through-edge bounds, and serves the graph invariants the
-    bounds read."""
+    checked once on construction.  Every fact the bounds read is computed
+    at most once per context: the series, Δ, Λ, λ(x,y), the hop distance
+    and each kind's discount.  Λ and λ(x,y) come from the graph's memoised
+    cut tree, Λ(G−e) from that of the G − e memoised on the graph
+    (`WeightedMultigraph.without_edge`), which the through-edge search
+    shares."""
 
     def __init__(
         self,
@@ -265,7 +255,7 @@ class SeriesProvider:
         if eid is not None and not 0 <= eid < g.m:
             raise ValueError("edge id out of range")
         self.g, self.M, self.x, self.y, self.eid = g, M, x, y, eid
-        self.p, self.r, self.cap = p, r, cap
+        self.p, self.r, self.cap = p, r, _work_limit(cap)
         # the anchors given, named as in `_SERIES`
         self.anchors = {a for a, v in (("x", x), ("y", y), ("e", eid)) if v is not None}
         self.anchors |= {a for a, v in (("X", self.X), ("Y", self.Y)) if v}
@@ -299,66 +289,62 @@ class SeriesProvider:
             ("b_e", eid), lambda: two_connected_through_edge_series(self.g, eid, self.M, self.cap)
         )
 
-    def lambda_minus_edge(self, eid: int) -> Fraction:
-        def compute():
-            rest = [(e.u, e.v, e.w) for e in self.g.edges if e.id != eid]
-            return maxmaxflow(WeightedMultigraph(self.g.n, rest))
+    @cached_property
+    def lambda_minus_edge(self) -> Fraction:
+        return maxmaxflow(self.g.without_edge(self.eid))
 
-        return self._get(("Lambda-e", eid), compute)
-
+    @cached_property
     def Delta(self) -> Fraction:
         return max_degree(self.g)
 
+    @cached_property
     def Lambda(self) -> Fraction:
-        return maxmaxflow(self.g)  # the cut tree is memoised on the graph
+        return maxmaxflow(self.g)
 
+    @cached_property
     def flow_fraction(self) -> Fraction:
         """lambda(x,y)/Lambda for distinct x,y; 1 when x == y."""
         if self.x == self.y:
             return Fraction(1)
-        lam = self.Lambda()
-        if lam == 0:
+        if self.Lambda == 0:
             return Fraction(0)
-        return max_flow(self.g, self.x, self.y).value / lam
+        return cut_tree(self.g).bottleneck(self.x, self.y) / self.Lambda
 
+    @cached_property
     def hop_distance(self) -> Optional[int]:
         steps = bfs_path(self.g.adjacency(), self.x, self.y)
         return None if steps is None else len(steps)
 
+    @cached_property
     def X_disjoint(self) -> frozenset[int]:
         """X with members of Y removed; the classes are unchanged by this."""
         return self.X - self.Y
 
+    def discount(self, kind: str):
+        """The discount zeta of a kind (a key of `_DISCOUNTS`) with divisor q:
+        the Fraction 1/q, the enclosure of (ln a)/q, or None when q = 0."""
 
-def _ln_over(a: Fraction, q: Fraction) -> Interval:
-    """Enclosure of (ln a)/q for rational a > 1 and positive rational q."""
-    return log_interval(a) / Interval.point(q)
+        def compute():
+            log_arg, divisor = _DISCOUNTS[kind]
+            q = divisor(self)
+            if q == 0:
+                return None
+            return 1 / q if log_arg is None else log_interval(log_arg(self)) / Interval.point(q)
 
-
-def _log_discounted(values, zeta: Interval) -> list:
-    """Per-term a_m * zeta^m for an enclosed discount zeta."""
-    return [a * zeta**m if a != 0 else Fraction(0) for m, a in enumerate(values)]
+        return self._get(("discount", kind), compute)
 
 
 # discount kind -> (log argument a or None, divisor q): zeta = (ln a)/q, or 1/q
 _DISCOUNTS: dict[str, tuple] = {
-    "Delta": (None, lambda ctx: ctx.Delta()),
-    "Lambda": (None, lambda ctx: ctx.Lambda()),
-    "2Lambda": (None, lambda ctx: 2 * ctx.Lambda()),
-    "Delta/ln2": (lambda ctx: 2, lambda ctx: ctx.Delta()),
-    "Lambda/ln2": (lambda ctx: 2, lambda ctx: ctx.Lambda()),
-    "2Lambda/ln2": (lambda ctx: 2, lambda ctx: 2 * ctx.Lambda()),
-    "alphaLambda/lnalpha": (lambda ctx: ctx.alpha, lambda ctx: ctx.alpha * ctx.Lambda()),
+    "Delta": (None, lambda ctx: ctx.Delta),
+    "Lambda": (None, lambda ctx: ctx.Lambda),
+    "2Lambda": (None, lambda ctx: 2 * ctx.Lambda),
+    "Delta/ln2": (lambda ctx: 2, lambda ctx: ctx.Delta),
+    "Lambda/ln2": (lambda ctx: 2, lambda ctx: ctx.Lambda),
+    "2Lambda/ln2": (lambda ctx: 2, lambda ctx: 2 * ctx.Lambda),
+    "alphaLambda/lnalpha": (lambda ctx: ctx.alpha, lambda ctx: ctx.alpha * ctx.Lambda),
+    "2Lambda(G-e)/ln2": (lambda ctx: 2, lambda ctx: 2 * ctx.lambda_minus_edge),
 }
-
-
-def _discount_terms(values, base_kind: str, ctx: SeriesProvider):
-    """Terms a_m * zeta^m for the discount schemes used by the bounds."""
-    log_arg, divisor = _DISCOUNTS[base_kind]
-    q = divisor(ctx)
-    if log_arg is None or q == 0:
-        return _discounted(values, q)
-    return _log_discounted(values, _ln_over(log_arg(ctx), q))
 
 
 class _Series(NamedTuple):
@@ -382,7 +368,7 @@ def _x_class(kind: str, *params: str) -> _Series:
 
 def _y_class(kind: str) -> _Series:
     """A class whose components each meet Y, with X minus Y as further anchors."""
-    return _edge_class("Y", lambda ctx: class_spec(kind, X=ctx.X_disjoint(), Y=ctx.Y))
+    return _edge_class("Y", lambda ctx: class_spec(kind, X=ctx.X_disjoint, Y=ctx.Y))
 
 
 _SERIES: dict[str, _Series] = {
@@ -409,8 +395,7 @@ class _Bound(NamedTuple):
 
     With a discount kind (a key of `_DISCOUNTS`) it is the sum form
     sum_m a_m zeta^m weight(m) <= rhs; without one it is the pointwise form
-    a_m <= rhs(m) for every m, `rhs` returning the per-term bound.  A row
-    with `custom` is evaluated by that function instead.
+    a_m <= rhs(m) for every m, `rhs` returning the per-term bound.
     """
 
     series: str
@@ -418,7 +403,6 @@ class _Bound(NamedTuple):
     rhs: Optional[Callable[[SeriesProvider], object]] = None
     weight: Optional[Callable[[SeriesProvider, int], Fraction]] = None
     note: Optional[Callable[[SeriesProvider], str]] = None
-    custom: Optional[Callable[[str, tuple, SeriesProvider], BoundResult]] = None
 
 
 def _inapplicable(bound_id: str, ctx: SeriesProvider) -> Optional[str]:
@@ -439,16 +423,13 @@ def _evaluate(bound_id: str, ctx: SeriesProvider) -> BoundResult:
         raise ValueError(reason)
     row = BOUNDS[bound_id]
     vals = _SERIES[row.series].lookup(ctx).values
-    if row.custom is not None:
-        return row.custom(bound_id, vals, ctx)
     if row.discount is None:
         bound = row.rhs(ctx)
         return _pointwise_result(bound_id, ctx.M, [(a, bound(m)) for m, a in enumerate(vals)])
-    terms = _discount_terms(vals, row.discount, ctx)
+    terms = _discounted(vals, ctx.discount(row.discount))
     if row.weight is not None:
         terms = [t * row.weight(ctx, m) for m, t in enumerate(terms)]
-    rhs = row.rhs(ctx)
-    return _sum_result(bound_id, ctx.M, terms, rhs, row.note(ctx) if row.note else "")
+    return _sum_result(bound_id, ctx.M, terms, row.rhs(ctx), row.note(ctx) if row.note else "")
 
 
 def _powers(base: Fraction, scale=1, coef: Callable[[int], Fraction] = lambda m: 1):
@@ -460,29 +441,21 @@ def _h_bound(k: int, p: int, r: int) -> Fraction:
     return Fraction(1, p ** (r - 1)) * Fraction(1, k - r * p + p) * math.comb(k, r)
 
 
-def _eval_cor7_5(bound_id: str, vals: tuple, ctx: SeriesProvider) -> BoundResult:
-    """Nonseparable subgraphs through a fixed edge, with the 2*Lambda(G-e)/ln2
-    discount.  For edge weights above 2*Lambda(G-e)/ln2 the right side grows
-    to w_e*ln2/(2*Lambda(G-e)): that is what the underlying reduction to the
-    block-tree bound on G-e actually yields, and the unit bound is provably
-    false for such weights."""
-    lam_e = ctx.lambda_minus_edge(ctx.eid)
-    w_e = ctx.g.edges[ctx.eid].w
-    if lam_e == 0:
-        terms = _discounted(vals, Fraction(0))
-        return _sum_result(bound_id, ctx.M, terms, Fraction(1), note="Lambda(G-e)=0")
-    zeta = _ln_over(2, 2 * lam_e)
-    terms = _log_discounted(vals, zeta)
-    wz = Interval.point(w_e) * zeta
-    rhs = Fraction(1) if wz.definitely_le(Fraction(1)) else wz
-    note = "" if isinstance(rhs, Fraction) else "heavy-edge form"
-    return _sum_result(bound_id, ctx.M, terms, rhs, note)
+def _heavy_edge(ctx: SeriesProvider) -> Optional[Interval]:
+    """w_e*zeta for cor7.5's discount zeta = ln2/(2*Lambda(G-e)) when that
+    enclosure is not <= 1, else None (also when Lambda(G-e) = 0).  For such
+    edge weights the right side of cor7.5 grows from 1 to w_e*zeta: that is
+    what the underlying reduction to the block-tree bound on G-e actually
+    yields, and the unit bound is provably false for them."""
+    zeta = ctx.discount("2Lambda(G-e)/ln2")
+    wz = None if zeta is None else Interval.point(ctx.g.edges[ctx.eid].w) * zeta
+    return None if wz is None or wz.definitely_le(Fraction(1)) else wz
 
 
 def _through_edge_terms(ctx: SeriesProvider):
     """Per-term bound of cor7.13; same heavy-edge caveat as cor7.5, handled by
     the max(Lambda(G-e), w_e) factor the proof supports."""
-    lam_e = ctx.lambda_minus_edge(ctx.eid)
+    lam_e = ctx.lambda_minus_edge
     top = max(lam_e, ctx.g.edges[ctx.eid].w)
     return lambda m: B_mk(m - 1, 2) * lam_e ** (m - 1) * top if m else Fraction(0)
 
@@ -493,22 +466,22 @@ def _one(ctx: SeriesProvider) -> Fraction:
 
 # id -> its row; the anchors a bound needs are those of its series
 BOUNDS: dict[str, _Bound] = {
-    "prop4.1": _Bound("walk", None, lambda ctx: _powers(ctx.Delta())),
+    "prop4.1": _Bound("walk", None, lambda ctx: _powers(ctx.Delta)),
     "prop4.2": _Bound("fpw", "Delta", _one),
-    "prop4.3": _Bound("saw", "Lambda", lambda ctx: ctx.flow_fraction()),
-    "cor4.4": _Bound("saw", None, lambda ctx: _powers(ctx.Lambda(), ctx.flow_fraction())),
+    "prop4.3": _Bound("saw", "Lambda", lambda ctx: ctx.flow_fraction),
+    "cor4.4": _Bound("saw", None, lambda ctx: _powers(ctx.Lambda, ctx.flow_fraction)),
     # evaluated at the admissible discount zeta = 1/(2*Lambda); an unreachable
     # y makes the whole series vanish
     "cor4.5": _Bound(
         "saw", "2Lambda",
-        lambda ctx: Fraction(0) if (d := ctx.hop_distance()) is None
-        else Fraction(1, 2**d) * ctx.flow_fraction(),
-        note=lambda ctx: f"dist={ctx.hop_distance()}",
+        lambda ctx: Fraction(0) if (d := ctx.hop_distance) is None
+        else Fraction(1, 2**d) * ctx.flow_fraction,
+        note=lambda ctx: f"dist={ctx.hop_distance}",
     ),
     "prop5.1": _Bound("f", "Delta", _one),
     "prop5.2": _Bound(
         "f", "Lambda", lambda ctx: Fraction(len(ctx.Y)),
-        weight=lambda ctx, m: Fraction(m + len(ctx.Y)) ** (1 - len(ctx.X_disjoint())),
+        weight=lambda ctx, m: Fraction(m + len(ctx.Y)) ** (1 - len(ctx.X_disjoint)),
     ),
     "cor5.3": _Bound("t", "Delta", _one),
     "cor5.4": _Bound("t", "Lambda", _one, weight=lambda ctx, m: Fraction(m + 1) ** (2 - len(ctx.X))),
@@ -525,18 +498,23 @@ BOUNDS: dict[str, _Bound] = {
         "h", "Lambda", lambda ctx: ctx.r * _h_bound(len(ctx.X), ctx.p, ctx.r),
         weight=lambda ctx, m: Fraction(m + ctx.r) ** (1 - len(ctx.X)),
     ),
-    "prop6.1": _Bound("c", None, lambda ctx: _powers(ctx.Delta(), coef=lambda m: C_mk(m, len(ctx.X)))),
+    "prop6.1": _Bound("c", None, lambda ctx: _powers(ctx.Delta, coef=lambda m: C_mk(m, len(ctx.X)))),
     "prop7.1": _Bound("bf", "Delta/ln2", _one),
     "prop7.2": _Bound("bf", "alphaLambda/lnalpha", lambda ctx: ctx.alpha ** (len(ctx.Y) - 1)),
     "cor7.3": _Bound("bt", "Delta/ln2", _one),
     "cor7.4": _Bound("bt", "2Lambda/ln2", _one),
-    "cor7.5": _Bound("b_e", custom=_eval_cor7_5),
+    "cor7.5": _Bound(
+        "b_e", "2Lambda(G-e)/ln2",
+        lambda ctx: Fraction(1) if (wz := _heavy_edge(ctx)) is None else wz,
+        note=lambda ctx: "Lambda(G-e)=0" if ctx.lambda_minus_edge == 0
+        else "" if _heavy_edge(ctx) is None else "heavy-edge form",
+    ),
     "prop7.8": _Bound("bfstar", "alphaLambda/lnalpha", lambda ctx: ctx.alpha ** (len(ctx.Y) - 1)),
-    "prop7.12": _Bound("b", None, lambda ctx: _powers(ctx.Lambda(), coef=lambda m: B_mk(m, len(ctx.X)))),
+    "prop7.12": _Bound("b", None, lambda ctx: _powers(ctx.Lambda, coef=lambda m: B_mk(m, len(ctx.X)))),
     "cor7.13": _Bound("b_e", None, _through_edge_terms),
-    "conj5.6": _Bound("f", "Lambda", lambda ctx: Fraction(len(ctx.Y)) ** len(ctx.X_disjoint())),
+    "conj5.6": _Bound("f", "Lambda", lambda ctx: Fraction(len(ctx.Y)) ** len(ctx.X_disjoint)),
     "conj5.7": _Bound("t", "Lambda", _one),
-    "conj7.9": _Bound("bf", "Lambda/ln2", lambda ctx: Fraction(len(ctx.Y)) ** len(ctx.X_disjoint())),
+    "conj7.9": _Bound("bf", "Lambda/ln2", lambda ctx: Fraction(len(ctx.Y)) ** len(ctx.X_disjoint)),
     "conj7.10": _Bound("bfstar", "Lambda/ln2", lambda ctx: Fraction(2) ** len(ctx.Y) - 1),
     "conj7.11": _Bound("bt", "Lambda/ln2", _one),
 }
@@ -695,11 +673,12 @@ def hunt(
     trial so the known near-extremal graphs compete with the random pool."""
     if conjecture not in CONJECTURES:
         raise ValueError(f"unknown conjecture {conjecture!r}; known: {CONJECTURES}")
-    # checked once here: inside the loop a bad M would only drop every trial
+    # checked once here: inside the loop a bad M or cap would only drop every trial
     if M < 0:
         raise ValueError("M must be >= 0")
     if trials < 0:
         raise ValueError("trials must be >= 0")
+    _work_limit(cap)
     findings: list[Finding] = []
     for trial in range(trials):
         rng = random.Random(f"{seed}:{conjecture}:{trial}")

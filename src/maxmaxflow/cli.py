@@ -25,7 +25,7 @@ from .bounds import (
     run_suite,
     verify_bound,
 )
-from .chromatic import chromatic_polynomial, chromatic_roots, explore_roots
+from .chromatic import DEFAULT_VERTEX_CAP, chromatic_polynomial, chromatic_roots, explore_roots
 from .counting import WorkCapExceeded, class_count_series, class_spec
 from .flowcut import cut_pair, cut_tree, maxmaxflow
 from .graph import GraphFormatError, WeightedMultigraph, generate, parse_weight
@@ -84,6 +84,15 @@ def build_parser() -> _Parser:
     def graph_arg(sp):
         sp.add_argument("graph", help="graph file in the text format, or - for stdin")
 
+    def bound_args(sp):  # the inputs of verify and suite
+        graph_arg(sp)
+        sp.add_argument("--x", type=_vertex_list, default=None)
+        sp.add_argument("--y", type=_vertex_list, default=None)
+        sp.add_argument("--edge", type=int, default=None, help="edge id for through-edge bounds")
+        sp.add_argument("-m", "--m", dest="M", type=int, required=True)
+        sp.add_argument("--alpha", type=_frac, default=Fraction(2))
+        sp.add_argument("--cap", type=int, default=None)
+
     sp = sub.add_parser("invariants", help="degree/peeling invariants and the comparison chain")
     graph_arg(sp)
     sp.add_argument("--cap", type=int, default=10, help="brute-force cap for LambdaTilde and D_2")
@@ -113,25 +122,13 @@ def build_parser() -> _Parser:
     sp.add_argument("-o", "--output")
 
     sp = sub.add_parser("verify", help="check one series bound")
-    graph_arg(sp)
+    bound_args(sp)
     sp.add_argument("--bound", required=True, help=f"one of {', '.join(sorted(BOUNDS))}")
-    sp.add_argument("--x", type=_vertex_list, default=None)
-    sp.add_argument("--y", type=_vertex_list, default=None)
-    sp.add_argument("--edge", type=int, default=None, help="edge id for through-edge bounds")
-    sp.add_argument("-m", "--m", dest="M", type=int, required=True)
     sp.add_argument("--p", type=int, default=1)
     sp.add_argument("--r", type=int, default=1)
-    sp.add_argument("--alpha", type=_frac, default=Fraction(2))
-    sp.add_argument("--cap", type=int, default=None)
 
     sp = sub.add_parser("suite", help="run every applicable bound")
-    graph_arg(sp)
-    sp.add_argument("--x", type=_vertex_list, default=None)
-    sp.add_argument("--y", type=_vertex_list, default=None)
-    sp.add_argument("--edge", type=int, default=None)
-    sp.add_argument("-m", "--m", dest="M", type=int, required=True)
-    sp.add_argument("--alpha", type=_frac, default=Fraction(2))
-    sp.add_argument("--cap", type=int, default=None)
+    bound_args(sp)
     sp.add_argument("-o", "--output")
 
     sp = sub.add_parser("hunt", help="seeded random search for conjecture violations")
@@ -257,15 +254,15 @@ def _result_row(res) -> str:
     ])
 
 
+def _bound_inputs(args) -> dict:
+    """The keyword inputs of `verify_bound` and `run_suite` that both commands take."""
+    x, y = (args.x[0] if args.x else None), (args.y[0] if args.y else None)
+    return dict(X=args.x, Y=args.y, x=x, y=y, eid=args.edge, alpha=args.alpha, cap=args.cap)
+
+
 def _cmd_verify(args) -> int:
     g, _ = _load_graph(args.graph)
-    res = verify_bound(
-        g, args.bound, args.M,
-        X=args.x, Y=args.y,
-        x=args.x[0] if args.x else None,
-        y=args.y[0] if args.y else None,
-        eid=args.edge, p=args.p, r=args.r, alpha=args.alpha, cap=args.cap,
-    )
+    res = verify_bound(g, args.bound, args.M, p=args.p, r=args.r, **_bound_inputs(args))
     print("bound,verdict,M,lhs_lo,lhs_hi,rhs_lo,rhs_hi,note")
     print(_result_row(res))
     return 2 if res.verdict == VIOLATION else 0
@@ -273,12 +270,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_suite(args) -> int:
     g, text = _load_graph(args.graph)
-    results = run_suite(
-        g, args.M, X=args.x, Y=args.y,
-        x=args.x[0] if args.x else None,
-        y=args.y[0] if args.y else None,
-        eid=args.edge, alpha=args.alpha, cap=args.cap,
-    )
+    results = run_suite(g, args.M, **_bound_inputs(args))
     lines = _manifest(args, {"input-sha256": _digest(text)})
     lines.append("bound,verdict,M,lhs_lo,lhs_hi,rhs_lo,rhs_hi,note")
     for res in results:
@@ -320,6 +312,8 @@ def _cmd_chromatic(args) -> int:
 def _cmd_explore8(args) -> int:
     if args.nmax < 4:  # the graphs have 4..nmax vertices
         raise ValueError("--nmax must be >= 4")
+    if args.nmax > DEFAULT_VERTEX_CAP:  # chromatic_polynomial's vertex cap
+        raise ValueError(f"--nmax must be <= {DEFAULT_VERTEX_CAP}, the chromatic vertex cap")
     records = explore_roots(args.trials, seed=args.seed, n_max=args.nmax)
     lines = _manifest(args, {"seed": args.seed, "trials": args.trials})
     lines.append("trial,n,m,Lambda,Delta,Delta2,max_root_abs,max_root_re,max_root_im")

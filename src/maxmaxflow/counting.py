@@ -39,7 +39,22 @@ class WorkCapExceeded(RuntimeError):
 
 def work_cap() -> int:
     raw = os.environ.get(WORK_CAP_ENV)
-    return int(raw) if raw else DEFAULT_WORK_CAP
+    try:
+        cap = int(raw) if raw else DEFAULT_WORK_CAP
+    except ValueError:
+        cap = 0
+    if cap < 1:
+        raise ValueError(f"{WORK_CAP_ENV} must be an integer >= 1, not {raw!r}")
+    return cap
+
+
+def _work_limit(cap: Optional[int]) -> int:
+    """The cap in force: `cap` if given, else `work_cap()`'s."""
+    if cap is None:
+        return work_cap()
+    if cap < 1:
+        raise ValueError(f"the work cap must be >= 1, not cap={cap}")
+    return cap
 
 
 @dataclass(frozen=True)
@@ -449,7 +464,7 @@ def class_series(
         return out
     A = frozenset().union(*(anchors for _, _, anchors in tests))
     _require_vertices(g, A)
-    limit = cap if cap is not None else work_cap()
+    limit = _work_limit(cap)
     values = {spec: [0] * (M + 1) for spec, _, _ in tests}
     adj = g.adjacency()
     s = _EdgeSet(g)
@@ -516,14 +531,13 @@ def two_connected_through_edge_series(
 
     With e = xy, the m-edge members are exactly e plus an (m-1)-edge xy-block
     path of G - e, so a_m = w_e * bp_{m-1}(G - e); the work cap applies to
-    that BLOCKPATH search.  A single edge does not count (a_1 = 0).
+    that BLOCKPATH search, on the memoised `g.without_edge(eid)`.  A single
+    edge does not count (a_1 = 0).
     """
-    if not 0 <= eid < g.m:
-        raise ValueError("edge id out of range")
+    rest = g.without_edge(eid)  # checks the edge id
     e0 = g.edges[eid]
     spec = SubgraphClassSpec(kind="BLOCKPATH", x=e0.u, y=e0.v)
     values = [Fraction(0)] * (M + 1)
     if M >= 1:
-        rest = WeightedMultigraph(g.n, [(e.u, e.v, e.w) for e in g.edges if e.id != eid])
         values[1:] = [e0.w * a for a in class_count_series(rest, spec, M - 1, cap).values]
     return CountSeries(M, tuple(values))

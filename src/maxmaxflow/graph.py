@@ -57,8 +57,8 @@ class WeightedMultigraph:
 
     Immutable after construction; parallel edges are kept distinct by edge id.
     Structures derived at some cost (the integer weights, the pair table,
-    each component's cut tree) are memoised in `_memo`, which takes no part
-    in equality or hashing.
+    each component's cut tree, each G - e) are memoised in `_memo`, which
+    takes no part in equality or hashing.
     """
 
     def __init__(self, n: int, edge_triples: Iterable[tuple[int, int, Fraction]]):
@@ -143,6 +143,16 @@ class WeightedMultigraph:
         A, L = self.pair_weights()
         triples = [(u, v, Fraction(c, L)) for u, nbrs in A.items() for v, c in nbrs.items() if u < v]
         return WeightedMultigraph(self.n, triples)
+
+    def without_edge(self, eid: int) -> "WeightedMultigraph":
+        """G - e, the later edges renumbered down by one; memoised, so its
+        readers share one graph and what that memoises."""
+        if not 0 <= eid < self.m:
+            raise ValueError("edge id out of range")
+        key = ("without_edge", eid)
+        if key not in self._memo:
+            self._memo[key] = WeightedMultigraph(self.n, [(e.u, e.v, e.w) for e in self.edges if e.id != eid])
+        return self._memo[key]
 
     def scaled(self, c: Fraction) -> "WeightedMultigraph":
         c = Fraction(c)

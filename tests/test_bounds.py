@@ -211,6 +211,14 @@ def test_degenerate_discount_base():
     assert res.verdict in (CONSISTENT, EQUALITY)
 
 
+def test_zero_discount_base_with_a_positive_term_is_a_value_error():
+    # unreachable through verify_bound: a zero Delta, Lambda or Lambda(G-e)
+    # means every edge the family can use weighs 0
+    assert bounds._discounted((F(1), F(0), F(0)), None) == [F(1)]
+    with pytest.raises(ValueError, match="^zero discount base with a positive term$"):
+        bounds._discounted((F(1), F(0), F(1, 3)), None)
+
+
 def test_run_suite_covers_registry_and_is_consistent():
     rng = random.Random(73)
     for _ in range(10):

@@ -306,3 +306,36 @@ def test_explore8_rejects_negative_trials(capsys):
     code, out, err = run_main(["explore8", "--trials", "-1"], capsys)
     assert code == 1 and out == ""
     assert err.splitlines() == ["error: trials must be >= 0"]
+
+
+def test_explore8_rejects_nmax_above_the_chromatic_cap(capsys):
+    # rejected before any graph is drawn, not when one exceeds the cap
+    code, out, err = run_main(["explore8", "--trials", "20", "--nmax", "20"], capsys)
+    assert code == 1 and out == ""
+    assert err.splitlines() == ["error: --nmax must be <= 14, the chromatic vertex cap"]
+
+
+@pytest.mark.parametrize("cmd", [
+    ["count", "TRI", "--class", "T", "--x", "1", "-m", "3"],
+    ["suite", "TRI", "--edge", "0", "-m", "3"],
+    ["verify", "TRI", "--bound", "prop4.1", "--x", "1", "-m", "3"],
+    ["hunt", "--conjecture", "conj5.6", "--trials", "3"],
+])
+@pytest.mark.parametrize("cap", ["-5", "0"])
+def test_cap_below_one_is_one_error_line(tri, capsys, cmd, cap):
+    # suite's only search here is the through-edge one, and hunt drops a
+    # trial on ValueError: both must still reject the cap, not skip bounds
+    argv = [tri if a == "TRI" else a for a in cmd]
+    code, out, err = run_main([*argv, "--cap", cap], capsys)
+    assert code == 1 and out == ""
+    assert err.splitlines() == [f"error: the work cap must be >= 1, not cap={cap}"]
+
+
+@pytest.mark.parametrize("raw", ["abc", "0", "-5", "1e3"])
+def test_bad_work_cap_environment_is_one_error_line(tri, capsys, monkeypatch, raw):
+    monkeypatch.setenv(counting.WORK_CAP_ENV, raw)
+    for argv in (["count", tri, "--class", "T", "--x", "1", "-m", "3"],
+                 ["hunt", "--conjecture", "conj5.6", "--trials", "3"]):
+        code, out, err = run_main(argv, capsys)
+        assert code == 1 and out == ""
+        assert err.splitlines() == [f"error: MAXMAXFLOW_WORKCAP must be an integer >= 1, not {raw!r}"]

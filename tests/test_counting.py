@@ -19,6 +19,8 @@ from maxmaxflow.graph import (
     star_graph,
 )
 from maxmaxflow.counting import (
+    DEFAULT_WORK_CAP,
+    WORK_CAP_ENV,
     WorkCapExceeded,
     class_count_series,
     class_series,
@@ -30,6 +32,7 @@ from maxmaxflow.counting import (
     two_connected_through_edge_series,
     walk_counts,
     walk_total_counts,
+    work_cap,
 )
 
 
@@ -361,6 +364,28 @@ def test_work_cap_counts_search_nodes():
     assert list(class_count_series(g, spec, 6, cap=10).values) == series_by_filter(g, spec, 6)
     with pytest.raises(WorkCapExceeded):
         class_count_series(g, spec, 6, cap=2)
+
+
+@pytest.mark.parametrize("cap", [0, -5])
+def test_cap_below_one_rejected(cap):
+    g = path_graph(3)
+    with pytest.raises(ValueError, match=f"^the work cap must be >= 1, not cap={cap}$"):
+        class_count_series(g, class_spec("C", X={1}), 2, cap=cap)
+    with pytest.raises(ValueError, match="work cap"):
+        two_connected_through_edge_series(g, 0, 2, cap=cap)
+
+
+def test_work_cap_environment(monkeypatch):
+    monkeypatch.delenv(WORK_CAP_ENV, raising=False)
+    assert work_cap() == DEFAULT_WORK_CAP
+    monkeypatch.setenv(WORK_CAP_ENV, "7")
+    assert work_cap() == 7
+    for raw in ("abc", "0", "-5", "2.5"):
+        monkeypatch.setenv(WORK_CAP_ENV, raw)
+        with pytest.raises(ValueError, match=f"^{WORK_CAP_ENV} must be an integer >= 1"):
+            work_cap()
+        with pytest.raises(ValueError, match=WORK_CAP_ENV):
+            class_count_series(path_graph(3), class_spec("C", X={1}), 2)
 
 
 def test_search_depth_follows_M_not_m():
