@@ -237,9 +237,10 @@ class _EdgeSet:
     It keeps the facts the class predicates read: the size, the product
     of the integer weights, the degrees, the number of edges that closed a
     cycle, and a union-find with rollback (union by size, no path
-    compression) from which the components are read.  The components and
-    the blocks are each computed at most once per edge set, when a
-    predicate first asks, so the classes of one search share them.  A
+    compression) from which the components are read.  The components, the
+    blocks and the untouched anchors are each computed at most once per
+    edge set (and anchor set), when a predicate first asks, and kept until
+    the next `add` or `pop`, so the classes of one search share them.  A
     spec's subgraph has the canonical vertex set "the spec's anchors plus
     the endpoints of the edges", so its components and blocks are those of
     the edges plus one single vertex per anchor that no edge touches.
@@ -256,8 +257,7 @@ class _EdgeSet:
         self.cycles = 0
         self.weight = 1
         self._undo: list[tuple] = []
-        self._components = None
-        self._blocks = None
+        self._memo: dict = {}  # what the predicates asked of this edge set
 
     @property
     def k(self) -> int:
@@ -289,7 +289,7 @@ class _EdgeSet:
         self.adj[e.u].append((e.v, eid))
         self.adj[e.v].append((e.u, eid))
         self.weight *= self.edge_weights[eid]
-        self._components = self._blocks = None
+        self._memo = {}
 
     def pop(self):
         eid, self.weight, child = self._undo.pop()
@@ -306,20 +306,29 @@ class _EdgeSet:
                 self.verts.pop()
         self.adj[e.u].pop()
         self.adj[e.v].pop()
-        self._components = self._blocks = None
+        self._memo = {}
 
-    def isolated(self, anchors: frozenset[int]) -> list[int]:
+    def isolated(self, anchors: frozenset[int]) -> tuple[int, ...]:
         """The anchors that no edge touches."""
-        return [v for v in anchors if not self.deg[v]]
+        key = ("isolated", anchors)
+        got = self._memo.get(key)
+        if got is None:
+            got = self._memo[key] = tuple(v for v in anchors if not self.deg[v])
+        return got
 
-    def components(self, anchors: frozenset[int]) -> list[frozenset[int]]:
+    def components(self, anchors: frozenset[int]) -> tuple[frozenset[int], ...]:
         """Vertex sets of the components of the spec's subgraph."""
-        if self._components is None:
-            groups: dict[int, set[int]] = {}
-            for v in self.verts:
-                groups.setdefault(self._find(v), set()).add(v)
-            self._components = [frozenset(c) for c in groups.values()]
-        return self._components + [frozenset((v,)) for v in self.isolated(anchors)]
+        memo = self._memo
+        key = ("components", anchors)
+        got = memo.get(key)
+        if got is None:
+            if "edges" not in memo:  # the components of the edges alone
+                groups: dict[int, set[int]] = {}
+                for v in self.verts:
+                    groups.setdefault(self._find(v), set()).add(v)
+                memo["edges"] = tuple(frozenset(c) for c in groups.values())
+            got = memo[key] = memo["edges"] + tuple(frozenset((v,)) for v in self.isolated(anchors))
+        return got
 
     def leaves_within(self, anchors: frozenset[int], allowed: frozenset[int]) -> bool:
         """Every vertex of degree <= 1 in the spec's subgraph lies in `allowed`."""
@@ -328,9 +337,10 @@ class _EdgeSet:
         )
 
     def blocks(self) -> tuple[list[tuple[set[int], set[int]]], set[int]]:
-        if self._blocks is None:
-            self._blocks = biconnected_components(self.verts, self.adj)
-        return self._blocks
+        got = self._memo.get("blocks")
+        if got is None:
+            got = self._memo["blocks"] = biconnected_components(self.verts, self.adj)
+        return got
 
 
 def _blocks_anchored(s: _EdgeSet, spec_anchors: frozenset[int], anchors: frozenset[int]) -> bool:

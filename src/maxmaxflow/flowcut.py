@@ -2,10 +2,13 @@
 
 All computations are exact over the rationals.  Flows and cut weights are
 computed on the graph's pair table (`WeightedMultigraph.pair_weights`: the
-parallel edges of each pair summed once, every weight times L) by Dinic's
-blocking-flow algorithm, which takes plain arc lists with parallel arcs
-allowed, and divided by L once per reported value; each graph's cut tree
-is built once and memoised on the graph.
+parallel edges of each pair summed once, every weight times L) and divided
+by L once per reported value.  `_network` turns the pairs into arc arrays,
+the one place arcs are built; Dinic's blocking-flow algorithm runs on them
+after a warm start that saturates the source's one- and two-arc paths to
+the sink.  Each graph's cut tree is built once and memoised on the graph,
+and each component's tree runs all its splits on one network, contracting
+nodes by relabelling the arcs' heads instead of rebuilding the arcs.
 """
 from __future__ import annotations
 
@@ -30,26 +33,59 @@ class MinCutCertificate:
     cut_edges: frozenset[int]
 
 
-def _dinic(k: int, arcs: Iterable[tuple[int, int, int]], s: int, t: int) -> tuple[int, list[int]]:
-    """Dinic max flow from s to t over nodes 0..k-1 joined by the undirected
-    arcs (a, b, c) of capacity c; parallel arcs are allowed, since splitting
-    an arc into parallel ones changes no cut.
-
-    Returns the flow and the levels of the last BFS, the one that fails to
-    reach t: the nodes with a level >= 0 are those reachable from s in the
-    final residual network, which is the minimal source side of a minimum
-    cut whichever maximum flow was found.
+def _network(k: int, arcs: Iterable[tuple[int, int, int]]) -> tuple[list[list[int]], list[int], list[int]]:
+    """The arc arrays of the undirected arcs (a, b, c) of capacity c over
+    nodes 0..k-1: arc i runs head[i ^ 1] -> head[i] with capacity cap[i],
+    arcs i and i ^ 1 are the two directions of one input arc, and adj[u]
+    lists the arcs out of u.  Parallel arcs are allowed, since splitting an
+    arc into parallel ones changes no cut.
     """
-    # arc i runs to[i ^ 1] -> to[i]; arcs i and i ^ 1 are the two directions of one input arc
-    to: list[int] = []
-    res: list[int] = []
+    head: list[int] = []
+    cap: list[int] = []
     adj: list[list[int]] = [[] for _ in range(k)]
     for a, b, c in arcs:
-        adj[a].append(len(to))
-        adj[b].append(len(to) + 1)
-        to += (b, a)
-        res += (c, c)
+        adj[a].append(len(head))
+        adj[b].append(len(head) + 1)
+        head += (b, a)
+        cap += (c, c)
+    return adj, head, cap
+
+
+def _dinic(adj: list[list[int]], to: list[int], res: list[int], s: int, t: int) -> tuple[int, list[int]]:
+    """Dinic max flow from s to t over the arcs of `_network`, with arc i
+    running into to[i] and residual capacity res[i], which is updated in
+    place.  The flow may start from any feasible flow that `res` already
+    holds; the flow added to it is returned.  An arc whose ends have one
+    label, as in a contracted node, is never taken.
+
+    Returns the added flow and the levels of the last BFS, the one that
+    fails to reach t: the nodes with a level >= 0 are those reachable from
+    s in the final residual network, which is the minimal source side of a
+    minimum cut whichever maximum flow was found.
+    """
+    k = len(adj)
+    # warm start: saturate the arcs s -> t, then the two-arc paths s -> w -> t
     flow = 0
+    into_t: dict[int, list[int]] = {}
+    for j in adj[t]:
+        into_t.setdefault(to[j], []).append(j ^ 1)
+    for i in adj[s]:
+        if to[i] == t:
+            flow += res[i]
+            res[i ^ 1] += res[i]
+            res[i] = 0
+            continue
+        for j in into_t.get(to[i], ()):
+            f = min(res[i], res[j])
+            res[i] -= f
+            res[i ^ 1] += f
+            res[j] -= f
+            res[j ^ 1] += f
+            flow += f
+    if not any(res[i] for i in adj[s]):
+        level = [-1] * k
+        level[s] = 0
+        return flow, level
     while True:
         # BFS levels; dag[u] collects the residual arcs from u to the next
         # level.  Once a node on t's level leaves the queue, every node before
@@ -118,7 +154,8 @@ def max_flow(g: WeightedMultigraph, x: int, y: int) -> MinCutCertificate:
     if x not in g._adj or y not in g._adj:
         raise ValueError("unknown vertex")
     A, L = g.pair_weights()
-    flow, level = _dinic(g.n + 1, [(u, v, c) for u in A for v, c in A[u].items() if u < v], x, y)
+    adj, head, cap = _network(g.n + 1, ((u, v, c) for u in A for v, c in A[u].items() if u < v))
+    flow, level = _dinic(adj, head, cap, x, y)
     reach = frozenset(v for v in g.vertices if level[v] >= 0)
     cut = frozenset(e.id for e in g.edges if (e.u in reach) != (e.v in reach))
     return MinCutCertificate(Fraction(flow, L), reach, cut)
@@ -177,13 +214,17 @@ def _component_cut_tree(
     supernode contracted to one marker node (numbered from n + 1).  The split
     order, (x, y), the way the vertex sets are built and the representatives
     `next(iter(nodes[i]))` fix which valid tree comes out; the golden
-    `ghtree` output pins it.  The component's pairs come from the graph's
-    pair table; each split relabels them through the contraction and drops
-    those whose ends land in one node, leaving the parallel arcs that the
-    contraction makes to Dinic.
+    `ghtree` output pins it.  The component's arcs are built once from the
+    graph's pair table (`_network`).  Each split relabels the arcs' heads
+    through the contraction, gives a marker the concatenated arc lists of
+    its members and runs Dinic on a fresh copy of the capacities; the
+    parallel arcs that the contraction makes stay apart, and an arc whose
+    ends land in one marker is never taken.  Any maximum flow leaves the
+    same minimal source side, so the tree does not depend on which one
+    Dinic finds.
     """
     A, L = g.pair_weights()
-    pairs = [(u, v, c) for u in comp for v, c in A[u].items() if u < v]
+    adj, head, cap = _network(g.n + 1, ((u, v, c) for u in comp for v, c in A[u].items() if u < v))
     # tree over "super nodes"; each node is a set of original vertices
     nodes: list[set[int]] = [set(comp)]
     tadj: dict[int, dict[int, Fraction]] = {0: {}}
@@ -198,14 +239,17 @@ def _component_cut_tree(
 
         marker_of: dict[int, int] = {}  # neighbor node -> marker node
         vmap = list(range(g.n + 1))
+        marker_arcs: list[list[int]] = []
         tree = {i: d.items() for i, d in tadj.items()}
         for marker, nb in enumerate(tadj[idx], start=g.n + 1):
             marker_of[nb] = marker
+            arcs: list[int] = []
             for node in bfs_tree(tree, nb, banned=(idx,)):
                 for v in nodes[node]:
                     vmap[v] = marker
-        arcs = [(a, b, c) for u, v, c in pairs if (a := vmap[u]) != (b := vmap[v])]
-        flow, level = _dinic(g.n + 1 + len(marker_of), arcs, x, y)
+                    arcs += adj[v]
+            marker_arcs.append(arcs)
+        flow, level = _dinic(adj + marker_arcs, list(map(vmap.__getitem__, head)), cap[:], x, y)
         value = Fraction(flow, L)
 
         s1 = {v for v in S if level[v] >= 0}

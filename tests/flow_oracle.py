@@ -5,7 +5,7 @@ supernode-contraction cut tree built on it, and Λ as the maximum over blocks.
 These are the package's flow routines as they were before the Dinic engine
 replaced them; they share nothing with `maxmaxflow.flowcut` and use only the
 graph structures of `maxmaxflow.graph`.  `flow_graphs` draws the random
-multigraphs the flow tests compare on.
+multigraphs the flow tests compare on, and `scale_graph` draws larger ones.
 """
 from __future__ import annotations
 
@@ -219,3 +219,22 @@ def flow_graphs(draw):
         if v != u:
             triples.append((u, v, w))
     return WeightedMultigraph(n, triples)
+
+
+SCALE_WEIGHTS = [Fraction(w) for w in ("1", "2", "3", "1/2", "1/3", "2/3", "3/2", "5/2")]
+
+
+def scale_graph(rng, n: int, m: int) -> WeightedMultigraph:
+    """A connected multigraph drawn as the flow benchmark draws its inputs: a
+    random spanning tree plus random edges, at most 3 per pair, with weights
+    from 1/3 to 5/2."""
+    order = list(range(1, n + 1))
+    rng.shuffle(order)
+    pairs = [tuple(sorted((order[i], order[rng.randrange(i)]))) for i in range(1, n)]
+    count = dict.fromkeys(pairs, 1)
+    while len(pairs) < m:
+        u, v = sorted(rng.sample(range(1, n + 1), 2))
+        if count.get((u, v), 0) < 3:
+            count[(u, v)] = count.get((u, v), 0) + 1
+            pairs.append((u, v))
+    return WeightedMultigraph(n, [(u, v, rng.choice(SCALE_WEIGHTS)) for u, v in pairs])

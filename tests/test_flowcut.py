@@ -343,6 +343,18 @@ def test_engine_equals_oracle(g):
     assert maxmaxflow(g) == maxmaxflow_blockwise(g) == flow_oracle.maxmaxflow(g)
 
 
+# at the flow benchmark's scale (n 20-70, about 0.6 edges per vertex pair),
+# where the contractions hold many vertices and the warm start does most work
+@pytest.mark.parametrize("n", [20, 35, 50, 70])
+def test_engine_equals_oracle_at_scale(n):
+    rng = random.Random(f"flow-scale:{n}")
+    g = flow_oracle.scale_graph(rng, n, round(0.3 * n * (n - 1)))
+    assert list(cut_tree(g).edges) == flow_oracle.cut_tree_edges(g)
+    for x, y in (rng.sample(range(1, n + 1), 2) for _ in range(3)):
+        cert = max_flow(g, x, y)
+        assert (cert.value, cert.side, cert.cut_edges) == flow_oracle.max_flow(g, x, y)
+
+
 @st.composite
 def split_networks(draw):
     """(k, arcs, split, s, t): one arc per node pair, and the same network with
@@ -366,10 +378,55 @@ def split_networks(draw):
 @given(split_networks())
 def test_dinic_ignores_how_capacities_split_into_parallel_arcs(net):
     k, arcs, split, s, t = net
-    flow, level = flowcut._dinic(k, arcs, s, t)
-    split_flow, split_level = flowcut._dinic(k, split, s, t)
+    flow, level = flowcut._dinic(*flowcut._network(k, arcs), s, t)
+    split_flow, split_level = flowcut._dinic(*flowcut._network(k, split), s, t)
     assert split_flow == flow
     assert {v for v in range(k) if split_level[v] >= 0} == {v for v in range(k) if level[v] >= 0}
+
+
+def _augment_at_random(adj, head, res, s, t, rng):
+    """Push flow from s to t along random residual paths, each by a random
+    amount that is often the whole bottleneck, and return the flow pushed."""
+    pushed = 0
+    for _ in range(rng.randrange(12)):
+        into = {s: -1}  # node -> residual arc that first reached it
+        stack = [s]
+        while stack and t not in into:
+            u = stack.pop()
+            arcs = [i for i in adj[u] if res[i] and head[i] not in into]
+            rng.shuffle(arcs)
+            for i in arcs:
+                into.setdefault(head[i], i)
+                stack.append(head[i])
+        if t not in into:
+            break
+        path, v = [], t
+        while v != s:
+            path.append(into[v])
+            v = head[into[v] ^ 1]
+        bottleneck = min(res[i] for i in path)
+        f = bottleneck if rng.random() < 0.5 else rng.randint(1, bottleneck)
+        for i in path:
+            res[i] -= f
+            res[i ^ 1] += f
+        pushed += f
+    return pushed
+
+
+# Dinic may start from any feasible flow, as the warm start's does: the
+# total and the minimal source side are those of a start from zero, also
+# when the flow already saturates every arc out of s
+@settings(max_examples=300, deadline=None)
+@given(split_networks(), st.randoms(use_true_random=False))
+def test_dinic_from_any_feasible_flow_equals_dinic_from_zero(net, rng):
+    k, _, arcs, s, t = net
+    adj, head, cap = flowcut._network(k, arcs)
+    flow, level = flowcut._dinic(adj, head, cap[:], s, t)
+    res = cap[:]
+    pushed = _augment_at_random(adj, head, res, s, t, rng)
+    added, warm_level = flowcut._dinic(adj, head, res, s, t)
+    assert pushed + added == flow
+    assert {v for v in range(k) if warm_level[v] >= 0} == {v for v in range(k) if level[v] >= 0}
 
 
 # -- one cut tree per graph -----------------------------------------------
