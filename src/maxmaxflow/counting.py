@@ -257,7 +257,16 @@ class _EdgeSet:
         self.cycles = 0
         self.weight = 1
         self._undo: list[tuple] = []
-        self._memo: dict = {}  # what the predicates asked of this edge set
+        self._forget()
+
+    def _forget(self):
+        """Drop what the predicates asked of the edge set, which just changed;
+        the lists kept per anchor set are shared by the callers, which only
+        read them."""
+        self._isolated: dict[frozenset[int], list[int]] = {}
+        self._components: dict[frozenset[int], list[frozenset[int]]] = {}
+        self._edge_components = None
+        self._blocks = None
 
     @property
     def k(self) -> int:
@@ -289,7 +298,7 @@ class _EdgeSet:
         self.adj[e.u].append((e.v, eid))
         self.adj[e.v].append((e.u, eid))
         self.weight *= self.edge_weights[eid]
-        self._memo = {}
+        self._forget()
 
     def pop(self):
         eid, self.weight, child = self._undo.pop()
@@ -306,28 +315,27 @@ class _EdgeSet:
                 self.verts.pop()
         self.adj[e.u].pop()
         self.adj[e.v].pop()
-        self._memo = {}
+        self._forget()
 
-    def isolated(self, anchors: frozenset[int]) -> tuple[int, ...]:
+    def isolated(self, anchors: frozenset[int]) -> list[int]:
         """The anchors that no edge touches."""
-        key = ("isolated", anchors)
-        got = self._memo.get(key)
+        got = self._isolated.get(anchors)
         if got is None:
-            got = self._memo[key] = tuple(v for v in anchors if not self.deg[v])
+            got = self._isolated[anchors] = [v for v in anchors if not self.deg[v]]
         return got
 
-    def components(self, anchors: frozenset[int]) -> tuple[frozenset[int], ...]:
+    def components(self, anchors: frozenset[int]) -> list[frozenset[int]]:
         """Vertex sets of the components of the spec's subgraph."""
-        memo = self._memo
-        key = ("components", anchors)
-        got = memo.get(key)
+        got = self._components.get(anchors)
         if got is None:
-            if "edges" not in memo:  # the components of the edges alone
+            if self._edge_components is None:
                 groups: dict[int, set[int]] = {}
                 for v in self.verts:
                     groups.setdefault(self._find(v), set()).add(v)
-                memo["edges"] = tuple(frozenset(c) for c in groups.values())
-            got = memo[key] = memo["edges"] + tuple(frozenset((v,)) for v in self.isolated(anchors))
+                self._edge_components = [frozenset(c) for c in groups.values()]
+            got = self._components[anchors] = self._edge_components + [
+                frozenset((v,)) for v in self.isolated(anchors)
+            ]
         return got
 
     def leaves_within(self, anchors: frozenset[int], allowed: frozenset[int]) -> bool:
@@ -337,10 +345,9 @@ class _EdgeSet:
         )
 
     def blocks(self) -> tuple[list[tuple[set[int], set[int]]], set[int]]:
-        got = self._memo.get("blocks")
-        if got is None:
-            got = self._memo["blocks"] = biconnected_components(self.verts, self.adj)
-        return got
+        if self._blocks is None:
+            self._blocks = biconnected_components(self.verts, self.adj)
+        return self._blocks
 
 
 def _blocks_anchored(s: _EdgeSet, spec_anchors: frozenset[int], anchors: frozenset[int]) -> bool:
