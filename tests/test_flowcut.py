@@ -344,7 +344,7 @@ def test_engine_equals_oracle(g):
 
 
 # at the flow benchmark's scale (n 20-70, about 0.6 edges per vertex pair),
-# where the contractions hold many vertices and the warm start does most work
+# where the contracted nodes hold many vertices
 @pytest.mark.parametrize("n", [20, 35, 50, 70])
 def test_engine_equals_oracle_at_scale(n):
     rng = random.Random(f"flow-scale:{n}")
