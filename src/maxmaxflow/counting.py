@@ -237,10 +237,9 @@ class _EdgeSet:
     It keeps the facts the class predicates read: the size, the product
     of the integer weights, the degrees, the number of edges that closed a
     cycle, and a union-find with rollback (union by size, no path
-    compression) from which the components are read.  The components, the
-    blocks and the untouched anchors are each computed at most once per
-    edge set (and anchor set), when a predicate first asks, and kept until
-    the next `add` or `pop`, so the classes of one search share them.  A
+    compression) from which the components are read.  The components and
+    the blocks are each computed at most once per edge set, when a
+    predicate first asks, so the classes of one search share them.  A
     spec's subgraph has the canonical vertex set "the spec's anchors plus
     the endpoints of the edges", so its components and blocks are those of
     the edges plus one single vertex per anchor that no edge touches.
@@ -257,15 +256,7 @@ class _EdgeSet:
         self.cycles = 0
         self.weight = 1
         self._undo: list[tuple] = []
-        self._forget()
-
-    def _forget(self):
-        """Drop what the predicates asked of the edge set, which just changed;
-        the lists kept per anchor set are shared by the callers, which only
-        read them."""
-        self._isolated: dict[frozenset[int], list[int]] = {}
-        self._components: dict[frozenset[int], list[frozenset[int]]] = {}
-        self._edge_components = None
+        self._components = None
         self._blocks = None
 
     @property
@@ -298,7 +289,7 @@ class _EdgeSet:
         self.adj[e.u].append((e.v, eid))
         self.adj[e.v].append((e.u, eid))
         self.weight *= self.edge_weights[eid]
-        self._forget()
+        self._components = self._blocks = None
 
     def pop(self):
         eid, self.weight, child = self._undo.pop()
@@ -315,28 +306,20 @@ class _EdgeSet:
                 self.verts.pop()
         self.adj[e.u].pop()
         self.adj[e.v].pop()
-        self._forget()
+        self._components = self._blocks = None
 
     def isolated(self, anchors: frozenset[int]) -> list[int]:
         """The anchors that no edge touches."""
-        got = self._isolated.get(anchors)
-        if got is None:
-            got = self._isolated[anchors] = [v for v in anchors if not self.deg[v]]
-        return got
+        return [v for v in anchors if not self.deg[v]]
 
     def components(self, anchors: frozenset[int]) -> list[frozenset[int]]:
         """Vertex sets of the components of the spec's subgraph."""
-        got = self._components.get(anchors)
-        if got is None:
-            if self._edge_components is None:
-                groups: dict[int, set[int]] = {}
-                for v in self.verts:
-                    groups.setdefault(self._find(v), set()).add(v)
-                self._edge_components = [frozenset(c) for c in groups.values()]
-            got = self._components[anchors] = self._edge_components + [
-                frozenset((v,)) for v in self.isolated(anchors)
-            ]
-        return got
+        if self._components is None:
+            groups: dict[int, set[int]] = {}
+            for v in self.verts:
+                groups.setdefault(self._find(v), set()).add(v)
+            self._components = [frozenset(c) for c in groups.values()]
+        return self._components + [frozenset((v,)) for v in self.isolated(anchors)]
 
     def leaves_within(self, anchors: frozenset[int], allowed: frozenset[int]) -> bool:
         """Every vertex of degree <= 1 in the spec's subgraph lies in `allowed`."""

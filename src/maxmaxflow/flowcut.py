@@ -76,16 +76,14 @@ def _dinic(adj: list[list[int]], to: list[int], res: list[int], s: int, t: int) 
             res[i] = 0
             continue
         for j in into_t.get(to[i], ()):
+            if not res[i]:
+                break
             f = min(res[i], res[j])
             res[i] -= f
             res[i ^ 1] += f
             res[j] -= f
             res[j ^ 1] += f
             flow += f
-    if not any(res[i] for i in adj[s]):
-        level = [-1] * k
-        level[s] = 0
-        return flow, level
     while True:
         # BFS levels; dag[u] collects the residual arcs from u to the next
         # level.  Once a node on t's level leaves the queue, every node before
