@@ -239,8 +239,9 @@ class _EdgeSet:
     cycle, and a union-find with rollback (union by size, no path
     compression) from which the components are read.  The components and
     the blocks are each computed at most once per edge set, when a
-    predicate first asks, so the classes of one search share them.  A
-    spec's subgraph has the canonical vertex set "the spec's anchors plus
+    predicate first asks, so the classes of one search share them; the
+    blocks are asked for only by a set with a cycle whose leaves are all
+    anchors (`_blocks_anchored`).  A spec's subgraph has the canonical vertex set "the spec's anchors plus
     the endpoints of the edges", so its components and blocks are those of
     the edges plus one single vertex per anchor that no edge touches.
     """
@@ -335,9 +336,18 @@ class _EdgeSet:
 
 def _blocks_anchored(s: _EdgeSet, spec_anchors: frozenset[int], anchors: frozenset[int]) -> bool:
     """Every end block has a non-cut anchor, and every block without cut
-    vertices is a single anchor or holds at least two anchors."""
-    if any(v not in anchors for v in s.isolated(spec_anchors)):
+    vertices is a single anchor or holds at least two anchors.
+
+    A leaf (degree 1) is the non-cut end of a pendant-edge block, or an end
+    of a one-edge component, so every leaf and isolated spec anchor must be
+    an anchor.  In a forest every block is one edge and every vertex of
+    degree >= 2 is a cut vertex, so that is also enough; only a set with a
+    cycle (parallel edges count) needs its blocks (Hopcroft and Tarjan 1973).
+    """
+    if not s.leaves_within(spec_anchors, anchors):
         return False
+    if not s.cycles:
+        return True
     blocks, cuts = s.blocks()
     for bvs, _ in blocks:
         ncuts = len(bvs & cuts)
@@ -419,8 +429,11 @@ def is_in_class(g: WeightedMultigraph, edge_ids: Iterable[int], spec: SubgraphCl
         raise ValueError(f"{spec.kind} is a walk family, not an edge-subset class")
     A = _anchor_set(spec)
     _require_vertices(g, A)
+    eids = sorted(set(edge_ids))
+    if any(not 0 <= eid < g.m for eid in eids):
+        raise ValueError("edge id out of range")
     s = _EdgeSet(g)
-    for eid in sorted(set(edge_ids)):
+    for eid in eids:
         s.add(eid)
     return _PREDICATES[spec.kind](s, spec, A)
 
@@ -448,7 +461,8 @@ def class_series(
     so every set of at most M edges is visited exactly once (reverse
     search, Avis and Fukuda 1996) and the stack is at most M deep.
     Each visited set is tested against every class, the classes sharing
-    its components and blocks, and adds its integer weight product to each
+    its components (and its blocks, built only for a cyclic set whose
+    leaves are all anchors), and adds its integer weight product to each
     order-k sum that accepts it; the sums are divided by L^k at the end.
     The work cap bounds the number of sets this one search visits, however
     many classes it serves, and is checked as the search goes; so

@@ -69,7 +69,8 @@ class WeightedMultigraph:
         vset = set(self.vertices)
         edges = []
         for i, (u, v, w) in enumerate(edge_triples):
-            w = Fraction(w)
+            if not isinstance(w, Fraction):
+                w = Fraction(w)
             if u == v:
                 raise GraphFormatError(f"loop edge at vertex {u}")
             if u not in vset or v not in vset:
@@ -178,6 +179,7 @@ class WeightedMultigraph:
     def parse(cls, text: str) -> "WeightedMultigraph":
         n = None
         triples: list[tuple[int, int, Fraction]] = []
+        weights: dict[str, Fraction] = {}  # each distinct token parsed once
         for lineno, raw in enumerate(text.splitlines(), start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
@@ -203,10 +205,12 @@ class WeightedMultigraph:
                     u, v = int(parts[1]), int(parts[2])
                 except ValueError:
                     raise GraphFormatError(f"line {lineno}: bad endpoint")
-                try:
-                    w = parse_weight(parts[3])
-                except GraphFormatError as exc:
-                    raise GraphFormatError(f"line {lineno}: {exc}") from None
+                w = weights.get(parts[3])
+                if w is None:
+                    try:
+                        w = weights[parts[3]] = parse_weight(parts[3])
+                    except GraphFormatError as exc:
+                        raise GraphFormatError(f"line {lineno}: {exc}") from None
                 if u == v:
                     raise GraphFormatError(f"line {lineno}: loop edge at vertex {u}")
                 if w < 0:
