@@ -241,9 +241,10 @@ class _EdgeSet:
     the blocks are each computed at most once per edge set, when a
     predicate first asks, so the classes of one search share them; the
     blocks are asked for only by a set with a cycle whose leaves are all
-    anchors (`_blocks_anchored`).  A spec's subgraph has the canonical vertex set "the spec's anchors plus
-    the endpoints of the edges", so its components and blocks are those of
-    the edges plus one single vertex per anchor that no edge touches.
+    anchors (`_blocks_anchored`).  A spec's subgraph has the canonical
+    vertex set "the spec's anchors plus the endpoints of the edges", so its
+    components and blocks are those of the edges plus one single vertex per
+    anchor that no edge touches.
     """
 
     def __init__(self, g: WeightedMultigraph):

@@ -8,15 +8,20 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from subset_oracle import class_specs, in_class, series_by_filter
 
+from maxmaxflow import counting
 from maxmaxflow.graph import (
     WeightedMultigraph,
+    biconnected_components,
     complete_graph,
+    components_of,
     cycle_graph,
     disjoint_union,
     k2_multi,
     path_graph,
     random_multigraph,
     star_graph,
+    theta_graph,
+    wheel_graph,
 )
 from maxmaxflow.counting import (
     DEFAULT_WORK_CAP,
@@ -197,11 +202,22 @@ def test_block_subgraphs_vs_block_trees():
         assert b.values[1:] == bt.values[1:]
 
 
+def test_is_in_class_rejects_edge_ids_out_of_range():
+    # a negative id would index from the end and alias a real edge
+    g = path_graph(3)
+    spec = class_spec("T", X={1, 3})
+    assert is_in_class(g, [0, 1], spec)
+    for eids in ([-2, 1], [-1], [0, 2]):
+        with pytest.raises(ValueError, match="^edge id out of range$"):
+            is_in_class(g, eids, spec)
+
+
 # -- the anchored search against the all-subsets filter ------------------
 
 # 0 and coprime denominators: the search sums integer products of the
 # weights times their least common denominator L, and divides order k by L^k
-_WEIGHTS = st.sampled_from([F(0), F(1), F(2), F(1, 2), F(2, 3), F(5, 2), F(1, 7), F(2, 9), F(5, 11)])
+_WEIGHT_VALUES = [F(0), F(1), F(2), F(1, 2), F(2, 3), F(5, 2), F(1, 7), F(2, 9), F(5, 11)]
+_WEIGHTS = st.sampled_from(_WEIGHT_VALUES)
 
 
 @st.composite
@@ -235,6 +251,100 @@ def test_search_equals_subset_filter(data):
     bp = series_by_filter(rest, class_spec("BLOCKPATH", x=e.u, y=e.v), max(M - 1, 0))
     through = two_connected_through_edge_series(g, eid, M)
     assert list(through.values) == [F(0)] + [e.w * a for a in bp][:M]
+
+
+def _connected_multigraph(rng, n, m):
+    """A random spanning tree plus random edges, at most two per pair."""
+    order = rng.sample(range(1, n + 1), n)
+    pairs = [tuple(sorted((order[i], order[rng.randrange(i)]))) for i in range(1, n)]
+    while len(pairs) < m:
+        pair = tuple(sorted(rng.sample(range(1, n + 1), 2)))
+        if pairs.count(pair) < 2:
+            pairs.append(pair)
+    return WeightedMultigraph(n, [(u, v, F(1)) for u, v in pairs])
+
+
+# the suite's graph families at its sizes: wheels (m = 2r), thetas (paths of
+# lengths 1..r) and connected multigraphs with m edges, multiplicity <= 2
+_SUITE_LIKE = {
+    "wheel5": lambda rng: wheel_graph(5),
+    "wheel6": lambda rng: wheel_graph(6),
+    "wheel7": lambda rng: wheel_graph(7),
+    "theta4": lambda rng: theta_graph(4),
+    "theta5": lambda rng: theta_graph(5),
+    "multi10": lambda rng: _connected_multigraph(rng, 6, 10),
+    "multi12": lambda rng: _connected_multigraph(rng, 6, 12),
+    "multi14": lambda rng: _connected_multigraph(rng, 7, 14),
+}
+
+
+@pytest.mark.parametrize("name", _SUITE_LIKE)
+def test_block_classes_equal_subset_filter_at_suite_scale(name):
+    # anchors as the suite draws them: two X vertices, one further Y vertex,
+    # and one edge for the through-edge search
+    rng = random.Random(name)
+    shape = _SUITE_LIKE[name](rng)
+    g = WeightedMultigraph(shape.n, [(e.u, e.v, rng.choice(_WEIGHT_VALUES)) for e in shape.edges])
+    M = 5
+    x1, x2, y = rng.sample(list(g.vertices), 3)
+    specs = [
+        class_spec("BT", X={x1, x2}),
+        class_spec("BF", X={x1, x2}, Y={y}),
+        class_spec("BFSTAR", X={x1, x2}, Y={y}),
+        class_spec("B", X={x1, x2}),
+        class_spec("BLOCKPATH", x=x1, y=x2),
+    ]
+    batched = class_series(g, specs, M)
+    for spec in specs:
+        assert list(batched[spec].values) == series_by_filter(g, spec, M)
+    eid = rng.randrange(g.m)
+    e = g.edges[eid]
+    bp = series_by_filter(g.without_edge(eid), class_spec("BLOCKPATH", x=e.u, y=e.v), M - 1)
+    assert list(two_connected_through_edge_series(g, eid, M).values) == [F(0)] + [e.w * a for a in bp]
+
+
+def test_blocks_built_only_for_cyclic_sets_with_anchored_leaves(monkeypatch):
+    # a block decomposition is asked for only when the leaves and the cycle
+    # count leave block anchoring open
+    calls = []
+
+    def recording(vertices, adj):
+        vertices = list(vertices)
+        degree = {v: len(adj[v]) for v in vertices}
+        edges = {eid for v in vertices for _, eid in adj[v]}
+        pairs = [(v, w) for v in vertices for w, _ in adj[v] if v < w]
+        calls.append((degree, len(edges) > len(vertices) - len(components_of(vertices, pairs))))
+        return biconnected_components(vertices, adj)
+
+    monkeypatch.setattr(counting, "biconnected_components", recording)
+    # a wheel with a doubled spoke and a pendant path: cycles, parallel
+    # edges and leaves outside the anchors all occur
+    extra = [(1, 2, F(1)), (3, 7, F(1)), (7, 8, F(1))]
+    g = WeightedMultigraph(8, [(e.u, e.v, e.w) for e in wheel_graph(5).edges] + extra)
+    specs = [
+        class_spec("BT", X={1, 4}),
+        class_spec("BF", X={2}, Y={5}),
+        class_spec("BFSTAR", X={3}, Y={6, 8}),
+        class_spec("B", X={1, 4}),
+        class_spec("BLOCKPATH", x=2, y=8),
+    ]
+    searches = [
+        (lambda: class_series(g, specs, 5), {1, 2, 3, 4, 5, 6, 8}),
+        # edge 0 joins 1 and 2: an xy-block path search on G - e
+        (lambda: two_connected_through_edge_series(g, 0, 5), {1, 2}),
+    ]
+    for search, anchors in searches:
+        calls.clear()
+        search()
+        assert calls
+        for degree, cyclic in calls:
+            assert cyclic
+            assert all(v in anchors for v, d in degree.items() if d == 1)
+    # every edge set of a tree is a forest
+    calls.clear()
+    for tree in (path_graph(6), star_graph(5)):
+        class_series(tree, [class_spec("BT", X={1, 2, 6}), class_spec("B", X={2, 6})], 5)
+    assert not calls
 
 
 @settings(max_examples=200, deadline=None)

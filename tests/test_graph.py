@@ -79,6 +79,19 @@ def test_parse_rejects_tokens_outside_the_weight_grammar(tok):
     assert str(ei.value) == f"line 3: bad weight {tok!r}"
 
 
+def test_parse_repeated_weight_tokens():
+    # each distinct token is parsed once per call: a repeated good token
+    # gives equal weights, a repeated bad one is reported at its first line
+    g = WeightedMultigraph.parse("v 3\ne 1 2 2/3\ne 2 3 2/3\ne 1 3 1\n")
+    assert [e.w for e in g.edges] == [F(2, 3), F(2, 3), F(1)]
+    with pytest.raises(GraphFormatError) as ei:
+        WeightedMultigraph.parse("v 3\ne 1 2 1\ne 1 2 1e3\ne 2 3 1e3\n")
+    assert str(ei.value) == "line 3: bad weight '1e3'"
+    with pytest.raises(GraphFormatError) as ei:
+        WeightedMultigraph.parse("v 3\ne 1 2 1\ne 1 2 1\ne 2 3 -1\ne 2 3 -1\n")
+    assert str(ei.value) == "line 4: negative weight"
+
+
 def test_serialize_lowest_terms():
     g = WeightedMultigraph(2, [(1, 2, F(2, 4))])
     assert "1/2" in g.serialize()
