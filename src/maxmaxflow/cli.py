@@ -26,7 +26,7 @@ from .bounds import (
     verify_bound,
 )
 from .chromatic import DEFAULT_VERTEX_CAP, chromatic_polynomial, chromatic_roots, explore_roots
-from .counting import WorkCapExceeded, class_count_series, class_spec
+from .counting import _FAMILIES, WorkCapExceeded, class_count_series, class_spec
 from .flowcut import cut_pair, cut_tree, maxmaxflow
 from .graph import GraphFormatError, WeightedMultigraph, generate, parse_weight
 from .invariants import inequality_chain
@@ -141,7 +141,7 @@ def build_parser() -> _Parser:
 
     sp = sub.add_parser("chromatic", help="chromatic polynomial and roots")
     graph_arg(sp)
-    sp.add_argument("--cap", type=int, default=14)
+    sp.add_argument("--cap", type=int, default=DEFAULT_VERTEX_CAP)
     sp.add_argument("-o", "--output")
 
     sp = sub.add_parser("explore8", help="chromatic roots vs maxmaxflow on random graphs")
@@ -218,24 +218,20 @@ def _cmd_cutpair(args) -> int:
 
 def _cmd_count(args) -> int:
     kind = args.kind.upper()
-    kw: dict = {}
-    if kind in ("W", "SAW", "BLOCKPATH", "FPW", "FPSAW"):
-        for flag, val in (("--x", args.x), ("--y", args.y)):
-            if not val:
+    needs = _FAMILIES[kind].needs if kind in _FAMILIES else ""
+    kw: dict = {"p": args.p, "r": args.r}
+    # --x feeds x where the family needs that one vertex, else the set X; --y likewise
+    for flag, vertices in (("--x", args.x), ("--y", args.y)):
+        one, many = flag[2], flag[2].upper()
+        if not vertices:
+            if one in needs or many in needs:
                 raise ValueError(f"--class {kind} needs {flag}")
-        if kind in ("FPW", "FPSAW"):
-            kw = {"x": args.x[0], "Y": frozenset(args.y)}
+        elif one in needs:
+            if len(vertices) > 1:
+                raise ValueError(f"--class {kind} takes one vertex in {flag}, not {len(vertices)}")
+            kw[one] = vertices[0]
         else:
-            kw = {"x": args.x[0], "y": args.y[0]}
-    else:
-        if args.x:
-            kw["X"] = frozenset(args.x)
-        if args.y:
-            kw["Y"] = frozenset(args.y)
-        if args.p is not None:
-            kw["p"] = args.p
-        if args.r is not None:
-            kw["r"] = args.r
+            kw[many] = vertices
     g, text = _load_graph(args.graph)
     series = class_count_series(g, class_spec(kind, **kw), args.M, args.cap)
     lines = _manifest(args, {"input-sha256": _digest(text)})

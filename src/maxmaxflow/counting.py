@@ -9,6 +9,12 @@ class asked for together (`class_series`).  The work cap bounds the number
 of edge sets that search visits, checked as it goes, not the number of all
 subsets of at most M edges.
 
+One table, `_FAMILIES`, gives each family the anchors it needs and either
+its walk series or what decides membership of its class: forests only or
+not, whose anchors the leaves and end blocks need, and a test on the
+components.  The forest classes T, F and H are the acyclic rows of the
+block classes BT, BF and B.  `_accepts` reads a row for every search.
+
 Every family is counted on the graph's integer weights
 (`WeightedMultigraph.integer_weights`, every weight times L): a member with
 k edges or steps carries an integer product, each order sums integers, and
@@ -20,17 +26,14 @@ once; the subgraph classes read the edges themselves.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Iterable, Optional
+from typing import Callable, Iterable, Optional
 
 from .graph import WeightedMultigraph, biconnected_components
 
 DEFAULT_WORK_CAP = 50_000_000
 WORK_CAP_ENV = "MAXMAXFLOW_WORKCAP"
-
-WALK_KINDS = frozenset({"W", "FPW", "SAW", "FPSAW"})
-EDGE_KINDS = frozenset({"T", "F", "H", "C", "BT", "BF", "BFSTAR", "B", "BLOCKPATH"})
 
 
 class WorkCapExceeded(RuntimeError):
@@ -57,6 +60,56 @@ def _work_limit(cap: Optional[int]) -> int:
     return cap
 
 
+# -- the family table -----------------------------------------------------
+
+
+@dataclass(frozen=True)
+class _Family:
+    """A row of `_FAMILIES`: a walk family has `walk`, a subgraph class the
+    three tests after it, which `_accepts` runs in this order."""
+
+    needs: str  # the anchors a spec must give: x, y one vertex each, X, Y nonempty sets
+    walk: Optional[Callable] = None  # the series for (g, spec, M)
+    forest: bool = False  # acyclic edge sets only
+    # whose anchors every leaf, lone anchor and end block needs: "X" the
+    # spec's X, "A" all its anchors, None no such test
+    leaves: Optional[str] = None
+    components: Optional[Callable] = None  # a test on the components and the spec
+
+
+_BT = _Family("X", leaves="X", components=lambda comps, spec: len(comps) == 1)
+_BF = _Family("Y", leaves="A", components=lambda comps, spec: all(len(c & spec.Y) == 1 for c in comps))
+_B = _Family("X", leaves="X")
+
+_FAMILIES = {
+    "W": _Family("xy", walk=lambda g, spec, M: walk_counts(g, spec.x, spec.y, M)),
+    "FPW": _Family("xY", walk=lambda g, spec, M: fpw_counts(g, spec.x, spec.Y, M)),
+    "SAW": _Family("xy", walk=lambda g, spec, M: saw_counts(g, spec.x, spec.y, M)),
+    "FPSAW": _Family("xY", walk=lambda g, spec, M: fpsaw_counts(g, spec.x, spec.Y, M)),
+    "BT": _BT,
+    "BF": _BF,
+    "B": _B,
+    "BFSTAR": _Family("Y", leaves="A", components=lambda comps, spec: all(c & spec.Y for c in comps)),
+    # an xy-block path is a block tree anchored at {x, y}: two anchors allow
+    # two end blocks, one holding each of x and y as a non-cut vertex
+    "BLOCKPATH": replace(_BT, needs="xy", leaves="A"),
+    # a leaf is the non-cut end of a pendant-edge block, or an end of a
+    # one-edge component; in a forest every block is one edge and every
+    # vertex of degree >= 2 is a cut vertex, so its blocks are anchored
+    # exactly when its leaves are
+    "T": replace(_BT, forest=True),
+    "F": replace(_BF, forest=True),
+    # H also asks for at least p anchors of X per component and r components
+    "H": replace(_B, forest=True, components=lambda comps, spec: (
+        (spec.p is None or all(len(c & spec.X) >= spec.p for c in comps))
+        and (spec.r is None or len(comps) == spec.r))),
+    "C": _Family("X", components=lambda comps, spec: all(c & spec.X for c in comps)),
+}
+
+WALK_KINDS = frozenset(k for k, family in _FAMILIES.items() if family.walk)
+EDGE_KINDS = frozenset(_FAMILIES) - WALK_KINDS
+
+
 @dataclass(frozen=True)
 class SubgraphClassSpec:
     """Which family to enumerate, with its anchor sets and parameters."""
@@ -71,46 +124,35 @@ class SubgraphClassSpec:
 
     def __post_init__(self):
         k = self.kind
-        if k in WALK_KINDS:
-            if self.x is None:
-                raise ValueError(f"{k} needs a start vertex x")
-            if k in ("W", "SAW") and self.y is None:
-                raise ValueError(f"{k} needs an end vertex y")
-            if k in ("FPW", "FPSAW") and not self.Y:
-                raise ValueError(f"{k} needs a nonempty target set Y")
-        elif k == "BLOCKPATH":
-            if self.x is None or self.y is None or self.x == self.y:
-                raise ValueError("BLOCKPATH needs distinct anchors x, y")
-        elif k in EDGE_KINDS:
-            if k in ("T", "BT", "B", "C", "H") and not self.X:
-                raise ValueError(f"{k} needs a nonempty anchor set X")
-            if k in ("F", "BF", "BFSTAR"):
-                if not self.Y:
-                    raise ValueError(f"{k} needs a nonempty anchor set Y")
-                if self.X is None:
-                    object.__setattr__(self, "X", frozenset())
-            if self.p is not None and self.p < 1:
-                raise ValueError("p must be >= 1")
-            if self.r is not None and self.r < 1:
-                raise ValueError("r must be >= 1")
-            if (self.p is not None or self.r is not None) and k != "H":
-                raise ValueError("p, r apply to kind H only")
-            # an H-forest's leaves lie in X, so each component meets X: p = 1
-            # adds nothing, and with one component it is a T-tree
-            if k == "H" and self.p == 1:
-                object.__setattr__(self, "p", None)
-            if k == "H" and self.r == 1 and self.p is None:
-                object.__setattr__(self, "kind", "T")
-                object.__setattr__(self, "r", None)
-        else:
+        if k not in _FAMILIES:
             raise ValueError(f"unknown kind {k!r}")
+        family = _FAMILIES[k]
+        for name in family.needs:
+            if name.islower() and getattr(self, name) is None:
+                raise ValueError(f"{k} needs a vertex {name}")
+            if name.isupper() and not getattr(self, name):
+                raise ValueError(f"{k} needs a nonempty anchor set {name}")
+        if k == "BLOCKPATH" and self.x == self.y:
+            raise ValueError("BLOCKPATH needs distinct anchors x, y")
+        if self.p is not None and self.p < 1:
+            raise ValueError("p must be >= 1")
+        if self.r is not None and self.r < 1:
+            raise ValueError("r must be >= 1")
+        if (self.p is not None or self.r is not None) and k != "H":
+            raise ValueError("p, r apply to kind H only")
+        for name in "XY":  # anchor sets are kept frozen; a subgraph class's default to empty
+            if getattr(self, name) is not None or not family.walk:
+                object.__setattr__(self, name, frozenset(getattr(self, name) or ()))
+        # an H-forest's leaves lie in X, so each component meets X: p = 1
+        # adds nothing, and with one component it is a T-tree
+        if k == "H" and self.p == 1:
+            object.__setattr__(self, "p", None)
+        if k == "H" and self.r == 1 and self.p is None:
+            object.__setattr__(self, "kind", "T")
+            object.__setattr__(self, "r", None)
 
 
 def class_spec(kind: str, **kw) -> SubgraphClassSpec:
-    if "X" in kw and kw["X"] is not None:
-        kw["X"] = frozenset(kw["X"])
-    if "Y" in kw and kw["Y"] is not None:
-        kw["Y"] = frozenset(kw["Y"])
     return SubgraphClassSpec(kind=kind, **kw)
 
 
@@ -224,27 +266,23 @@ def fpsaw_counts(g: WeightedMultigraph, x: int, Y: Iterable[int], M: int) -> Cou
 # -- subgraph classes -----------------------------------------------------
 
 
-def _anchor_set(spec: SubgraphClassSpec) -> frozenset[int]:
-    """The anchors that join every member's vertex set."""
-    if spec.kind == "BLOCKPATH":
-        return frozenset((spec.x, spec.y))
-    return (spec.X or frozenset()) | (spec.Y or frozenset())
+def _anchors(spec: SubgraphClassSpec) -> tuple[frozenset[int], Optional[frozenset[int]]]:
+    """The spec's anchor set A, which joins every member's vertex set, and
+    the anchors its leaves and end blocks need (None if it has no such test)."""
+    family = _FAMILIES[spec.kind]
+    A = frozenset((spec.x, spec.y)) if "x" in family.needs else spec.X | spec.Y
+    return A, {"X": spec.X, "A": A, None: None}[family.leaves]
 
 
 class _EdgeSet:
     """An edge set grown and shrunk one edge at a time, last in first out.
 
-    It keeps the facts the class predicates read: the size, the product
-    of the integer weights, the degrees, the number of edges that closed a
-    cycle, and a union-find with rollback (union by size, no path
-    compression) from which the components are read.  The components and
-    the blocks are each computed at most once per edge set, when a
-    predicate first asks, so the classes of one search share them; the
-    blocks are asked for only by a set with a cycle whose leaves are all
-    anchors (`_blocks_anchored`).  A spec's subgraph has the canonical
-    vertex set "the spec's anchors plus the endpoints of the edges", so its
-    components and blocks are those of the edges plus one single vertex per
-    anchor that no edge touches.
+    It keeps the facts of the edges alone, which no spec changes: the size,
+    the product of the integer weights, the degrees, the number of edges
+    that closed a cycle, and a union-find with rollback (union by size, no
+    path compression) from which the components are read.  The components,
+    the leaves and the blocks are each computed at most once per edge set,
+    when `_accepts` first asks, so the classes of one search share them.
     """
 
     def __init__(self, g: WeightedMultigraph):
@@ -258,8 +296,7 @@ class _EdgeSet:
         self.cycles = 0
         self.weight = 1
         self._undo: list[tuple] = []
-        self._components = None
-        self._blocks = None
+        self._components = self._leaves = self._blocks = None
 
     @property
     def k(self) -> int:
@@ -291,7 +328,7 @@ class _EdgeSet:
         self.adj[e.u].append((e.v, eid))
         self.adj[e.v].append((e.u, eid))
         self.weight *= self.edge_weights[eid]
-        self._components = self._blocks = None
+        self._components = self._leaves = self._blocks = None
 
     def pop(self):
         eid, self.weight, child = self._undo.pop()
@@ -308,26 +345,22 @@ class _EdgeSet:
                 self.verts.pop()
         self.adj[e.u].pop()
         self.adj[e.v].pop()
-        self._components = self._blocks = None
+        self._components = self._leaves = self._blocks = None
 
-    def isolated(self, anchors: frozenset[int]) -> list[int]:
-        """The anchors that no edge touches."""
-        return [v for v in anchors if not self.deg[v]]
-
-    def components(self, anchors: frozenset[int]) -> list[frozenset[int]]:
-        """Vertex sets of the components of the spec's subgraph."""
+    def components(self) -> list[set[int]]:
+        """Vertex sets of the components of the edges."""
         if self._components is None:
             groups: dict[int, set[int]] = {}
             for v in self.verts:
                 groups.setdefault(self._find(v), set()).add(v)
-            self._components = [frozenset(c) for c in groups.values()]
-        return self._components + [frozenset((v,)) for v in self.isolated(anchors)]
+            self._components = list(groups.values())
+        return self._components
 
-    def leaves_within(self, anchors: frozenset[int], allowed: frozenset[int]) -> bool:
-        """Every vertex of degree <= 1 in the spec's subgraph lies in `allowed`."""
-        return all(v in allowed for v in self.verts if self.deg[v] == 1) and all(
-            v in allowed for v in self.isolated(anchors)
-        )
+    def leaves(self) -> list[int]:
+        """The vertices of degree 1."""
+        if self._leaves is None:
+            self._leaves = [v for v in self.verts if self.deg[v] == 1]
+        return self._leaves
 
     def blocks(self) -> tuple[list[tuple[set[int], set[int]]], set[int]]:
         if self._blocks is None:
@@ -335,89 +368,36 @@ class _EdgeSet:
         return self._blocks
 
 
-def _blocks_anchored(s: _EdgeSet, spec_anchors: frozenset[int], anchors: frozenset[int]) -> bool:
-    """Every end block has a non-cut anchor, and every block without cut
-    vertices is a single anchor or holds at least two anchors.
+def _accepts(s: _EdgeSet, spec: SubgraphClassSpec, A: frozenset[int], L: Optional[frozenset[int]]) -> bool:
+    """Is the spec's subgraph on the edge set s a member of its class?
 
-    A leaf (degree 1) is the non-cut end of a pendant-edge block, or an end
-    of a one-edge component, so every leaf and isolated spec anchor must be
-    an anchor.  In a forest every block is one edge and every vertex of
-    degree >= 2 is a cut vertex, so that is also enough; only a set with a
-    cycle (parallel edges count) needs its blocks (Hopcroft and Tarjan 1973).
+    A and L are `_anchors(spec)`.  The subgraph's vertices are A and the
+    edges' endpoints, so an anchor no edge touches is a lone one-vertex
+    component.  The checks run cheapest first: cycles, leaves and lone
+    anchors, components, and last the blocks (Hopcroft and Tarjan 1973) of
+    a set with a cycle (parallel edges count) whose leaves lie in L: each
+    end block needs a non-cut vertex in L, a block without cut vertices two.
     """
-    if not s.leaves_within(spec_anchors, anchors):
+    family = _FAMILIES[spec.kind]
+    if family.forest and s.cycles:
         return False
-    if not s.cycles:
+    lone = A.difference(s.verts)
+    if L is not None and not (L.issuperset(lone) and L.issuperset(s.leaves())):
+        return False
+    if family.components is not None:
+        comps = s.components() + [{v} for v in lone] if lone else s.components()
+        if not family.components(comps, spec):
+            return False
+    if L is None or not s.cycles:
         return True
     blocks, cuts = s.blocks()
     for bvs, _ in blocks:
         ncuts = len(bvs & cuts)
-        if ncuts == 1 and not (bvs - cuts) & anchors:
+        if ncuts == 1 and not (bvs - cuts) & L:
             return False
-        if ncuts == 0 and len(bvs & anchors) < 2:
+        if ncuts == 0 and len(bvs & L) < 2:
             return False
     return True
-
-
-# each predicate reads the edge set, the spec and the spec's anchor set A
-# (`_anchor_set`), which the caller works out once per spec
-
-
-def _tree(s: _EdgeSet, spec: SubgraphClassSpec, A: frozenset[int]) -> bool:
-    return not s.cycles and s.leaves_within(A, spec.X) and len(s.components(A)) == 1
-
-
-def _forest(s: _EdgeSet, spec: SubgraphClassSpec, A: frozenset[int]) -> bool:
-    return not s.cycles and s.leaves_within(A, A) and _one_y_each(s, spec, A)
-
-
-def _h_forest(s: _EdgeSet, spec: SubgraphClassSpec, A: frozenset[int]) -> bool:
-    if s.cycles or not s.leaves_within(A, spec.X):
-        return False
-    comps = s.components(A)
-    if spec.p is not None and any(len(c & spec.X) < spec.p for c in comps):
-        return False
-    return spec.r is None or len(comps) == spec.r
-
-
-def _anchored(s: _EdgeSet, spec: SubgraphClassSpec, A: frozenset[int]) -> bool:
-    return all(c & spec.X for c in s.components(A))
-
-
-def _one_y_each(s: _EdgeSet, spec: SubgraphClassSpec, A: frozenset[int]) -> bool:
-    return all(len(c & spec.Y) == 1 for c in s.components(A))
-
-
-def _block_tree(s: _EdgeSet, spec: SubgraphClassSpec, A: frozenset[int]) -> bool:
-    # an xy-block path is a block tree anchored at {x, y}: two anchors allow
-    # two end blocks, one holding each of x and y as a non-cut vertex
-    X = A if spec.kind == "BLOCKPATH" else spec.X
-    return len(s.components(A)) == 1 and _blocks_anchored(s, A, X)
-
-
-def _block_forest(s: _EdgeSet, spec: SubgraphClassSpec, A: frozenset[int]) -> bool:
-    return _one_y_each(s, spec, A) and _blocks_anchored(s, A, A)
-
-
-def _block_forest_star(s: _EdgeSet, spec: SubgraphClassSpec, A: frozenset[int]) -> bool:
-    return all(c & spec.Y for c in s.components(A)) and _blocks_anchored(s, A, A)
-
-
-def _block_subgraph(s: _EdgeSet, spec: SubgraphClassSpec, A: frozenset[int]) -> bool:
-    return _blocks_anchored(s, A, spec.X)
-
-
-_PREDICATES = {
-    "T": _tree,
-    "F": _forest,
-    "H": _h_forest,
-    "C": _anchored,
-    "BT": _block_tree,
-    "BF": _block_forest,
-    "BFSTAR": _block_forest_star,
-    "B": _block_subgraph,
-    "BLOCKPATH": _block_tree,
-}
 
 
 def is_in_class(g: WeightedMultigraph, edge_ids: Iterable[int], spec: SubgraphClassSpec) -> bool:
@@ -428,7 +408,7 @@ def is_in_class(g: WeightedMultigraph, edge_ids: Iterable[int], spec: SubgraphCl
     """
     if spec.kind in WALK_KINDS:
         raise ValueError(f"{spec.kind} is a walk family, not an edge-subset class")
-    A = _anchor_set(spec)
+    A, L = _anchors(spec)
     _require_vertices(g, A)
     eids = sorted(set(edge_ids))
     if any(not 0 <= eid < g.m for eid in eids):
@@ -436,17 +416,7 @@ def is_in_class(g: WeightedMultigraph, edge_ids: Iterable[int], spec: SubgraphCl
     s = _EdgeSet(g)
     for eid in eids:
         s.add(eid)
-    return _PREDICATES[spec.kind](s, spec, A)
-
-
-def _walk_series(g: WeightedMultigraph, spec: SubgraphClassSpec, M: int) -> CountSeries:
-    if spec.kind == "W":
-        return walk_counts(g, spec.x, spec.y, M)
-    if spec.kind == "FPW":
-        return fpw_counts(g, spec.x, spec.Y, M)
-    if spec.kind == "SAW":
-        return saw_counts(g, spec.x, spec.y, M)
-    return fpsaw_counts(g, spec.x, spec.Y, M)
+    return _accepts(s, spec, A, L)
 
 
 def class_series(
@@ -461,10 +431,10 @@ def class_series(
     time, each child giving up the frontier edges before its own for good,
     so every set of at most M edges is visited exactly once (reverse
     search, Avis and Fukuda 1996) and the stack is at most M deep.
-    Each visited set is tested against every class, the classes sharing
-    its components (and its blocks, built only for a cyclic set whose
-    leaves are all anchors), and adds its integer weight product to each
-    order-k sum that accepts it; the sums are divided by L^k at the end.
+    Each visited set is tested against every class by `_accepts`, the
+    classes sharing its components, leaves and blocks, and adds its
+    integer weight product to each order-k sum that accepts it; the sums
+    are divided by L^k at the end.
     The work cap bounds the number of sets this one search visits, however
     many classes it serves, and is checked as the search goes; so
     `bounds.run_suite`, which asks for all its edge-subset classes in one
@@ -473,11 +443,11 @@ def class_series(
     if M < 0:
         raise ValueError("M must be >= 0")
     specs = list(dict.fromkeys(specs))
-    out = {spec: _walk_series(g, spec, M) for spec in specs if spec.kind in WALK_KINDS}
-    tests = [(spec, _PREDICATES[spec.kind], _anchor_set(spec)) for spec in specs if spec.kind in EDGE_KINDS]
+    out = {spec: _FAMILIES[spec.kind].walk(g, spec, M) for spec in specs if spec.kind in WALK_KINDS}
+    tests = [(spec, *_anchors(spec)) for spec in specs if spec.kind in EDGE_KINDS]
     if not tests:
         return out
-    A = frozenset().union(*(anchors for _, _, anchors in tests))
+    A = frozenset().union(*(anchors for _, anchors, _ in tests))
     _require_vertices(g, A)
     limit = _work_limit(cap)
     values = {spec: [0] * (M + 1) for spec, _, _ in tests}
@@ -493,8 +463,8 @@ def class_series(
         visited += 1
         if visited > limit:
             raise WorkCapExceeded(f"the search visited more than {limit} edge sets, the work cap")
-        for spec, accepts, anchors in tests:
-            if accepts(s, spec, anchors):
+        for spec, anchors, leaf_anchors in tests:
+            if _accepts(s, spec, anchors, leaf_anchors):
                 values[spec][s.k] += s.weight
 
     def children(frontier: list[int]):

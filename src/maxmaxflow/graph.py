@@ -33,9 +33,6 @@ class Edge:
     v: int
     w: Fraction
 
-    def other(self, x: int) -> int:
-        return self.v if x == self.u else self.u
-
 
 _RATIONAL = re.compile(r"[+-]?[0-9]+(?:/[0-9]+|\.[0-9]+)?")
 
@@ -694,18 +691,34 @@ def random_multigraph(
 
 
 class _FamilyParams(dict):
-    """The keyword parameters of `generate`; a missing required one is a ValueError."""
+    """The keyword parameters of `generate`, recording the ones read; a
+    missing required one is a ValueError, and so is one that is never read."""
 
     def __init__(self, family: str, params: dict):
         super().__init__(params)
         self.family = family
+        self.read: set[str] = set()
+
+    def __getitem__(self, key: str):
+        self.read.add(key)
+        return super().__getitem__(key)
+
+    def get(self, key: str, default=None):
+        self.read.add(key)
+        return super().get(key, default)
 
     def __missing__(self, key: str):
         raise ValueError(f"family {self.family!r} needs the parameter {key!r}")
 
+    def check_all_read(self):
+        unread = sorted(self.keys() - self.read)
+        if unread:
+            raise ValueError(f"family {self.family!r} does not take the parameter {unread[0]!r}")
+
 
 def generate(family: str, **params) -> WeightedMultigraph:
-    """Dispatcher used by the CLI `generate` subcommand."""
+    """Dispatcher used by the CLI `generate` subcommand; each family takes the
+    parameters its builder reads and no others."""
     params = _FamilyParams(family, params)
     fns = {
         "path": lambda: path_graph(params["n"], params.get("weights")),
@@ -731,4 +744,6 @@ def generate(family: str, **params) -> WeightedMultigraph:
     }
     if family not in fns:
         raise ValueError(f"unknown family {family!r}; choose from {sorted(fns)}")
-    return fns[family]()
+    g = fns[family]()
+    params.check_all_read()
+    return g

@@ -6,6 +6,7 @@ import sys
 import pytest
 
 from maxmaxflow import bounds, cli, counting
+from maxmaxflow.chromatic import DEFAULT_VERTEX_CAP
 from maxmaxflow.cli import main
 from maxmaxflow.graph import WeightedMultigraph, cycle_graph, path_graph
 
@@ -142,6 +143,31 @@ def test_generate_missing_parameter_is_one_line(family, missing, capsys):
     assert err.splitlines() == [f"error: family {family!r} needs the parameter {missing!r}"]
 
 
+# family -> a parameter its builder does not read, with a value
+GENERATE_UNREAD = {
+    "path": ("weight", "2"),
+    "cycle": ("seed", "1"),
+    "star": ("total", "3"),
+    "wheel": ("p", "0.5"),
+    "complete": ("seed", "1"),
+    "theta": ("total", "2"),
+    "k2s": ("weight", "2"),
+    "stars": ("p", "0.5"),
+    "pns": ("weight", "2"),
+    "tree": ("total", "2"),
+    "trees": ("weight", "2"),
+    "random": ("total", "2"),
+}
+
+
+@pytest.mark.parametrize("family", sorted(GENERATE_UNREAD))
+def test_generate_rejects_a_parameter_the_family_does_not_read(family, capsys):
+    name, value = GENERATE_UNREAD[family]
+    code, out, err = run_main([*_generate_args(family), f"--{name}", value], capsys)
+    assert code == 1 and out == ""
+    assert err.splitlines() == [f"error: family {family!r} does not take the parameter {name!r}"]
+
+
 def test_bad_graph_file_exit_one(tmp_path, capsys):
     p = tmp_path / "bad.txt"
     p.write_text("v 2\ne 1 1 1\n")
@@ -168,6 +194,45 @@ def test_count_errors_are_one_line(tri, capsys, extra):
     assert code == 1
     assert out == ""
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+# a flag that feeds a single vertex x or y takes one vertex, not a list
+@pytest.mark.parametrize("extra,flag", [
+    (["--class", "SAW", "--x", "1,2", "--y", "3"], "--x"),
+    (["--class", "W", "--x", "1", "--y", "2,3"], "--y"),
+    (["--class", "FPW", "--x", "1,2", "--y", "3"], "--x"),
+    (["--class", "FPSAW", "--x", "2,1", "--y", "3"], "--x"),
+    (["--class", "BLOCKPATH", "--x", "1,3", "--y", "2"], "--x"),
+    (["--class", "blockpath", "--x", "1", "--y", "2,3"], "--y"),
+])
+def test_count_rejects_extra_vertices_for_a_single_anchor(tri, capsys, extra, flag):
+    code, out, err = run_main(["count", tri, "-m", "3", *extra], capsys)
+    assert code == 1 and out == ""
+    kind = extra[1].upper()
+    assert err.splitlines() == [f"error: --class {kind} takes one vertex in {flag}, not 2"]
+
+
+@pytest.mark.parametrize("extra", [["--p", "2"], ["--r", "2"]])
+def test_count_rejects_p_r_outside_h(tri, capsys, extra):
+    code, out, err = run_main(["count", tri, "--class", "SAW", "--x", "1", "--y", "2", "-m", "3", *extra], capsys)
+    assert code == 1 and out == ""
+    assert err.splitlines() == ["error: p, r apply to kind H only"]
+
+
+@pytest.mark.parametrize("extra,expected", [
+    # sets: X for T, Y for FPW and for F
+    (["--class", "T", "--x", "1,2"], ["0,0", "1,1", "2,1"]),
+    (["--class", "FPW", "--x", "1", "--y", "2,3"], ["0,0", "1,2", "2,0"]),
+    (["--class", "F", "--x", "1", "--y", "2,3"], ["0,0", "1,2", "2,0"]),
+])
+def test_count_flags_feed_the_family_anchors(tri, capsys, extra, expected):
+    code, out, err = run_main(["count", tri, "-m", "2", *extra], capsys)
+    assert code == 0 and err == ""
+    assert out.splitlines()[-3:] == expected
+
+
+def test_chromatic_cap_defaults_to_the_vertex_cap():
+    assert cli._parser().parse_args(["chromatic", "g.txt"]).cap == DEFAULT_VERTEX_CAP
 
 
 def test_manifest_records_argv_given_to_main(tri, capsys):

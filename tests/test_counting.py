@@ -371,6 +371,43 @@ def test_h_with_p_1_and_r_1_is_t(data):
     assert class_spec("H", X=X, p=2, r=1).kind == "H"
 
 
+def _acyclic(g, edge_ids):
+    """Do the edges form a forest?  A union-find of its own, not the package's."""
+    root = list(range(g.n + 1))
+
+    def find(v):
+        while root[v] != v:
+            v = root[v]
+        return v
+
+    for eid in edge_ids:
+        a, b = find(g.edges[eid].u), find(g.edges[eid].v)
+        if a == b:
+            return False
+        root[a] = b
+    return True
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_forest_classes_are_the_acyclic_block_classes(data):
+    # the oracle's own predicates: with the same anchors, T, F and H are BT,
+    # BF and B on acyclic edge sets, and hold on no set with a cycle
+    g = data.draw(_multigraphs())
+    vertices = st.integers(1, g.n)
+    X = data.draw(st.frozensets(vertices, max_size=3))
+    Y = data.draw(st.none() | st.frozensets(vertices, min_size=1, max_size=3))
+
+    def spec(kind):
+        return SimpleNamespace(kind=kind, X=X, Y=Y, p=None, r=None, x=None, y=None)
+
+    subsets = data.draw(st.lists(st.sets(st.integers(0, g.m - 1)), max_size=8)) if g.m else [set()]
+    for sub in subsets:
+        acyclic = _acyclic(g, sub)
+        for forest, block in (("T", "BT"), ("F", "BF"), ("H", "B")):
+            assert in_class(g, sub, spec(forest)) == (acyclic and in_class(g, sub, spec(block)))
+
+
 def test_batched_walk_kinds_dispatch():
     g = complete_graph(4)
     W, T = class_spec("W", x=1, y=2), class_spec("T", X={1, 2})
