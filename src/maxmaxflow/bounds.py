@@ -22,6 +22,7 @@ from typing import Callable, Iterable, NamedTuple, Optional
 from .counting import (
     CountSeries,
     SubgraphClassSpec,
+    _FAMILIES,
     _require_vertices,
     _work_limit,
     class_count_series,
@@ -223,9 +224,10 @@ class SeriesProvider:
     """The inputs of the bounds on one graph: the truncation order M, the
     anchors (x, y, X, Y and the edge id), p, r, alpha and the work cap,
     checked once on construction.  Every fact the bounds read is computed
-    at most once per context: the series, Δ, Λ, λ(x,y), the hop distance
-    and each kind's discount.  Λ and λ(x,y) come from the graph's memoised
-    cut tree, Λ(G−e) from that of the G − e memoised on the graph
+    at most once per context: the series, Δ, Λ, λ(x,y), the hop distance,
+    each kind's discount and the ln enclosure of each argument the
+    discounts share.  Λ and λ(x,y) come from the graph's memoised cut tree,
+    Λ(G−e) from that of the G − e memoised on the graph
     (`WeightedMultigraph.without_edge`), which the through-edge search
     shares."""
 
@@ -329,7 +331,10 @@ class SeriesProvider:
             q = divisor(self)
             if q == 0:
                 return None
-            return 1 / q if log_arg is None else log_interval(log_arg(self)) / Interval.point(q)
+            if log_arg is None:
+                return 1 / q
+            a = log_arg(self)
+            return self._get(("ln", a), lambda: log_interval(a)) / Interval.point(q)
 
         return self._get(("discount", kind), compute)
 
@@ -357,18 +362,18 @@ class _Series(NamedTuple):
     spec: Optional[Callable[[SeriesProvider], SubgraphClassSpec]] = None
 
 
-def _edge_class(needs: str, spec: Callable[[SeriesProvider], SubgraphClassSpec]) -> _Series:
+def _subgraph_class(kind: str, *params: str) -> _Series:
+    """An edge-subset class of G, anchored as its row of `_FAMILIES` needs:
+    at X, with the named parameters (p, r) of the context; or with each
+    component meeting Y, and X minus Y as further anchors."""
+    needs = _FAMILIES[kind].needs
+
+    def spec(ctx: SeriesProvider) -> SubgraphClassSpec:
+        if needs == "Y":
+            return class_spec(kind, X=ctx.X_disjoint, Y=ctx.Y)
+        return class_spec(kind, X=ctx.X, **{k: getattr(ctx, k) for k in params})
+
     return _Series(frozenset({needs}), lambda ctx: ctx.edge_class(spec(ctx)), spec)
-
-
-def _x_class(kind: str, *params: str) -> _Series:
-    """A class anchored at X, with the named parameters (p, r) of the context."""
-    return _edge_class("X", lambda ctx: class_spec(kind, X=ctx.X, **{k: getattr(ctx, k) for k in params}))
-
-
-def _y_class(kind: str) -> _Series:
-    """A class whose components each meet Y, with X minus Y as further anchors."""
-    return _edge_class("Y", lambda ctx: class_spec(kind, X=ctx.X_disjoint, Y=ctx.Y))
 
 
 _SERIES: dict[str, _Series] = {
@@ -377,16 +382,16 @@ _SERIES: dict[str, _Series] = {
     "saw": _Series(frozenset({"x", "y"}), lambda ctx: ctx.saw(ctx.x, ctx.y)),
     # nonseparable subgraphs through e: a search of G - e, not of G
     "b_e": _Series(frozenset({"e"}), lambda ctx: ctx.through_edge(ctx.eid)),
-    "f": _y_class("F"),
-    "t": _x_class("T"),
-    "h": _x_class("H", "p", "r"),
-    "hp": _x_class("H", "p"),
-    "h1": _x_class("H"),
-    "c": _x_class("C"),
-    "bt": _x_class("BT"),
-    "bf": _y_class("BF"),
-    "bfstar": _y_class("BFSTAR"),
-    "b": _x_class("B"),
+    "f": _subgraph_class("F"),
+    "t": _subgraph_class("T"),
+    "h": _subgraph_class("H", "p", "r"),
+    "hp": _subgraph_class("H", "p"),
+    "h1": _subgraph_class("H"),
+    "c": _subgraph_class("C"),
+    "bt": _subgraph_class("BT"),
+    "bf": _subgraph_class("BF"),
+    "bfstar": _subgraph_class("BFSTAR"),
+    "b": _subgraph_class("B"),
 }
 
 

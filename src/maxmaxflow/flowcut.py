@@ -5,10 +5,11 @@ computed on the graph's pair table (`WeightedMultigraph.pair_weights`: the
 parallel edges of each pair summed once, every weight times L) and divided
 by L once per reported value.  `_network` turns the pairs into arc arrays,
 the one place arcs are built; Dinic's blocking-flow algorithm runs on them
-after a warm start that saturates the source's one- and two-arc paths to
-the sink.  Each graph's cut tree is built once and memoised on the graph,
-and each component's tree runs all its splits on one network, contracting
-nodes by relabelling the arcs' heads instead of rebuilding the arcs.
+after a warm start that saturates the source's paths of one, two and three
+arcs to the sink, which leaves most cut-tree splits without a phase.  Each
+graph's cut tree is built once and memoised on the graph, and each
+component's tree runs all its splits on one network, contracting nodes by
+relabelling the arcs' heads instead of rebuilding the arcs.
 """
 from __future__ import annotations
 
@@ -56,7 +57,9 @@ def _dinic(adj: list[list[int]], to: list[int], res: list[int], s: int, t: int) 
     running into to[i] and residual capacity res[i], which is updated in
     place.  The flow may start from any feasible flow that `res` already
     holds; the flow added to it is returned.  An arc whose ends have one
-    label, as in a contracted node, is never taken.
+    label, as in a contracted node, is never taken.  A warm start first
+    saturates the arcs s -> t, then the paths s -> u -> t and then the
+    paths s -> u -> w -> t.
 
     Returns the added flow and the levels of the last BFS, the one that
     fails to reach t: the nodes with a level >= 0 are those reachable from
@@ -64,26 +67,54 @@ def _dinic(adj: list[list[int]], to: list[int], res: list[int], s: int, t: int) 
     minimum cut whichever maximum flow was found.
     """
     k = len(adj)
-    # warm start: saturate the arcs s -> t, then the two-arc paths s -> w -> t
-    flow = 0
+    # into_t[w] and from_s[u] list the arcs w -> t and s -> u as current-arc
+    # lists: an arc is popped once saturated, so each pass scans an arc once
     into_t: dict[int, list[int]] = {}
     for j in adj[t]:
         into_t.setdefault(to[j], []).append(j ^ 1)
+    into_t.pop(s, None)  # the arcs s -> t, saturated below
+    from_s: dict[int, list[int]] = {}  # the arcs s -> u still open after s -> u -> t
+    flow = 0
     for i in adj[s]:
-        if to[i] == t:
+        u = to[i]
+        if u == t:
             flow += res[i]
             res[i ^ 1] += res[i]
             res[i] = 0
             continue
-        for j in into_t.get(to[i], ()):
-            if not res[i]:
-                break
+        lasts = into_t.get(u)
+        while res[i] and lasts:
+            j = lasts[-1]
             f = min(res[i], res[j])
             res[i] -= f
             res[i ^ 1] += f
             res[j] -= f
             res[j ^ 1] += f
             flow += f
+            if not res[j]:
+                lasts.pop()
+        if res[i]:
+            from_s.setdefault(u, []).append(i)
+    # an arc inside u needs no test: u's arcs into t are saturated by now
+    for u, firsts in from_s.items():
+        for a in adj[u]:
+            lasts = into_t.get(to[a])
+            while firsts and lasts and res[a]:
+                i, j = firsts[-1], lasts[-1]
+                f = min(res[i], res[a], res[j])
+                res[i] -= f
+                res[i ^ 1] += f
+                res[a] -= f
+                res[a ^ 1] += f
+                res[j] -= f
+                res[j ^ 1] += f
+                flow += f
+                if not res[i]:
+                    firsts.pop()
+                if not res[j]:
+                    lasts.pop()
+            if not firsts:
+                break
     while True:
         # BFS levels; dag[u] collects the residual arcs from u to the next
         # level.  Once a node on t's level leaves the queue, every node before

@@ -679,6 +679,8 @@ def random_multigraph(
     weights: str = "rational",
 ) -> WeightedMultigraph:
     """Seeded random graph: each pair gets 0..max_multiplicity parallel edges."""
+    if not 0 <= p <= 1:
+        raise ValueError(f"edge probability p must lie in [0, 1], not {p}")
     triples: list[tuple[int, int, Fraction]] = []
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):

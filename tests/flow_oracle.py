@@ -224,10 +224,10 @@ def flow_graphs(draw):
 SCALE_WEIGHTS = [Fraction(w) for w in ("1", "2", "3", "1/2", "1/3", "2/3", "3/2", "5/2")]
 
 
-def scale_graph(rng, n: int, m: int) -> WeightedMultigraph:
+def scale_graph(rng, n: int, m: int, weights=SCALE_WEIGHTS) -> WeightedMultigraph:
     """A connected multigraph drawn as the flow benchmark draws its inputs: a
     random spanning tree plus random edges, at most 3 per pair, with weights
-    from 1/3 to 5/2."""
+    drawn from `weights` (by default from 1/3 to 5/2)."""
     order = list(range(1, n + 1))
     rng.shuffle(order)
     pairs = [tuple(sorted((order[i], order[rng.randrange(i)]))) for i in range(1, n)]
@@ -237,4 +237,4 @@ def scale_graph(rng, n: int, m: int) -> WeightedMultigraph:
         if count.get((u, v), 0) < 3:
             count[(u, v)] = count.get((u, v), 0) + 1
             pairs.append((u, v))
-    return WeightedMultigraph(n, [(u, v, rng.choice(SCALE_WEIGHTS)) for u, v in pairs])
+    return WeightedMultigraph(n, [(u, v, rng.choice(weights)) for u, v in pairs])

@@ -286,6 +286,17 @@ def test_suite_rows_equal_verify_bound(inputs, M):
     assert len(rows) == len(alone)
 
 
+# the suite's discounts ln 2/Δ, ln 2/Λ, ln 2/(2Λ), ln α/(αΛ) with α = 2 and
+# ln 2/(2Λ(G − e)) share one ln enclosure, computed once per suite
+def test_suite_computes_each_ln_enclosure_once(monkeypatch):
+    args = []
+    log_interval = bounds.log_interval
+    monkeypatch.setattr(bounds, "log_interval", lambda a: args.append(a) or log_interval(a))
+    rows = run_suite(wheel_graph(5), 4, X={1, 2}, Y={3}, x=1, y=2, eid=0, include_conjectures=True)
+    assert {"cor7.5", "cor7.13"} <= {r.bound_id for r in rows}
+    assert args == [2]
+
+
 def _raises_cap(search, cap: int) -> bool:
     try:
         search(cap)

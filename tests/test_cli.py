@@ -168,6 +168,13 @@ def test_generate_rejects_a_parameter_the_family_does_not_read(family, capsys):
     assert err.splitlines() == [f"error: family {family!r} does not take the parameter {name!r}"]
 
 
+@pytest.mark.parametrize("p", ["2", "-1", "nan"])
+def test_generate_random_rejects_a_probability_outside_0_1(p, capsys):
+    code, out, err = run_main(["generate", "--family", "random", "--n", "3", "--p", p], capsys)
+    assert code == 1 and out == ""
+    assert err.splitlines() == [f"error: edge probability p must lie in [0, 1], not {float(p)}"]
+
+
 def test_bad_graph_file_exit_one(tmp_path, capsys):
     p = tmp_path / "bad.txt"
     p.write_text("v 2\ne 1 1 1\n")

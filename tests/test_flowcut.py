@@ -344,11 +344,19 @@ def test_engine_equals_oracle(g):
 
 
 # at the flow benchmark's scale (n 20-70, about 0.6 edges per vertex pair),
-# where the contracted nodes hold many vertices
-@pytest.mark.parametrize("n", [20, 35, 50, 70])
-def test_engine_equals_oracle_at_scale(n):
-    rng = random.Random(f"flow-scale:{n}")
-    g = flow_oracle.scale_graph(rng, n, round(0.3 * n * (n - 1)))
+# where the contracted nodes hold many vertices; and on dense graphs (2.4
+# edges per pair) with 3 weights in 8 zero, where many arcs carry nothing and
+# the warm start settles most splits
+DENSE_WEIGHTS = [F(0), F(0), F(0), F(1), F(2), F(1, 2), F(2, 3), F(5, 2)]
+
+
+@pytest.mark.parametrize("seed,n,per_pair,weights", [
+    *(pytest.param(f"flow-scale:{n}", n, 0.6, flow_oracle.SCALE_WEIGHTS, id=str(n)) for n in (20, 35, 50, 70)),
+    *(pytest.param(f"flow-dense:{n}", n, 2.4, DENSE_WEIGHTS, id=f"dense-zeros-{n}") for n in (12, 30, 48)),
+])
+def test_engine_equals_oracle_at_scale(seed, n, per_pair, weights):
+    rng = random.Random(seed)
+    g = flow_oracle.scale_graph(rng, n, round(per_pair * n * (n - 1) / 2), weights)
     assert list(cut_tree(g).edges) == flow_oracle.cut_tree_edges(g)
     for x, y in (rng.sample(range(1, n + 1), 2) for _ in range(3)):
         cert = max_flow(g, x, y)
@@ -427,6 +435,80 @@ def test_dinic_from_any_feasible_flow_equals_dinic_from_zero(net, rng):
     added, warm_level = flowcut._dinic(adj, head, res, s, t)
     assert pushed + added == flow
     assert {v for v in range(k) if warm_level[v] >= 0} == {v for v in range(k) if level[v] >= 0}
+
+
+@st.composite
+def contracted_networks(draw):
+    """(adj, to, cap, s, t, labels) as a cut-tree split builds them: a
+    network on nodes 0..k-1, with parallel arcs and zero capacities, whose
+    nodes other than s and t may be merged into markers numbered from k.  A
+    marker's arc list is its members' lists joined, an arc between two of
+    its members lies inside it, and a node or marker may have no arcs.
+    `labels` holds the unmerged nodes and the markers."""
+    k = draw(st.integers(2, 9))
+    s, t = draw(st.permutations(range(k)))[:2]
+    ends = st.tuples(st.integers(0, k - 1), st.integers(0, k - 1), st.integers(0, 6))
+    arcs = [(a, b, c) for a, b, c in draw(st.lists(ends, max_size=30)) if a != b]
+    adj, head, cap = flowcut._network(k, arcs)
+    markers = range(k, k + draw(st.integers(0, 3)))
+    vmap = [v if v in (s, t) else draw(st.sampled_from([v, *markers])) for v in range(k)]
+    marker_arcs = [[i for v in range(k) if vmap[v] == m for i in adj[v]] for m in markers]
+    labels = {v for v in range(k) if vmap[v] == v} | set(markers)
+    return adj + marker_arcs, [vmap[h] for h in head], cap, s, t, labels
+
+
+# the warm start's paths through merged labels leave the flow and the reached
+# set of a full search: shortest augmenting paths on the labels' summed
+# capacities, with the arcs inside a label dropped
+@settings(max_examples=400, deadline=None)
+@given(contracted_networks())
+def test_dinic_on_contracted_networks_equals_a_full_search(net):
+    adj, to, cap, s, t, labels = net
+    summed: dict[tuple[int, int], int] = {}
+    for i, c in enumerate(cap):
+        a, b = to[i ^ 1], to[i]
+        if a != b:
+            summed[(a, b)] = summed.get((a, b), 0) + c
+    flow, level = flowcut._dinic(adj, to, cap, s, t)
+    assert (flow, {v for v in labels if level[v] >= 0}) == flow_oracle._min_cut_int(labels, summed, s, t)
+
+
+# the warm start sends s -> u -> w -> t first; the maximum flow then sends
+# two units back across w - u (s -> x -> w -> u -> y -> t), which needs the
+# middle arc's reverse residual to count the unit the warm start pushed
+def test_three_arc_warm_start_leaves_its_middle_arc_cancellable():
+    s, t, u, w, x, y = range(6)
+    arcs = [(s, u, 1), (u, w, 1), (w, t, 1), (s, x, 2), (x, w, 2), (u, y, 2), (y, t, 2)]
+    flow, level = flowcut._dinic(*flowcut._network(6, arcs), s, t)
+    assert flow == 3 and [v for v in range(6) if level[v] >= 0] == [s]
+
+
+@pytest.fixture
+def dinic_phases(monkeypatch):
+    """The number of blocking-flow phases of each `_dinic` call."""
+    calls: list[int] = []
+    dinic, blocking_flow = flowcut._dinic, flowcut._blocking_flow
+
+    def counted_dinic(*args):
+        calls.append(0)
+        return dinic(*args)
+
+    def counted_blocking_flow(*args):
+        calls[-1] += 1
+        return blocking_flow(*args)
+
+    monkeypatch.setattr(flowcut, "_dinic", counted_dinic)
+    monkeypatch.setattr(flowcut, "_blocking_flow", counted_blocking_flow)
+    return calls
+
+
+# on a dense graph most splits are settled by the warm start's paths of one
+# to three arcs, and run no blocking-flow phase
+def test_most_cut_tree_splits_run_no_phase(dinic_phases):
+    g = flow_oracle.scale_graph(random.Random("flow-phases"), 40, 780)
+    cut_tree(g)
+    assert len(dinic_phases) == 39
+    assert sum(1 for phases in dinic_phases if phases) < len(dinic_phases) / 2
 
 
 # -- one cut tree per graph -----------------------------------------------
