@@ -92,6 +92,56 @@ def test_parse_repeated_weight_tokens():
     assert str(ei.value) == "line 4: negative weight"
 
 
+# the constructor's own checks, for int and Fraction weights alike
+@pytest.mark.parametrize("w", [1, F(1, 2)])
+@pytest.mark.parametrize("n,triple,message", [
+    (3, (2, 2, None), "loop edge at vertex 2"),
+    (3, (1, 4, None), "edge endpoint outside 1..3: (1,4)"),
+    (3, (0, 1, None), "edge endpoint outside 1..3: (0,1)"),
+    (3, (1, 2, "neg"), "negative weight on edge (1,2)"),
+    (3, (3, 3, "neg"), "loop edge at vertex 3"),
+    (3, (1, 5, "neg"), "edge endpoint outside 1..3: (1,5)"),
+])
+def test_constructor_errors(w, n, triple, message):
+    u, v, sign = triple
+    weight = -w if sign == "neg" else w
+    with pytest.raises(GraphFormatError) as ei:
+        WeightedMultigraph(n, [(1, 2, F(1)), (u, v, weight)])
+    assert str(ei.value) == message
+    with pytest.raises(GraphFormatError) as ei:
+        WeightedMultigraph(-1, [])
+    assert str(ei.value) == "negative vertex count"
+
+
+def test_constructor_accepts_int_and_fraction_weights_alike():
+    g = WeightedMultigraph(3, [(1, 2, 2), (2, 3, F(2)), (1, 3, 0)])
+    assert g == WeightedMultigraph(3, [(1, 2, F(2)), (2, 3, F(2)), (1, 3, F(0))])
+    assert all(type(e.w) is F for e in g.edges)
+    assert [(e.id, e.u, e.v) for e in g.edges] == [(0, 1, 2), (1, 2, 3), (2, 1, 3)]
+
+
+# each message with its line, where a line has two faults too: the checks
+# run in the order endpoints, weight token, loop, sign, range
+@pytest.mark.parametrize("text,message", [
+    ("v 3\ne 1 2 1\ne 2 2 1\n", "line 3: loop edge at vertex 2"),
+    ("v 3\ne 1 2 1\ne 1 2 -1/2\n", "line 3: negative weight"),
+    ("v 3\ne 1 2 1\ne 1 4 1\n", "line 3: endpoint outside 1..3"),
+    ("v 3\ne 2 2 -1\n", "line 2: loop edge at vertex 2"),
+    ("v 3\ne 1 2 1\ne 3 3 -1\n", "line 3: loop edge at vertex 3"),
+    ("v 3\ne 1 2 -1\ne 2 2 -1\n", "line 2: negative weight"),
+    ("v 3\ne 2 2 -1\ne 1 2 -1\n", "line 2: loop edge at vertex 2"),
+    ("v 3\ne 1 4 -1\n", "line 2: negative weight"),
+    ("v 3\ne 2 2 x\n", "line 2: bad weight 'x'"),
+    ("v 3\ne a 2 1\n", "line 2: bad endpoint"),
+    ("v 3\ne 1 2 1\n\n# c\ne 1 2 1\ne 3 3 1\n", "line 6: loop edge at vertex 3"),
+    ("v 3\ne 1 2 -0\ne 1 1 0\n", "line 3: loop edge at vertex 1"),
+])
+def test_parse_error_messages(text, message):
+    with pytest.raises(GraphFormatError) as ei:
+        WeightedMultigraph.parse(text)
+    assert str(ei.value) == message
+
+
 def test_serialize_lowest_terms():
     g = WeightedMultigraph(2, [(1, 2, F(2, 4))])
     assert "1/2" in g.serialize()
@@ -115,7 +165,9 @@ def graphs(draw):
 @settings(max_examples=60, deadline=None)
 @given(graphs())
 def test_roundtrip(g):
-    assert WeightedMultigraph.parse(g.serialize()) == g
+    h = WeightedMultigraph.parse(g.serialize())
+    assert h == g and hash(h) == hash(g)
+    assert h.edges == g.edges and [e.id for e in h.edges] == list(range(g.m))
 
 
 @settings(max_examples=60, deadline=None)
