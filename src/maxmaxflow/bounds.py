@@ -281,7 +281,7 @@ class SeriesProvider:
         return self._get(("walk_total", x), lambda: walk_total_counts(self.g, x, self.M))
 
     def saw(self, x: int, y: int) -> CountSeries:
-        return self._get(("saw", x, y), lambda: saw_counts(self.g, x, y, self.M))
+        return self._get(("saw", x, y), lambda: saw_counts(self.g, x, y, self.M, self.cap))
 
     def fpw(self, x: int, Y: frozenset[int]) -> CountSeries:
         return self._get(("fpw", x, Y), lambda: fpw_counts(self.g, x, Y, self.M))

@@ -69,7 +69,7 @@ class _Family:
     three tests after it, which `_accepts` runs in this order."""
 
     needs: str  # the anchors a spec must give: x, y one vertex each, X, Y nonempty sets
-    walk: Optional[Callable] = None  # the series for (g, spec, M)
+    walk: Optional[Callable] = None  # the series for (g, spec, M, cap)
     forest: bool = False  # acyclic edge sets only
     # whose anchors every leaf, lone anchor and end block needs: "X" the
     # spec's X, "A" all its anchors, None no such test
@@ -82,10 +82,10 @@ _BF = _Family("Y", leaves="A", components=lambda comps, spec: all(len(c & spec.Y
 _B = _Family("X", leaves="X")
 
 _FAMILIES = {
-    "W": _Family("xy", walk=lambda g, spec, M: walk_counts(g, spec.x, spec.y, M)),
-    "FPW": _Family("xY", walk=lambda g, spec, M: fpw_counts(g, spec.x, spec.Y, M)),
-    "SAW": _Family("xy", walk=lambda g, spec, M: saw_counts(g, spec.x, spec.y, M)),
-    "FPSAW": _Family("xY", walk=lambda g, spec, M: fpsaw_counts(g, spec.x, spec.Y, M)),
+    "W": _Family("xy", walk=lambda g, spec, M, cap: walk_counts(g, spec.x, spec.y, M)),
+    "FPW": _Family("xY", walk=lambda g, spec, M, cap: fpw_counts(g, spec.x, spec.Y, M)),
+    "SAW": _Family("xy", walk=lambda g, spec, M, cap: saw_counts(g, spec.x, spec.y, M, cap)),
+    "FPSAW": _Family("xY", walk=lambda g, spec, M, cap: fpsaw_counts(g, spec.x, spec.Y, M, cap)),
     "BT": _BT,
     "BF": _BF,
     "B": _B,
@@ -202,11 +202,16 @@ def _transfer(
     return _divide(out, L)
 
 
-def _self_avoiding(g: WeightedMultigraph, x: int, Ys: frozenset[int], M: int) -> tuple[Fraction, ...]:
+def _self_avoiding(
+    g: WeightedMultigraph, x: int, Ys: frozenset[int], M: int, cap: Optional[int]
+) -> tuple[Fraction, ...]:
     """Self-avoiding walks from x that stop on first reaching Ys.
 
-    Parallel steps aggregate by weight.
+    Parallel steps aggregate by weight.  The work cap bounds the number of
+    steps the search tries, one per neighbour of each walk's last vertex,
+    and is checked as the search goes.
     """
+    limit = _work_limit(cap)
     A, L = g.pair_weights()
     out = [0] * (M + 1)
     if x in Ys:
@@ -217,6 +222,7 @@ def _self_avoiding(g: WeightedMultigraph, x: int, Ys: frozenset[int], M: int) ->
     # to it and its neighbours still to try; a step from the top frame is
     # step number len(stack)
     stack = [(x, 1, iter(A[x].items()))] if M else []
+    steps = 0
     while stack:
         u, prod, nbrs = stack[-1]
         step = next(nbrs, None)
@@ -224,6 +230,9 @@ def _self_avoiding(g: WeightedMultigraph, x: int, Ys: frozenset[int], M: int) ->
             stack.pop()
             visited.remove(u)
             continue
+        steps += 1
+        if steps > limit:
+            raise WorkCapExceeded(f"the walk search tried more than {limit} steps, the work cap")
         v, w = step
         if v in Ys:
             out[len(stack)] += prod * w
@@ -251,16 +260,18 @@ def fpw_counts(g: WeightedMultigraph, x: int, Y: Iterable[int], M: int) -> Count
     return CountSeries(M, _transfer(g, x, Ys, Ys, M))
 
 
-def saw_counts(g: WeightedMultigraph, x: int, y: int, M: int) -> CountSeries:
+def saw_counts(g: WeightedMultigraph, x: int, y: int, M: int, cap: Optional[int] = None) -> CountSeries:
     """Self-avoiding walks from x to y.  Parallel steps aggregate by weight."""
     _require_vertices(g, [x, y])
-    return CountSeries(M, _self_avoiding(g, x, frozenset({y}), M))
+    return CountSeries(M, _self_avoiding(g, x, frozenset({y}), M, cap))
 
 
-def fpsaw_counts(g: WeightedMultigraph, x: int, Y: Iterable[int], M: int) -> CountSeries:
+def fpsaw_counts(
+    g: WeightedMultigraph, x: int, Y: Iterable[int], M: int, cap: Optional[int] = None
+) -> CountSeries:
     """First-passage self-avoiding walks from x to the set Y."""
     Ys = _target_set(g, x, Y)
-    return CountSeries(M, _self_avoiding(g, x, Ys, M))
+    return CountSeries(M, _self_avoiding(g, x, Ys, M, cap))
 
 
 # -- subgraph classes -----------------------------------------------------
@@ -309,8 +320,8 @@ class _EdgeSet:
         return v
 
     def add(self, eid: int):
-        e = self.g.edges[eid]
-        ru, rv = self._find(e.u), self._find(e.v)
+        _, u, v, _ = self.g.edges[eid]
+        ru, rv = self._find(u), self._find(v)
         if ru == rv:
             self.cycles += 1
             child = None
@@ -321,30 +332,30 @@ class _EdgeSet:
             self.size[ru] += self.size[rv]
             child = rv
         self._undo.append((eid, self.weight, child))
-        for v in (e.u, e.v):
-            self.deg[v] += 1
-            if self.deg[v] == 1:
-                self.verts.append(v)
-        self.adj[e.u].append((e.v, eid))
-        self.adj[e.v].append((e.u, eid))
+        for x in (u, v):
+            self.deg[x] += 1
+            if self.deg[x] == 1:
+                self.verts.append(x)
+        self.adj[u].append((v, eid))
+        self.adj[v].append((u, eid))
         self.weight *= self.edge_weights[eid]
         self._components = self._leaves = self._blocks = None
 
     def pop(self):
         eid, self.weight, child = self._undo.pop()
-        e = self.g.edges[eid]
+        _, u, v, _ = self.g.edges[eid]
         if child is None:
             self.cycles -= 1
         else:
             root = self.parent[child]
             self.parent[child] = child
             self.size[root] -= self.size[child]
-        for v in (e.v, e.u):
-            self.deg[v] -= 1
-            if not self.deg[v]:
+        for x in (v, u):
+            self.deg[x] -= 1
+            if not self.deg[x]:
                 self.verts.pop()
-        self.adj[e.u].pop()
-        self.adj[e.v].pop()
+        self.adj[u].pop()
+        self.adj[v].pop()
         self._components = self._leaves = self._blocks = None
 
     def components(self) -> list[set[int]]:
@@ -438,18 +449,20 @@ def class_series(
     The work cap bounds the number of sets this one search visits, however
     many classes it serves, and is checked as the search goes; so
     `bounds.run_suite`, which asks for all its edge-subset classes in one
-    call, is capped as one search.
+    call, is capped as one search.  The self-avoiding walk families are
+    capped by the steps of their own search, and the cap is checked before
+    any family is computed.
     """
     if M < 0:
         raise ValueError("M must be >= 0")
+    limit = _work_limit(cap)
     specs = list(dict.fromkeys(specs))
-    out = {spec: _FAMILIES[spec.kind].walk(g, spec, M) for spec in specs if spec.kind in WALK_KINDS}
+    out = {spec: _FAMILIES[spec.kind].walk(g, spec, M, limit) for spec in specs if spec.kind in WALK_KINDS}
     tests = [(spec, *_anchors(spec)) for spec in specs if spec.kind in EDGE_KINDS]
     if not tests:
         return out
     A = frozenset().union(*(anchors for _, anchors, _ in tests))
     _require_vertices(g, A)
-    limit = _work_limit(cap)
     values = {spec: [0] * (M + 1) for spec, _, _ in tests}
     adj = g.adjacency()
     s = _EdgeSet(g)
@@ -473,7 +486,7 @@ def class_series(
         # while s holds the parent's edge set
         for i, eid in enumerate(frontier):
             rest = frontier[i + 1:]
-            for v in g.edges[eid].u, g.edges[eid].v:
+            for v in g.edges[eid][1:3]:  # its two ends
                 if not reached(v):
                     rest += [f for w, f in adj[v] if not reached(w)]
             yield eid, rest

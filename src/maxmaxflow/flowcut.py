@@ -6,10 +6,12 @@ parallel edges of each pair summed once, every weight times L) and divided
 by L once per reported value.  `_network` turns the pairs into arc arrays,
 the one place arcs are built; Dinic's blocking-flow algorithm runs on them
 after a warm start that saturates the source's paths of one, two and three
-arcs to the sink, which leaves most cut-tree splits without a phase.  Each
-graph's cut tree is built once and memoised on the graph, and each
-component's tree runs all its splits on one network, contracting nodes by
-relabelling the arcs' heads instead of rebuilding the arcs.
+arcs to the sink, which leaves most cut-tree splits without a phase.  Once
+no residual arc enters the sink, the last search for the source side stops
+as soon as it has reached every live node but the sink, a count the caller
+passes in.  Each graph's cut tree is built once and memoised on the graph,
+and each component's tree runs all its splits on one network, contracting
+nodes by relabelling the arcs' heads instead of rebuilding the arcs.
 """
 from __future__ import annotations
 
@@ -52,7 +54,9 @@ def _network(k: int, arcs: Iterable[tuple[int, int, int]]) -> tuple[list[list[in
     return adj, head, cap
 
 
-def _dinic(adj: list[list[int]], to: list[int], res: list[int], s: int, t: int) -> tuple[int, list[int]]:
+def _dinic(
+    adj: list[list[int]], to: list[int], res: list[int], s: int, t: int, live: int
+) -> tuple[int, list[int]]:
     """Dinic max flow from s to t over the arcs of `_network`, with arc i
     running into to[i] and residual capacity res[i], which is updated in
     place.  The flow may start from any feasible flow that `res` already
@@ -61,10 +65,17 @@ def _dinic(adj: list[list[int]], to: list[int], res: list[int], s: int, t: int) 
     saturates the arcs s -> t, then the paths s -> u -> t and then the
     paths s -> u -> w -> t.
 
-    Returns the added flow and the levels of the last BFS, the one that
-    fails to reach t: the nodes with a level >= 0 are those reachable from
-    s in the final residual network, which is the minimal source side of a
-    minimum cut whichever maximum flow was found.
+    Returns the added flow and a list over the nodes from the last search,
+    the one that fails to reach t: the nodes where it is >= 0 are those
+    reachable from s in the final residual network, which is the minimal
+    source side of a minimum cut whichever maximum flow was found.
+
+    `live` is at least the number of nodes that can be reached, s and t
+    included: s and every label that heads an arc.  Once t is closed, with
+    no residual arc into it, the flow is maximum, and the last search
+    (`_source_side`) stops as soon as it has reached live - 1 nodes, every
+    live node but t, since no node is left to find.  Otherwise the last
+    search is a BFS that finds t out of reach.
     """
     k = len(adj)
     # into_t[w] and from_s[u] list the arcs w -> t and s -> u as current-arc
@@ -116,6 +127,8 @@ def _dinic(adj: list[list[int]], to: list[int], res: list[int], s: int, t: int) 
             if not firsts:
                 break
     while True:
+        if not any(res[j ^ 1] for j in adj[t]):  # t is closed
+            return flow, _source_side(adj, to, res, s, live - 1)
         # BFS levels; dag[u] collects the residual arcs from u to the next
         # level.  Once a node on t's level leaves the queue, every node before
         # that level has been expanded, and no arc from t's level leads to t.
@@ -140,6 +153,23 @@ def _dinic(adj: list[list[int]], to: list[int], res: list[int], s: int, t: int) 
         if level[t] < 0:
             return flow, level
         flow += _blocking_flow(dag, to, res, s, t)
+
+
+def _source_side(adj: list[list[int]], to: list[int], res: list[int], s: int, goal: int) -> list[int]:
+    """A list that is 0 at the nodes reachable from s over residual arcs and
+    -1 elsewhere; the search stops once it has reached `goal` nodes, which
+    must be at least the number it can reach."""
+    side = [-1] * len(adj)
+    side[s] = 0
+    queue = [s]
+    for u in queue:
+        for i in adj[u]:
+            if res[i] and side[to[i]] < 0:
+                side[to[i]] = 0
+                queue.append(to[i])
+                if len(queue) == goal:
+                    return side
+    return side
 
 
 def _blocking_flow(dag: list[list[int]], to: list[int], res: list[int], s: int, t: int) -> int:
@@ -184,7 +214,7 @@ def max_flow(g: WeightedMultigraph, x: int, y: int) -> MinCutCertificate:
         raise ValueError("unknown vertex")
     A, L = g.pair_weights()
     adj, head, cap = _network(g.n + 1, ((u, v, c) for u in A for v, c in A[u].items() if u < v))
-    flow, level = _dinic(adj, head, cap, x, y)
+    flow, level = _dinic(adj, head, cap, x, y, g.n)
     reach = frozenset(v for v in g.vertices if level[v] >= 0)
     cut = frozenset(e.id for e in g.edges if (e.u in reach) != (e.v in reach))
     return MinCutCertificate(Fraction(flow, L), reach, cut)
@@ -246,7 +276,8 @@ def _component_cut_tree(
     `ghtree` output pins it.  The component's arcs are built once from the
     graph's pair table (`_network`).  Each split relabels the arcs' heads
     through the contraction, gives a marker the concatenated arc lists of
-    its members and runs Dinic on a fresh copy of the capacities; the
+    its members and runs Dinic on a fresh copy of the capacities, with
+    |S| + markers live nodes, which is where its last search may stop; the
     parallel arcs that the contraction makes stay apart, and an arc whose
     ends land in one marker is never taken.  Any maximum flow leaves the
     same minimal source side, so the tree does not depend on which one
@@ -278,7 +309,8 @@ def _component_cut_tree(
                     vmap[v] = marker
                     arcs += adj[v]
             marker_arcs.append(arcs)
-        flow, level = _dinic(adj + marker_arcs, list(map(vmap.__getitem__, head)), cap[:], x, y)
+        live = len(S) + len(marker_arcs)
+        flow, level = _dinic(adj + marker_arcs, list(map(vmap.__getitem__, head)), cap[:], x, y, live)
         value = Fraction(flow, L)
 
         s1 = {v for v in S if level[v] >= 0}

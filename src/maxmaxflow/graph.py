@@ -19,15 +19,17 @@ import re
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 
 class GraphFormatError(ValueError):
     """Malformed graph text or invalid graph construction."""
 
 
-@dataclass(frozen=True)
-class Edge:
+class Edge(NamedTuple):
+    """An edge u-v of weight w, numbered `id` in its graph; a tuple, as cheap
+    to build as one."""
+
     id: int
     u: int
     v: int
@@ -61,9 +63,7 @@ class WeightedMultigraph:
     def __init__(self, n: int, edge_triples: Iterable[tuple[int, int, Fraction]]):
         if n < 0:
             raise GraphFormatError("negative vertex count")
-        self.n = n
-        self.vertices: tuple[int, ...] = tuple(range(1, n + 1))
-        vset = set(self.vertices)
+        vset = set(range(1, n + 1))
         edges = []
         for i, (u, v, w) in enumerate(edge_triples):
             if not isinstance(w, Fraction):
@@ -72,15 +72,22 @@ class WeightedMultigraph:
                 raise GraphFormatError(f"loop edge at vertex {u}")
             if u not in vset or v not in vset:
                 raise GraphFormatError(f"edge endpoint outside 1..{n}: ({u},{v})")
-            if w < 0:
+            if w.numerator < 0:
                 raise GraphFormatError(f"negative weight on edge ({u},{v})")
             edges.append(Edge(i, u, v, w))
+        self._set_up(n, edges)
+
+    def _set_up(self, n: int, edges: list[Edge]):
+        """Build the graph of `edges`, numbered 0..m-1, which have passed the
+        constructor's checks."""
+        self.n = n
+        self.vertices: tuple[int, ...] = tuple(range(1, n + 1))
         self.edges: tuple[Edge, ...] = tuple(edges)
         self.m = len(edges)
         adj: dict[int, list[tuple[int, int]]] = {x: [] for x in self.vertices}
-        for e in edges:
-            adj[e.u].append((e.v, e.id))
-            adj[e.v].append((e.u, e.id))
+        for i, u, v, _ in edges:  # unpacking an Edge beats reading its fields
+            adj[u].append((v, i))
+            adj[v].append((u, i))
         self._adj = adj
         self._memo: dict = {}
 
@@ -112,9 +119,9 @@ class WeightedMultigraph:
         if table is None:
             weights, L = self.integer_weights()
             A: dict[int, dict[int, int]] = {v: {} for v in self.vertices}
-            for e in self.edges:
-                A[e.u][e.v] = A[e.u].get(e.v, 0) + weights[e.id]
-                A[e.v][e.u] = A[e.v].get(e.u, 0) + weights[e.id]
+            for (_, u, v, _), c in zip(self.edges, weights):
+                A[u][v] = A[u].get(v, 0) + c
+                A[v][u] = A[v].get(u, 0) + c
             table = self._memo["pair_weights"] = (A, L)
         return table
 
@@ -124,7 +131,7 @@ class WeightedMultigraph:
         return sum((self.edges[eid].w for _, eid in self._adj[x]), Fraction(0))
 
     def components(self) -> list[frozenset[int]]:
-        return components_of(self.vertices, [(e.u, e.v) for e in self.edges])
+        return components_of(self.vertices, [(u, v) for _, u, v, _ in self.edges])
 
     def total_weight(self) -> Fraction:
         return sum((e.w for e in self.edges), Fraction(0))
@@ -174,9 +181,13 @@ class WeightedMultigraph:
 
     @classmethod
     def parse(cls, text: str) -> "WeightedMultigraph":
+        """The graph of the text format, every edge checked once, as the
+        constructor checks it, and each fault reported with its line."""
         n = None
-        triples: list[tuple[int, int, Fraction]] = []
-        weights: dict[str, Fraction] = {}  # each distinct token parsed once
+        edges: list[Edge] = []
+        # each distinct token is parsed and sign-checked once; a negative one
+        # fails on its first line, so it is never looked up again
+        weights: dict[str, Fraction] = {}
         for lineno, raw in enumerate(text.splitlines(), start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
@@ -208,18 +219,20 @@ class WeightedMultigraph:
                         w = weights[parts[3]] = parse_weight(parts[3])
                     except GraphFormatError as exc:
                         raise GraphFormatError(f"line {lineno}: {exc}") from None
+                    if w.numerator < 0 and u != v:  # a loop is reported first
+                        raise GraphFormatError(f"line {lineno}: negative weight")
                 if u == v:
                     raise GraphFormatError(f"line {lineno}: loop edge at vertex {u}")
-                if w < 0:
-                    raise GraphFormatError(f"line {lineno}: negative weight")
                 if not (1 <= u <= n and 1 <= v <= n):
                     raise GraphFormatError(f"line {lineno}: endpoint outside 1..{n}")
-                triples.append((u, v, w))
+                edges.append(Edge(len(edges), u, v, w))
             else:
                 raise GraphFormatError(f"line {lineno}: unknown directive {parts[0]!r}")
         if n is None:
             raise GraphFormatError("missing 'v <n>' header")
-        return cls(n, triples)
+        g = cls.__new__(cls)
+        g._set_up(n, edges)
+        return g
 
     # -- dunder -----------------------------------------------------------
 

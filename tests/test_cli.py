@@ -8,7 +8,7 @@ import pytest
 from maxmaxflow import bounds, cli, counting
 from maxmaxflow.chromatic import DEFAULT_VERTEX_CAP
 from maxmaxflow.cli import main
-from maxmaxflow.graph import WeightedMultigraph, cycle_graph, path_graph
+from maxmaxflow.graph import WeightedMultigraph, complete_graph, cycle_graph, path_graph
 
 TRIANGLE = "v 3\ne 1 2 1\ne 2 3 1\ne 3 1 1\n"
 
@@ -389,6 +389,8 @@ def test_explore8_rejects_nmax_above_the_chromatic_cap(capsys):
 
 @pytest.mark.parametrize("cmd", [
     ["count", "TRI", "--class", "T", "--x", "1", "-m", "3"],
+    ["count", "TRI", "--class", "SAW", "--x", "1", "--y", "2", "-m", "3"],
+    ["count", "TRI", "--class", "W", "--x", "1", "--y", "2", "-m", "3"],
     ["suite", "TRI", "--edge", "0", "-m", "3"],
     ["verify", "TRI", "--bound", "prop4.1", "--x", "1", "-m", "3"],
     ["hunt", "--conjecture", "conj5.6", "--trials", "3"],
@@ -403,10 +405,22 @@ def test_cap_below_one_is_one_error_line(tri, capsys, cmd, cap):
     assert err.splitlines() == [f"error: the work cap must be >= 1, not cap={cap}"]
 
 
+# K13 holds about 10^9 self-avoiding walks of 12 steps from a vertex; the
+# cap stops the search after 1000 steps
+def test_saw_search_stops_at_the_cap(tmp_path, capsys):
+    path = tmp_path / "k13.txt"
+    path.write_text(complete_graph(13).serialize())
+    argv = ["count", str(path), "--class", "SAW", "--x", "1", "--y", "2", "-m", "12"]
+    code, out, err = run_main([*argv, "--cap", "1000"], capsys)
+    assert code == 1 and out == ""
+    assert err.splitlines() == ["error: the walk search tried more than 1000 steps, the work cap"]
+
+
 @pytest.mark.parametrize("raw", ["abc", "0", "-5", "1e3"])
 def test_bad_work_cap_environment_is_one_error_line(tri, capsys, monkeypatch, raw):
     monkeypatch.setenv(counting.WORK_CAP_ENV, raw)
     for argv in (["count", tri, "--class", "T", "--x", "1", "-m", "3"],
+                 ["count", tri, "--class", "SAW", "--x", "1", "--y", "2", "-m", "3"],
                  ["hunt", "--conjecture", "conj5.6", "--trials", "3"]):
         code, out, err = run_main(argv, capsys)
         assert code == 1 and out == ""

@@ -1,4 +1,5 @@
 """Walk-family series, anchored subgraph classes, and the identities tying them."""
+import itertools
 import math
 import random
 from fractions import Fraction as F
@@ -520,6 +521,52 @@ def test_cap_below_one_rejected(cap):
         class_count_series(g, class_spec("C", X={1}), 2, cap=cap)
     with pytest.raises(ValueError, match="work cap"):
         two_connected_through_edge_series(g, 0, 2, cap=cap)
+
+
+def _saw_steps(g, x, Ys, M):
+    """The steps the self-avoiding walk search tries: each neighbour of the
+    end of every self-avoiding walk from x of fewer than M steps that
+    avoids Ys (none when x is in Ys)."""
+    A, _ = g.pair_weights()
+    if x in Ys:
+        return 0
+    steps = 0
+    for k in range(M):
+        for inner in itertools.permutations([v for v in g.vertices if v != x and v not in Ys], k):
+            walk = (x, *inner)
+            if all(b in A[a] for a, b in zip(walk, walk[1:])):
+                steps += len(A[walk[-1]])
+    return steps
+
+
+# the cap counts the steps the walk search actually tries: the search
+# succeeds at exactly that many and fails at one fewer
+@pytest.mark.parametrize("seed", range(6))
+def test_saw_cap_counts_search_steps(seed):
+    rng = random.Random(f"saw-cap:{seed}")
+    g = random_multigraph(rng, rng.randint(3, 6), 0.7, max_multiplicity=2)
+    x, y = rng.sample(list(g.vertices), 2)
+    Y = {y, *rng.sample(list(g.vertices), 1)}
+    M = rng.randint(1, 5)
+    for Ys, call in (({y}, lambda cap: saw_counts(g, x, y, M, cap)),
+                     (Y, lambda cap: fpsaw_counts(g, x, Y, M, cap))):
+        steps = _saw_steps(g, x, Ys, M)
+        assert call(max(steps, 1)).values == call(None).values
+        if steps > 1:
+            with pytest.raises(WorkCapExceeded, match=f"^the walk search tried more than {steps - 1} steps"):
+                call(steps - 1)
+
+
+def test_walk_families_check_the_cap_first(monkeypatch):
+    g = path_graph(3)
+    for kind, kw in (("SAW", dict(x=1, y=3)), ("W", dict(x=1, y=3)), ("FPSAW", dict(x=1, Y={3}))):
+        with pytest.raises(ValueError, match="^the work cap must be >= 1, not cap=0$"):
+            class_count_series(g, class_spec(kind, **kw), 2, cap=0)
+    with pytest.raises(ValueError, match="work cap"):
+        saw_counts(g, 1, 3, 2, cap=0)
+    monkeypatch.setenv(WORK_CAP_ENV, "0")
+    with pytest.raises(ValueError, match=WORK_CAP_ENV):
+        class_count_series(g, class_spec("W", x=1, y=3), 2)
 
 
 def test_work_cap_environment(monkeypatch):

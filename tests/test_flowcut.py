@@ -386,8 +386,8 @@ def split_networks(draw):
 @given(split_networks())
 def test_dinic_ignores_how_capacities_split_into_parallel_arcs(net):
     k, arcs, split, s, t = net
-    flow, level = flowcut._dinic(*flowcut._network(k, arcs), s, t)
-    split_flow, split_level = flowcut._dinic(*flowcut._network(k, split), s, t)
+    flow, level = flowcut._dinic(*flowcut._network(k, arcs), s, t, k)
+    split_flow, split_level = flowcut._dinic(*flowcut._network(k, split), s, t, k)
     assert split_flow == flow
     assert {v for v in range(k) if split_level[v] >= 0} == {v for v in range(k) if level[v] >= 0}
 
@@ -429,10 +429,10 @@ def _augment_at_random(adj, head, res, s, t, rng):
 def test_dinic_from_any_feasible_flow_equals_dinic_from_zero(net, rng):
     k, _, arcs, s, t = net
     adj, head, cap = flowcut._network(k, arcs)
-    flow, level = flowcut._dinic(adj, head, cap[:], s, t)
+    flow, level = flowcut._dinic(adj, head, cap[:], s, t, k)
     res = cap[:]
     pushed = _augment_at_random(adj, head, res, s, t, rng)
-    added, warm_level = flowcut._dinic(adj, head, res, s, t)
+    added, warm_level = flowcut._dinic(adj, head, res, s, t, k)
     assert pushed + added == flow
     assert {v for v in range(k) if warm_level[v] >= 0} == {v for v in range(k) if level[v] >= 0}
 
@@ -469,7 +469,7 @@ def test_dinic_on_contracted_networks_equals_a_full_search(net):
         a, b = to[i ^ 1], to[i]
         if a != b:
             summed[(a, b)] = summed.get((a, b), 0) + c
-    flow, level = flowcut._dinic(adj, to, cap, s, t)
+    flow, level = flowcut._dinic(adj, to, cap, s, t, len(labels))
     assert (flow, {v for v in labels if level[v] >= 0}) == flow_oracle._min_cut_int(labels, summed, s, t)
 
 
@@ -479,7 +479,7 @@ def test_dinic_on_contracted_networks_equals_a_full_search(net):
 def test_three_arc_warm_start_leaves_its_middle_arc_cancellable():
     s, t, u, w, x, y = range(6)
     arcs = [(s, u, 1), (u, w, 1), (w, t, 1), (s, x, 2), (x, w, 2), (u, y, 2), (y, t, 2)]
-    flow, level = flowcut._dinic(*flowcut._network(6, arcs), s, t)
+    flow, level = flowcut._dinic(*flowcut._network(6, arcs), s, t, 6)
     assert flow == 3 and [v for v in range(6) if level[v] >= 0] == [s]
 
 
@@ -509,6 +509,62 @@ def test_most_cut_tree_splits_run_no_phase(dinic_phases):
     cut_tree(g)
     assert len(dinic_phases) == 39
     assert sum(1 for phases in dinic_phases if phases) < len(dinic_phases) / 2
+
+
+@pytest.fixture
+def last_searches(monkeypatch):
+    """(arcs scanned, arcs in the network) of each search `_dinic` ends with
+    once the sink is closed; an arc is scanned when its residual is read."""
+    calls: list[tuple[int, int]] = []
+    source_side = flowcut._source_side
+
+    class Scanned(list):
+        reads = 0
+
+        def __getitem__(self, i):
+            self.reads += 1
+            return list.__getitem__(self, i)
+
+    def counted(adj, to, res, s, goal):
+        scanned = Scanned(res)
+        side = source_side(adj, to, scanned, s, goal)
+        calls.append((scanned.reads, len(to)))
+        return side
+
+    monkeypatch.setattr(flowcut, "_source_side", counted)
+    return calls
+
+
+# once the sink is closed, the last search stops as soon as it has reached
+# every live node but the sink: on a dense graph, long before it has read
+# the arcs out of every reached node, which is all but the sink's
+def test_most_cut_tree_splits_end_with_a_short_search(last_searches):
+    g = flow_oracle.scale_graph(random.Random("flow-phases"), 40, 780)
+    assert list(cut_tree(g).edges) == flow_oracle.cut_tree_edges(g)
+    short = [scanned for scanned, arcs in last_searches if 2 * scanned < arcs]
+    assert len(short) > 39 / 2
+
+
+@st.composite
+def graphs_with_isolated_vertices(draw):
+    """`flow_graphs` with 1-4 isolated vertices added and the vertices
+    shuffled, so that a max-flow network holds nodes that no flow reaches."""
+    g = draw(flow_graphs())
+    n = g.n + draw(st.integers(1, 4))
+    new = draw(st.permutations(range(1, n + 1)))
+    return WeightedMultigraph(n, [(new[e.u - 1], new[e.v - 1], e.w) for e in g.edges])
+
+
+# max_flow passes every vertex as live, so a search never stops early here:
+# isolated vertices and other components are never reached
+@settings(max_examples=150, deadline=None)
+@given(graphs_with_isolated_vertices())
+def test_engine_equals_oracle_with_isolated_vertices(g):
+    assert len(g.components()) >= 2
+    assert list(cut_tree(g).edges) == flow_oracle.cut_tree_edges(g)
+    for x, y in itertools.permutations(g.vertices, 2):
+        cert = max_flow(g, x, y)
+        assert (cert.value, cert.side, cert.cut_edges) == flow_oracle.max_flow(g, x, y)
 
 
 # -- one cut tree per graph -----------------------------------------------
