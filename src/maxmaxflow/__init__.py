@@ -2,7 +2,7 @@
 
 __version__ = "0.1.0"
 
-from .graph import WeightedMultigraph, GraphFormatError, block_decomposition, convex_hull
+from .graph import WeightedMultigraph, GraphFormatError
 from .flowcut import (
     cut_pair,
     cut_tree,
@@ -19,8 +19,6 @@ from .chromatic import chromatic_polynomial, chromatic_roots
 __all__ = [
     "WeightedMultigraph",
     "GraphFormatError",
-    "block_decomposition",
-    "convex_hull",
     "max_flow",
     "cut_tree",
     "cut_pair",

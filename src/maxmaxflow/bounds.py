@@ -278,13 +278,13 @@ class SeriesProvider:
             self._cache.update(class_series(self.g, todo, self.M, self.cap))
 
     def walk_total(self, x: int) -> CountSeries:
-        return self._get(("walk_total", x), lambda: walk_total_counts(self.g, x, self.M))
+        return self._get(("walk_total", x), lambda: walk_total_counts(self.g, x, self.M, self.cap))
 
     def saw(self, x: int, y: int) -> CountSeries:
         return self._get(("saw", x, y), lambda: saw_counts(self.g, x, y, self.M, self.cap))
 
     def fpw(self, x: int, Y: frozenset[int]) -> CountSeries:
-        return self._get(("fpw", x, Y), lambda: fpw_counts(self.g, x, Y, self.M))
+        return self._get(("fpw", x, Y), lambda: fpw_counts(self.g, x, Y, self.M, self.cap))
 
     def through_edge(self, eid: int) -> CountSeries:
         return self._get(

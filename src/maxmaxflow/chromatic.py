@@ -213,16 +213,3 @@ def explore_roots(trials: int, seed: int = 0, n_max: int = 12) -> list[ExploreRe
         trial += 1
     return out
 
-
-def root_residual(poly: Poly, roots: list[complex]) -> float:
-    """Largest |P(root)| relative to the leading scale; a sanity number."""
-    if not roots:
-        return 0.0
-    scale = max(abs(c) for c in poly)
-    worst = 0.0
-    for z in roots:
-        acc = 0j
-        for c in reversed(poly):
-            acc = acc * z + c
-        worst = max(worst, abs(acc) / scale)
-    return worst

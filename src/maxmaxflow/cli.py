@@ -111,8 +111,7 @@ def build_parser() -> _Parser:
 
     sp = sub.add_parser("count", help="series of a walk family or subgraph class")
     graph_arg(sp)
-    sp.add_argument("--class", dest="kind", required=True,
-                    help="W|FPW|SAW|FPSAW|T|F|H|C|BT|BF|BFSTAR|B|BLOCKPATH")
+    sp.add_argument("--class", dest="kind", required=True, help=f"one of {', '.join(sorted(_FAMILIES))}")
     sp.add_argument("--x", type=_vertex_list, default=None)
     sp.add_argument("--y", type=_vertex_list, default=None)
     sp.add_argument("-m", "--m", dest="M", type=int, required=True)
@@ -360,6 +359,9 @@ def main(argv: Optional[list[str]] = None) -> int:
         return _DISPATCH[args.cmd](args)
     except (ValueError, OSError, WorkCapExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError:  # its message is empty
+        print("error: out of memory", file=sys.stderr)
         return 1
 
 

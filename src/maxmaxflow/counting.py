@@ -82,8 +82,8 @@ _BF = _Family("Y", leaves="A", components=lambda comps, spec: all(len(c & spec.Y
 _B = _Family("X", leaves="X")
 
 _FAMILIES = {
-    "W": _Family("xy", walk=lambda g, spec, M, cap: walk_counts(g, spec.x, spec.y, M)),
-    "FPW": _Family("xY", walk=lambda g, spec, M, cap: fpw_counts(g, spec.x, spec.Y, M)),
+    "W": _Family("xy", walk=lambda g, spec, M, cap: walk_counts(g, spec.x, spec.y, M, cap)),
+    "FPW": _Family("xY", walk=lambda g, spec, M, cap: fpw_counts(g, spec.x, spec.Y, M, cap)),
     "SAW": _Family("xy", walk=lambda g, spec, M, cap: saw_counts(g, spec.x, spec.y, M, cap)),
     "FPSAW": _Family("xY", walk=lambda g, spec, M, cap: fpsaw_counts(g, spec.x, spec.Y, M, cap)),
     "BT": _BT,
@@ -125,7 +125,7 @@ class SubgraphClassSpec:
     def __post_init__(self):
         k = self.kind
         if k not in _FAMILIES:
-            raise ValueError(f"unknown kind {k!r}")
+            raise ValueError(f"unknown kind {k!r}; known: {sorted(_FAMILIES)}")
         family = _FAMILIES[k]
         for name in family.needs:
             if name.islower() and getattr(self, name) is None:
@@ -188,15 +188,23 @@ def _target_set(g: WeightedMultigraph, x: int, Y: Iterable[int]) -> frozenset[in
 
 
 def _transfer(
-    g: WeightedMultigraph, x: int, start: Iterable[int], absorbing: frozenset[int], M: int
+    g: WeightedMultigraph, x: int, start: Iterable[int], absorbing: frozenset[int], M: int, cap: Optional[int]
 ) -> tuple[Fraction, ...]:
     """(f_0(x), ..., f_M(x)) for f_0 the indicator of `start` and f_k the
-    one-step convolution of f_{k-1}, forced to 0 on the absorbing vertices."""
+    one-step convolution of f_{k-1}, forced to 0 on the absorbing vertices.
+
+    A step costs one unit of work per vertex and one per pair-table entry
+    it reads; the work cap bounds the total, charged before each step.
+    """
+    limit = _work_limit(cap)
     A, L = g.pair_weights()
+    step_work = g.n + sum(len(A[u]) for u in g.vertices if u not in absorbing)
     ones = set(start)
     cur = {v: int(v in ones) for v in g.vertices}
     out = [cur[x]]
-    for _ in range(M):
+    for k in range(1, M + 1):
+        if k * step_work > limit:
+            raise WorkCapExceeded(f"the walk series took more than {limit} units of work, the work cap")
         cur = {u: 0 if u in absorbing else sum(w * cur[v] for v, w in A[u].items()) for u in g.vertices}
         out.append(cur[x])
     return _divide(out, L)
@@ -242,22 +250,24 @@ def _self_avoiding(
     return _divide(out, L)
 
 
-def walk_counts(g: WeightedMultigraph, x: int, y: int, M: int) -> CountSeries:
+def walk_counts(g: WeightedMultigraph, x: int, y: int, M: int, cap: Optional[int] = None) -> CountSeries:
     """Total weight of m-step walks from x to y, m = 0..M."""
     _require_vertices(g, [x, y])
-    return CountSeries(M, _transfer(g, x, [y], frozenset(), M))
+    return CountSeries(M, _transfer(g, x, [y], frozenset(), M, cap))
 
 
-def walk_total_counts(g: WeightedMultigraph, x: int, M: int) -> CountSeries:
+def walk_total_counts(g: WeightedMultigraph, x: int, M: int, cap: Optional[int] = None) -> CountSeries:
     """Row sums: total weight of m-step walks from x to anywhere."""
     _require_vertices(g, [x])
-    return CountSeries(M, _transfer(g, x, g.vertices, frozenset(), M))
+    return CountSeries(M, _transfer(g, x, g.vertices, frozenset(), M, cap))
 
 
-def fpw_counts(g: WeightedMultigraph, x: int, Y: Iterable[int], M: int) -> CountSeries:
+def fpw_counts(
+    g: WeightedMultigraph, x: int, Y: Iterable[int], M: int, cap: Optional[int] = None
+) -> CountSeries:
     """First-passage walks from x to the set Y: interior steps avoid Y."""
     Ys = _target_set(g, x, Y)
-    return CountSeries(M, _transfer(g, x, Ys, Ys, M))
+    return CountSeries(M, _transfer(g, x, Ys, Ys, M, cap))
 
 
 def saw_counts(g: WeightedMultigraph, x: int, y: int, M: int, cap: Optional[int] = None) -> CountSeries:
@@ -449,9 +459,9 @@ def class_series(
     The work cap bounds the number of sets this one search visits, however
     many classes it serves, and is checked as the search goes; so
     `bounds.run_suite`, which asks for all its edge-subset classes in one
-    call, is capped as one search.  The self-avoiding walk families are
-    capped by the steps of their own search, and the cap is checked before
-    any family is computed.
+    call, is capped as one search.  Each walk family is capped by its own
+    work (`_transfer`, `_self_avoiding`), and the cap is checked before any
+    family is computed.
     """
     if M < 0:
         raise ValueError("M must be >= 0")

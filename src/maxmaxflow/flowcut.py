@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .graph import WeightedMultigraph, _steiner_nodes, bfs_path, bfs_tree, components_of
+from .graph import WeightedMultigraph, bfs_path, bfs_tree, components_of
 
 
 @dataclass(frozen=True)
@@ -532,11 +532,21 @@ def cut_pair(g: WeightedMultigraph, X: Iterable[int]) -> CutPair:
         return CutPair(x1, c1, Fraction(0), x2, c2, Fraction(0))
 
     comp = min(rich, key=min)
-    members = by_comp[comp]
+    members = set(by_comp[comp])
     tree = CutTree(frozenset(comp), _cut_trees(g)[comp])
     adj = tree.adjacency()
-    keep = _steiner_nodes({v: [u for u, _ in nbrs] for v, nbrs in adj.items()}, set(members))
-    degree = {v: sum(1 for u, _ in adj[v] if u in keep) for v in keep}
+    # the least subtree spanning the members: prune leaves that are not members
+    keep = set(comp)
+    degree = {v: len(adj[v]) for v in keep}
+    leaves = [v for v in keep if degree[v] == 1 and v not in members]
+    while leaves:
+        v = leaves.pop()
+        keep.remove(v)
+        for u, _ in adj[v]:
+            if u in keep:
+                degree[u] -= 1
+                if degree[u] == 1 and u not in members:
+                    leaves.append(u)
     ends = sorted(v for v in keep if degree[v] == 1)
     x1, x2 = ends[0], ends[1]
 

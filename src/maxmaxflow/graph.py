@@ -1,7 +1,7 @@
 """Weighted loopless multigraphs with exact rational edge weights.
 
 Parsing and serialization of the line-oriented text format, structural
-decompositions (components, breadth-first trees, blocks, convex hulls) and
+decompositions (components, breadth-first trees, blocks and cut vertices) and
 generators for the standard example families.
 
 The exact layers compute on integers: `WeightedMultigraph.integer_weights`
@@ -17,7 +17,6 @@ import math
 import random
 import re
 from collections import deque
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
@@ -159,18 +158,6 @@ class WeightedMultigraph:
             self._memo[key] = WeightedMultigraph(self.n, [(e.u, e.v, e.w) for e in self.edges if e.id != eid])
         return self._memo[key]
 
-    def scaled(self, c: Fraction) -> "WeightedMultigraph":
-        c = Fraction(c)
-        return WeightedMultigraph(self.n, [(e.u, e.v, e.w * c) for e in self.edges])
-
-    def subgraph(self, vertices: Iterable[int], edge_ids: Iterable[int]) -> "Subgraph":
-        return Subgraph(self, frozenset(vertices), frozenset(edge_ids))
-
-    def induced(self, vertices: Iterable[int]) -> "Subgraph":
-        vs = frozenset(vertices)
-        eids = frozenset(e.id for e in self.edges if e.u in vs and e.v in vs)
-        return Subgraph(self, vs, eids)
-
     # -- text format ------------------------------------------------------
 
     def serialize(self) -> str:
@@ -248,32 +235,6 @@ class WeightedMultigraph:
         return f"WeightedMultigraph(n={self.n}, m={self.m})"
 
 
-@dataclass(frozen=True)
-class Subgraph:
-    """A subgraph given by a vertex set and a set of parent edge ids."""
-
-    parent: WeightedMultigraph
-    vertices: frozenset[int]
-    edge_ids: frozenset[int]
-
-    def __post_init__(self):
-        for eid in self.edge_ids:
-            e = self.parent.edges[eid]
-            if e.u not in self.vertices or e.v not in self.vertices:
-                raise GraphFormatError(f"edge {eid} endpoint outside subgraph vertex set")
-
-    @property
-    def edges(self) -> list[Edge]:
-        return [self.parent.edges[eid] for eid in sorted(self.edge_ids)]
-
-    def weight(self) -> Fraction:
-        """Product of edge weights; 1 for the edgeless subgraph."""
-        w = Fraction(1)
-        for eid in self.edge_ids:
-            w *= self.parent.edges[eid].w
-        return w
-
-
 # -- components -----------------------------------------------------------
 
 
@@ -331,39 +292,6 @@ def bfs_path(adj: dict, x: int, y: int) -> Optional[list[tuple[int, int, object]
 
 
 # -- blocks ---------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Block:
-    vertices: frozenset[int]
-    edge_ids: frozenset[int]
-
-
-@dataclass(frozen=True)
-class BlockDecomposition:
-    blocks: tuple[Block, ...]
-    cut_vertices: frozenset[int]
-
-    def end_blocks(self) -> list[Block]:
-        """Blocks containing exactly one cut vertex."""
-        return [b for b in self.blocks if len(b.vertices & self.cut_vertices) == 1]
-
-    def isolated_blocks(self) -> list[Block]:
-        """Blocks containing no cut vertex."""
-        return [b for b in self.blocks if not (b.vertices & self.cut_vertices)]
-
-    def block_cut_tree(self) -> dict[object, list[object]]:
-        """Bipartite adjacency over ('B', i) block nodes and ('C', v) cut nodes."""
-        adj: dict[object, list[object]] = {}
-        for v in self.cut_vertices:
-            adj[("C", v)] = []
-        for i, b in enumerate(self.blocks):
-            node = ("B", i)
-            adj[node] = []
-            for v in b.vertices & self.cut_vertices:
-                adj[node].append(("C", v))
-                adj[("C", v)].append(node)
-        return adj
 
 
 def biconnected_components(
@@ -435,113 +363,6 @@ def biconnected_components(
         if root_blocks >= 2:
             cuts.add(root)
     return blocks, cuts
-
-
-def block_decomposition(g) -> BlockDecomposition:
-    """Blocks, cut vertices and block-cut tree of a graph or subgraph."""
-    vertices, edges = _graph_like(g)
-    adj: dict[int, list[tuple[int, int]]] = {v: [] for v in vertices}
-    for e in edges:
-        adj[e.u].append((e.v, e.id))
-        adj[e.v].append((e.u, e.id))
-    raw_blocks, cuts = biconnected_components(sorted(vertices), adj)
-    blocks = tuple(
-        Block(frozenset(vs), frozenset(eids))
-        for vs, eids in sorted(raw_blocks, key=lambda b: (min(b[0]), sorted(b[1])))
-    )
-    return BlockDecomposition(blocks, frozenset(cuts))
-
-
-def _graph_like(g) -> tuple[Sequence[int], list[Edge]]:
-    if isinstance(g, WeightedMultigraph):
-        return g.vertices, list(g.edges)
-    if isinstance(g, Subgraph):
-        return sorted(g.vertices), g.edges
-    raise TypeError(f"expected graph or subgraph, got {type(g)!r}")
-
-
-# -- convex hulls ---------------------------------------------------------
-
-
-def convex_hull(h, X: Iterable[int]) -> Subgraph:
-    """Union of all paths between members of X, length-0 paths included.
-
-    Computed per component through the block-cut tree: the hull restricted to
-    a component is the union of the blocks lying on the minimal subtree
-    spanning the members of X in that component.
-    """
-    vertices, edges = _graph_like(h)
-    parent = h.parent if isinstance(h, Subgraph) else h
-    Xs = frozenset(X)
-    if not Xs:
-        raise ValueError("X must be nonempty")
-    if not Xs <= set(vertices):
-        raise ValueError("X must be contained in the vertex set")
-
-    comps = components_of(vertices, [(e.u, e.v) for e in edges])
-    dec = block_decomposition(h)
-    tree = dec.block_cut_tree()
-    node_of: dict[int, object] = {}
-    for v in dec.cut_vertices:
-        node_of[v] = ("C", v)
-    for i, b in enumerate(dec.blocks):
-        for v in b.vertices - dec.cut_vertices:
-            node_of[v] = ("B", i)
-
-    hull_vs: set[int] = set()
-    hull_es: set[int] = set()
-    for comp in comps:
-        terms = Xs & comp
-        if not terms:
-            continue
-        if len(terms) == 1:
-            hull_vs |= terms
-            continue
-        term_nodes = {node_of[v] for v in terms}
-        keep = _steiner_nodes(tree, term_nodes)
-        for node in keep:
-            if node[0] == "B":
-                b = dec.blocks[node[1]]
-                hull_vs |= b.vertices
-                hull_es |= b.edge_ids
-            else:
-                hull_vs.add(node[1])
-        hull_vs |= terms
-    if isinstance(h, Subgraph):
-        return Subgraph(parent, frozenset(hull_vs), frozenset(hull_es))
-    return parent.subgraph(hull_vs, hull_es)
-
-
-def _steiner_nodes(tree: dict[object, list[object]], terminals: set[object]) -> set[object]:
-    """Minimal subtree (node set) of a forest spanning the terminal nodes."""
-    # restrict to the tree component(s) containing terminals, then prune
-    keep = set()
-    seen: set[object] = set()
-    for t in terminals:
-        if t in seen:
-            continue
-        comp = set()
-        stack = [t]
-        seen.add(t)
-        while stack:
-            node = stack.pop()
-            comp.add(node)
-            for nb in tree.get(node, []):
-                if nb not in seen:
-                    seen.add(nb)
-                    stack.append(nb)
-        keep |= comp
-    degree = {node: sum(1 for nb in tree.get(node, []) if nb in keep) for node in keep}
-    leaves = [node for node in keep if degree[node] <= 1 and node not in terminals]
-    while leaves:
-        node = leaves.pop()
-        keep.discard(node)
-        for nb in tree.get(node, []):
-            if nb in keep:
-                degree[nb] -= 1
-                if degree[nb] <= 1 and nb not in terminals:
-                    leaves.append(nb)
-    return keep
 
 
 # -- generators -----------------------------------------------------------

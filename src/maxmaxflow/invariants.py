@@ -36,20 +36,8 @@ def delta_k(g: WeightedMultigraph, k: int) -> Fraction:
     return seq[k - 1]
 
 
-def delta_min_k(g: WeightedMultigraph, k: int) -> Fraction:
-    """k-th smallest weighted degree over distinct vertices."""
-    seq = degree_sequence(g)
-    if not 1 <= k <= len(seq):
-        raise ValueError(f"k must be in 1..{len(seq)}")
-    return seq[len(seq) - k]
-
-
 def max_degree(g: WeightedMultigraph) -> Fraction:
     return delta_k(g, 1)
-
-
-def second_max_degree(g: WeightedMultigraph) -> Fraction:
-    return delta_k(g, 2)
 
 
 def degeneracy(g: WeightedMultigraph) -> Fraction:

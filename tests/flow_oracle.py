@@ -16,7 +16,7 @@ from typing import Iterable
 
 from hypothesis import strategies as st
 
-from maxmaxflow.graph import WeightedMultigraph, block_decomposition
+from maxmaxflow.graph import WeightedMultigraph, biconnected_components
 
 
 def _scaled_capacities(edges) -> tuple[dict[tuple[int, int], int], int]:
@@ -180,13 +180,13 @@ def maxmaxflow_blockwise(g: WeightedMultigraph) -> Fraction:
     if g.n < 2:
         raise ValueError("maxmaxflow requires at least two vertices")
     best = Fraction(0)
-    for b in block_decomposition(g).blocks:
-        if len(b.vertices) < 2:
+    for vertices, edge_ids in biconnected_components(g.vertices, g.adjacency())[0]:
+        if len(vertices) < 2:
             continue
-        ordering = sorted(b.vertices)
+        ordering = sorted(vertices)
         sub = WeightedMultigraph(
             len(ordering),
-            [(*_relabel(g.edges[eid], ordering), g.edges[eid].w) for eid in sorted(b.edge_ids)],
+            [(*_relabel(g.edges[eid], ordering), g.edges[eid].w) for eid in sorted(edge_ids)],
         )
         best = max(best, maxmaxflow(sub))
     return best

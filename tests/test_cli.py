@@ -238,6 +238,17 @@ def test_count_flags_feed_the_family_anchors(tri, capsys, extra, expected):
     assert out.splitlines()[-3:] == expected
 
 
+# the help and the error both list every family of the table
+def test_count_lists_the_families(tri, capsys):
+    kinds = sorted(counting._FAMILIES)
+    code, out, err = run_main(["count", tri, "--class", "BOGUS", "--x", "1", "-m", "3"], capsys)
+    assert code == 1 and out == ""
+    assert err.splitlines() == [f"error: unknown kind 'BOGUS'; known: {kinds}"]
+    with pytest.raises(SystemExit):
+        main(["count", "-h"])
+    assert f"one of {', '.join(kinds)}" in " ".join(capsys.readouterr().out.split())
+
+
 def test_chromatic_cap_defaults_to_the_vertex_cap():
     assert cli._parser().parse_args(["chromatic", "g.txt"]).cap == DEFAULT_VERTEX_CAP
 
@@ -414,6 +425,32 @@ def test_saw_search_stops_at_the_cap(tmp_path, capsys):
     code, out, err = run_main([*argv, "--cap", "1000"], capsys)
     assert code == 1 and out == ""
     assert err.splitlines() == ["error: the walk search tried more than 1000 steps, the work cap"]
+
+
+# K6 holds about 5^20000 walks of 20000 steps; the transfer is charged 36
+# units of work per step, so the cap stops it before the first
+@pytest.mark.parametrize("kind", ["W", "FPW"])
+def test_walk_series_stops_at_the_cap(tmp_path, capsys, kind):
+    path = tmp_path / "k6.txt"
+    path.write_text(complete_graph(6).serialize())
+    argv = ["count", str(path), "--class", kind, "--x", "1", "--y", "2", "-m", "20000"]
+    code, out, err = run_main([*argv, "--cap", "10"], capsys)
+    assert code == 1 and out == ""
+    assert err.splitlines() == ["error: the walk series took more than 10 units of work, the work cap"]
+
+
+# a series of 10^11 + 1 terms cannot be allocated, and the allocation fails
+# at once, without reserving memory
+@pytest.mark.parametrize("cmd", [
+    ["count", "TRI", "--class", "T", "--x", "1,2", "--cap", "10"],
+    ["count", "TRI", "--class", "SAW", "--x", "1", "--y", "2", "--cap", "10"],
+    ["suite", "TRI", "--x", "1,2", "--y", "3"],
+])
+def test_huge_m_is_one_error_line(tri, capsys, cmd):
+    argv = [tri if a == "TRI" else a for a in cmd]
+    code, out, err = run_main([*argv, "-m", "100000000000"], capsys)
+    assert code == 1 and out == ""
+    assert err.splitlines() == ["error: out of memory"]
 
 
 @pytest.mark.parametrize("raw", ["abc", "0", "-5", "1e3"])

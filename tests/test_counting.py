@@ -304,6 +304,84 @@ def test_block_classes_equal_subset_filter_at_suite_scale(name):
     assert list(two_connected_through_edge_series(g, eid, M).values) == [F(0)] + [e.w * a for a in bp]
 
 
+# -- the block classes against the path-union definition ------------------
+
+
+def _path_union(edges, A):
+    """The ids of the edges on some simple path between two members of A in
+    the graph of `edges`, by depth-first enumeration of the paths."""
+    adj = {}
+    for e in edges:
+        adj.setdefault(e.u, []).append((e.v, e.id))
+        adj.setdefault(e.v, []).append((e.u, e.id))
+    union = set()
+
+    def dfs(u, target, seen, path):
+        if u == target:
+            union.update(path)
+            return
+        for v, eid in adj.get(u, ()):
+            if v not in seen:
+                dfs(v, target, seen | {v}, path + [eid])
+
+    anchors = sorted(A)
+    for i, a in enumerate(anchors):
+        for b in anchors[i + 1:]:
+            dfs(a, b, {a}, [])
+    return union
+
+
+def _in_block_class_by_paths(g, edge_ids, spec):
+    """The definition of the block classes: the subgraph (anchors plus
+    endpoints, the edges) is the union of its simple paths between anchors,
+    A = X for B and BT, X ∪ Y for BF and BFSTAR, {x, y} for BLOCKPATH.  BT
+    and BLOCKPATH also need one component, BF each component to meet Y
+    exactly once and BFSTAR at least once.  Shares no code with `counting`."""
+    edges = [g.edges[i] for i in edge_ids]
+    A = {"B": spec.X, "BT": spec.X, "BLOCKPATH": {spec.x, spec.y}}.get(spec.kind, spec.X | spec.Y)
+    if _path_union(edges, A) != set(edge_ids):  # the anchors are length-0 paths
+        return False
+    vs = set(A).union(*((e.u, e.v) for e in edges))
+    comps = components_of(vs, [(e.u, e.v) for e in edges])
+    if spec.kind in ("BT", "BLOCKPATH"):
+        return len(comps) == 1
+    if spec.kind == "BF":
+        return all(len(c & spec.Y) == 1 for c in comps)
+    if spec.kind == "BFSTAR":
+        return all(c & spec.Y for c in comps)
+    return True
+
+
+def test_block_classes_are_unions_of_anchor_paths():
+    # every edge set of at most 5 edges of random multigraphs with n <= 6 and
+    # m <= 8, against random anchors of each of the five block classes
+    rng = random.Random("path-union")
+    members = dict.fromkeys(("B", "BT", "BF", "BFSTAR", "BLOCKPATH"), 0)
+    for _ in range(40):
+        n = rng.randint(3, 6)
+        edges = random_multigraph(rng, n, 0.6, max_multiplicity=2).edges[:8]
+        g = WeightedMultigraph(n, [(e.u, e.v, e.w) for e in edges])
+        vertices = list(g.vertices)
+
+        def some(least):
+            return frozenset(rng.sample(vertices, rng.randint(least, min(3, n))))
+
+        specs = [
+            class_spec("B", X=some(1)),
+            class_spec("BT", X=some(1)),
+            class_spec("BF", X=some(0), Y=some(1)),
+            class_spec("BFSTAR", X=some(0), Y=some(1)),
+            class_spec("BLOCKPATH", **dict(zip("xy", rng.sample(vertices, 2)))),
+        ]
+        for k in range(min(5, g.m) + 1):
+            for sub in itertools.combinations(range(g.m), k):
+                for spec in specs:
+                    expected = _in_block_class_by_paths(g, sub, spec)
+                    assert is_in_class(g, sub, spec) == expected, (g.serialize(), sub, spec)
+                    members[spec.kind] += expected
+    assert all(count >= 20 for count in members.values()), members
+
+
 def test_blocks_built_only_for_cyclic_sets_with_anchored_leaves(monkeypatch):
     # a block decomposition is asked for only when the leaves and the cycle
     # count leave block anchoring open
@@ -555,6 +633,27 @@ def test_saw_cap_counts_search_steps(seed):
         if steps > 1:
             with pytest.raises(WorkCapExceeded, match=f"^the walk search tried more than {steps - 1} steps"):
                 call(steps - 1)
+
+
+# the cap counts the work the transfer actually does: each of the M steps
+# costs one unit per vertex and one per neighbour of each vertex outside
+# the absorbing set Y; the series succeeds at exactly that total and fails
+# at one less
+@pytest.mark.parametrize("seed", range(6))
+def test_walk_cap_counts_transfer_work(seed):
+    rng = random.Random(f"walk-cap:{seed}")
+    g = random_multigraph(rng, rng.randint(2, 6), 0.7, max_multiplicity=2)
+    x, y = rng.sample(list(g.vertices), 2)
+    Y = {y, *rng.sample(list(g.vertices), 1)}
+    M = rng.randint(1, 5)
+    arcs = {(e.u, e.v) for e in g.edges} | {(e.v, e.u) for e in g.edges}
+    for absorbing, call in ((set(), lambda cap: walk_counts(g, x, y, M, cap)),
+                            (set(), lambda cap: walk_total_counts(g, x, M, cap)),
+                            (Y, lambda cap: fpw_counts(g, x, Y, M, cap))):
+        work = M * (g.n + sum(1 for u, _ in arcs if u not in absorbing))
+        assert call(work).values == call(None).values
+        with pytest.raises(WorkCapExceeded, match=f"^the walk series took more than {work - 1} units of work"):
+            call(work - 1)
 
 
 def test_walk_families_check_the_cap_first(monkeypatch):

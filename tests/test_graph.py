@@ -1,4 +1,4 @@
-"""Graph type, text format, blocks, convex hulls, generators."""
+"""Graph type, text format, blocks and cut vertices, generators."""
 import random
 from fractions import Fraction as F
 
@@ -8,10 +8,9 @@ from hypothesis import given, settings, strategies as st
 from maxmaxflow.graph import (
     GraphFormatError,
     WeightedMultigraph,
-    block_decomposition,
+    biconnected_components,
     components_of,
     complete_graph,
-    convex_hull,
     cycle_graph,
     k2_multi,
     parallel_expand,
@@ -202,42 +201,52 @@ def test_merge_parallel():
 
 
 def _blocks_of(g):
-    return block_decomposition(g)
+    """(blocks, cut vertices) of g, each block a (vertex set, edge-id set)."""
+    return biconnected_components(g.vertices, g.adjacency())
+
+
+def _end_blocks(blocks, cuts):
+    """The blocks holding exactly one cut vertex."""
+    return [b for b in blocks if len(b[0] & cuts) == 1]
+
+
+def _isolated_blocks(blocks, cuts):
+    """The blocks holding no cut vertex."""
+    return [b for b in blocks if not b[0] & cuts]
 
 
 def test_two_triangles_sharing_vertex():
     g = WeightedMultigraph(
         5, [(1, 2, F(1)), (2, 3, F(1)), (3, 1, F(1)), (3, 4, F(1)), (4, 5, F(1)), (5, 3, F(1))]
     )
-    dec = _blocks_of(g)
-    assert len(dec.blocks) == 2
-    assert dec.cut_vertices == frozenset({3})
-    assert sorted(sorted(b.vertices) for b in dec.blocks) == [[1, 2, 3], [3, 4, 5]]
+    blocks, cuts = _blocks_of(g)
+    assert len(blocks) == 2
+    assert cuts == {3}
+    assert sorted(sorted(vs) for vs, _ in blocks) == [[1, 2, 3], [3, 4, 5]]
 
 
 def test_parallel_pair_single_block():
     g = k2_multi(2)
-    dec = _blocks_of(g)
-    assert len(dec.blocks) == 1
-    assert dec.blocks[0].vertices == frozenset({1, 2})
-    assert not dec.cut_vertices
+    blocks, cuts = _blocks_of(g)
+    assert len(blocks) == 1
+    assert blocks[0][0] == {1, 2}
+    assert not cuts
 
 
 def test_path_blocks_are_edges():
     g = path_graph(3)
-    dec = _blocks_of(g)
-    assert len(dec.blocks) == 2
-    assert dec.cut_vertices == frozenset({2})
-    ends = dec.end_blocks()
-    assert len(ends) == 2
-    assert not dec.isolated_blocks()
+    blocks, cuts = _blocks_of(g)
+    assert len(blocks) == 2
+    assert cuts == {2}
+    assert len(_end_blocks(blocks, cuts)) == 2
+    assert not _isolated_blocks(blocks, cuts)
 
 
 def test_isolated_vertex_is_block():
     g = WeightedMultigraph(3, [(1, 2, F(1))])
-    dec = _blocks_of(g)
-    assert any(b.vertices == frozenset({3}) and not b.edge_ids for b in dec.blocks)
-    assert len(dec.isolated_blocks()) == 2
+    blocks, cuts = _blocks_of(g)
+    assert any(vs == {3} and not eids for vs, eids in blocks)
+    assert len(_isolated_blocks(blocks, cuts)) == 2
 
 
 def _is_separable(vs, edges):
@@ -257,89 +266,19 @@ def test_blocks_nonseparable_and_maximal_oracle():
     rng = random.Random(5)
     for _ in range(40):
         g = random_multigraph(rng, rng.randint(2, 8), 0.45, max_multiplicity=2)
-        dec = _blocks_of(g)
+        blocks, _ = _blocks_of(g)
         covered = set()
-        for b in dec.blocks:
-            edges = [g.edges[i] for i in b.edge_ids]
-            assert not _is_separable(b.vertices, edges)
-            covered |= set(b.edge_ids)
+        for i, (vs, eids) in enumerate(blocks):
+            edges = [g.edges[e] for e in eids]
+            assert not _is_separable(vs, edges)
+            covered |= eids
             # maximality: merging with any adjacent block is separable
-            for b2 in dec.blocks:
-                if b2 is b or not (b.vertices & b2.vertices):
+            for j, (vs2, eids2) in enumerate(blocks):
+                if j == i or not (vs & vs2):
                     continue
-                union_vs = b.vertices | b2.vertices
-                union_es = [g.edges[i] for i in b.edge_ids | b2.edge_ids]
-                assert _is_separable(union_vs, union_es)
+                union_es = [g.edges[e] for e in eids | eids2]
+                assert _is_separable(vs | vs2, union_es)
         assert covered == set(range(g.m))
-
-
-# -- convex hulls ---------------------------------------------------------
-
-
-def _paths_union_oracle(g, X):
-    """Union of all simple paths between members of X, by DFS enumeration."""
-    A = {v: [] for v in g.vertices}
-    for e in g.edges:
-        A[e.u].append((e.v, e.id))
-        A[e.v].append((e.u, e.id))
-    Xs = sorted(set(X))
-    vs, es = set(Xs), set()
-
-    def dfs(u, target, pathv, pathe):
-        if u == target:
-            vs.update(pathv)
-            es.update(pathe)
-            return
-        for v, eid in A[u]:
-            if v not in pathv:
-                dfs(v, target, pathv | {v}, pathe + [eid])
-
-    for i, a in enumerate(Xs):
-        for b in Xs[i + 1:]:
-            dfs(a, b, {a}, [])
-    return frozenset(vs), frozenset(es)
-
-
-def test_convex_hull_tree_path():
-    g = path_graph(4)
-    h = convex_hull(g, {1, 3})
-    assert h.vertices == frozenset({1, 2, 3})
-    assert h.edge_ids == frozenset({0, 1})
-
-
-def test_convex_hull_two_connected_is_everything():
-    g = cycle_graph(5)
-    h = convex_hull(g, {1, 2})
-    assert h.vertices == frozenset(g.vertices)
-    assert h.edge_ids == frozenset(range(g.m))
-
-
-def test_convex_hull_singleton_and_cross_component():
-    g = WeightedMultigraph(4, [(1, 2, F(1))])
-    h = convex_hull(g, {3})
-    assert h.vertices == frozenset({3}) and not h.edge_ids
-    h2 = convex_hull(g, {1, 3})
-    assert h2.vertices == frozenset({1, 3}) and not h2.edge_ids
-
-
-def test_convex_hull_matches_paths_oracle_and_idempotent():
-    rng = random.Random(11)
-    for _ in range(30):
-        g = random_multigraph(rng, rng.randint(2, 7), 0.4, max_multiplicity=2)
-        k = rng.randint(1, min(3, g.n))
-        X = rng.sample(list(g.vertices), k)
-        h = convex_hull(g, X)
-        vs, es = _paths_union_oracle(g, X)
-        assert h.vertices == vs
-        assert h.edge_ids == es
-        again = convex_hull(h, X)
-        assert again.vertices == h.vertices and again.edge_ids == h.edge_ids
-
-
-def test_convex_hull_parallel_edges_included():
-    g = k2_multi(3)
-    h = convex_hull(g, {1, 2})
-    assert h.edge_ids == frozenset({0, 1, 2})
 
 
 # -- generators -----------------------------------------------------------

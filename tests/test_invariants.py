@@ -17,11 +17,10 @@ from maxmaxflow.graph import (
 from maxmaxflow.invariants import (
     degeneracy,
     degeneracy_k,
+    degree_sequence,
     delta_k,
-    delta_min_k,
     inequality_chain,
     max_degree,
-    second_max_degree,
 )
 
 
@@ -29,7 +28,6 @@ def test_degree_order_statistics():
     g = WeightedMultigraph(4, [(1, 2, F(3)), (1, 3, F(1)), (2, 3, F(2)), (3, 4, F(1, 2))])
     # degrees: 1 -> 4, 2 -> 5, 3 -> 7/2, 4 -> 1/2
     assert max_degree(g) == F(5)
-    assert second_max_degree(g) == F(4)
     assert delta_k(g, 1) == F(5)
     assert delta_k(g, 2) == F(4)
     assert delta_k(g, 4) == F(1, 2)
@@ -39,10 +37,11 @@ def test_degree_order_statistics():
 
 def test_delta_min_k():
     g = star_graph(4)
-    # k-th smallest weighted degree: leaves have degree 1, the center 4
-    assert delta_min_k(g, 1) == 1
-    assert delta_min_k(g, 4) == 1
-    assert delta_min_k(g, 5) == max_degree(g)
+    # the k-th smallest weighted degree is seq[-k]: leaves have degree 1, the center 4
+    seq = degree_sequence(g)
+    assert seq[-1] == 1
+    assert seq[-4] == 1
+    assert seq[-5] == max_degree(g)
 
 
 def _degeneracy_oracle(g):
