@@ -9,6 +9,7 @@ Exit codes: 0 success (or all bounds consistent), 2 a violation was found,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import hashlib
 import sys
@@ -53,9 +54,24 @@ def _vertex_list(text: str) -> list[int]:
         raise argparse.ArgumentTypeError(f"bad vertex list {text!r}")
 
 
-def _load_graph(path: str) -> tuple[WeightedMultigraph, str]:
-    text = sys.stdin.read() if path == "-" else Path(path).read_text()
-    return WeightedMultigraph.parse(text), text
+@contextlib.contextmanager
+def _int_str_digits(limit: int):
+    """Set the interpreter's limit on the digits of an int <-> str
+    conversion (0 for none) for the block, and restore the old limit after."""
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
+def _load_graph(args) -> tuple[WeightedMultigraph, str]:
+    """The graph file `args.graph`, parsed under the limit on digits that
+    was in force when `main` was called."""
+    text = sys.stdin.read() if args.graph == "-" else Path(args.graph).read_text()
+    with _int_str_digits(args.digit_limit):
+        return WeightedMultigraph.parse(text), text
 
 
 def _manifest(args, extra: Optional[dict] = None) -> list[str]:
@@ -170,7 +186,7 @@ def _parser() -> _Parser:
 
 
 def _cmd_invariants(args) -> int:
-    g, text = _load_graph(args.graph)
+    g, text = _load_graph(args)
     rep = inequality_chain(g, brute_cap=args.cap)
     lines = _manifest(args, {"input-sha256": _digest(text)})
     lines.append("name,value")
@@ -189,13 +205,13 @@ def _cmd_invariants(args) -> int:
 
 
 def _cmd_lambda(args) -> int:
-    g, _ = _load_graph(args.graph)
+    g, _ = _load_graph(args)
     print(maxmaxflow(g))
     return 0
 
 
 def _cmd_ghtree(args) -> int:
-    g, text = _load_graph(args.graph)
+    g, text = _load_graph(args)
     tree = cut_tree(g)
     lines = _manifest(args, {"input-sha256": _digest(text)})
     lines.append(f"v {g.n}")
@@ -206,7 +222,7 @@ def _cmd_ghtree(args) -> int:
 
 
 def _cmd_cutpair(args) -> int:
-    g, _ = _load_graph(args.graph)
+    g, _ = _load_graph(args)
     cp = cut_pair(g, args.xset)
     lam = maxmaxflow(g)
     for xi, side, w in [(cp.x1, cp.side1, cp.weight1), (cp.x2, cp.side2, cp.weight2)]:
@@ -231,7 +247,7 @@ def _cmd_count(args) -> int:
             kw[one] = vertices[0]
         else:
             kw[many] = vertices
-    g, text = _load_graph(args.graph)
+    g, text = _load_graph(args)
     series = class_count_series(g, class_spec(kind, **kw), args.M, args.cap)
     lines = _manifest(args, {"input-sha256": _digest(text)})
     lines.append("m,value")
@@ -256,7 +272,7 @@ def _bound_inputs(args) -> dict:
 
 
 def _cmd_verify(args) -> int:
-    g, _ = _load_graph(args.graph)
+    g, _ = _load_graph(args)
     res = verify_bound(g, args.bound, args.M, p=args.p, r=args.r, **_bound_inputs(args))
     print("bound,verdict,M,lhs_lo,lhs_hi,rhs_lo,rhs_hi,note")
     print(_result_row(res))
@@ -264,7 +280,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_suite(args) -> int:
-    g, text = _load_graph(args.graph)
+    g, text = _load_graph(args)
     results = run_suite(g, args.M, **_bound_inputs(args))
     lines = _manifest(args, {"input-sha256": _digest(text)})
     lines.append("bound,verdict,M,lhs_lo,lhs_hi,rhs_lo,rhs_hi,note")
@@ -293,7 +309,7 @@ def _cmd_hunt(args) -> int:
 
 
 def _cmd_chromatic(args) -> int:
-    g, text = _load_graph(args.graph)
+    g, text = _load_graph(args)
     poly = chromatic_polynomial(g, cap=args.cap)
     roots = chromatic_roots(poly)
     lines = _manifest(args, {"input-sha256": _digest(text)})
@@ -355,8 +371,10 @@ _DISPATCH = {
 def main(argv: Optional[list[str]] = None) -> int:
     args = _parser().parse_args(argv)
     args.argv = sys.argv[1:] if argv is None else argv
+    args.digit_limit = sys.get_int_max_str_digits()
     try:
-        return _DISPATCH[args.cmd](args)
+        with _int_str_digits(0):  # results print in full, whatever their length
+            return _DISPATCH[args.cmd](args)
     except (ValueError, OSError, WorkCapExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -10,8 +10,11 @@ arcs to the sink, which leaves most cut-tree splits without a phase.  Once
 no residual arc enters the sink, the last search for the source side stops
 as soon as it has reached every live node but the sink, a count the caller
 passes in.  Each graph's cut tree is built once and memoised on the graph,
-and each component's tree runs all its splits on one network, contracting
-nodes by relabelling the arcs' heads instead of rebuilding the arcs.
+and each component's tree runs all its splits on one set of arcs,
+contracting nodes by relabelling the arcs' heads instead of rebuilding the
+arcs.  A split that cuts off the sink alone leaves the contracted network
+to the next split, which reuses it (1,460 of 1,740 splits on the flow
+benchmark's seed 1, rounds 0-3).
 """
 from __future__ import annotations
 
@@ -63,7 +66,7 @@ def _dinic(
     holds; the flow added to it is returned.  An arc whose ends have one
     label, as in a contracted node, is never taken.  A warm start first
     saturates the arcs s -> t, then the paths s -> u -> t and then the
-    paths s -> u -> w -> t.
+    paths s -> u -> w -> t, until no arc into t is left open.
 
     Returns the added flow and a list over the nodes from the last search,
     the one that fails to reach t: the nodes where it is >= 0 are those
@@ -82,8 +85,10 @@ def _dinic(
     # lists: an arc is popped once saturated, so each pass scans an arc once
     into_t: dict[int, list[int]] = {}
     for j in adj[t]:
-        into_t.setdefault(to[j], []).append(j ^ 1)
+        if res[j ^ 1]:
+            into_t.setdefault(to[j], []).append(j ^ 1)
     into_t.pop(s, None)  # the arcs s -> t, saturated below
+    open_into_t = sum(map(len, into_t.values()))  # no path is left once it is 0
     from_s: dict[int, list[int]] = {}  # the arcs s -> u still open after s -> u -> t
     flow = 0
     for i in adj[s]:
@@ -104,10 +109,13 @@ def _dinic(
             flow += f
             if not res[j]:
                 lasts.pop()
+                open_into_t -= 1
         if res[i]:
             from_s.setdefault(u, []).append(i)
     # an arc inside u needs no test: u's arcs into t are saturated by now
     for u, firsts in from_s.items():
+        if not open_into_t:
+            break
         for a in adj[u]:
             lasts = into_t.get(to[a])
             while firsts and lasts and res[a]:
@@ -124,7 +132,8 @@ def _dinic(
                     firsts.pop()
                 if not res[j]:
                     lasts.pop()
-            if not firsts:
+                    open_into_t -= 1
+            if not firsts or not open_into_t:
                 break
     while True:
         if not any(res[j ^ 1] for j in adj[t]):  # t is closed
@@ -263,6 +272,37 @@ class CutTree:
         return frozenset(bfs_tree(self.adjacency(), u, banned=(v,)))
 
 
+def _contract(
+    n: int, adj: list[list[int]], head: list[int], nodes: list[set[int]],
+    tadj: dict[int, dict[int, Fraction]], idx: int,
+) -> tuple[list[list[int]], list[int], dict[int, int]]:
+    """The network of a split of supernode idx: (adj, to, marker_of) for
+    `_dinic`, where marker_of maps each tree neighbour of idx to the label of
+    the subtree hanging off it.  A subtree of one vertex keeps that vertex
+    as its label; a larger one becomes a marker, numbered from n + 1, whose
+    arc list joins its members' lists and to which `to` relabels their arcs'
+    heads.  An arc whose ends land in one marker is never taken.
+    """
+    marker_of: dict[int, int] = {}
+    vmap = list(range(n + 1))
+    marker_arcs: list[list[int]] = []
+    tree = {i: d.items() for i, d in tadj.items()}
+    for nb in tadj[idx]:
+        if len(tadj[nb]) == 1 and len(nodes[nb]) == 1:
+            marker_of[nb] = next(iter(nodes[nb]))
+            continue
+        marker = marker_of[nb] = n + 1 + len(marker_arcs)
+        arcs: list[int] = []
+        for node in bfs_tree(tree, nb, banned=(idx,)):
+            for v in nodes[node]:
+                vmap[v] = marker
+                arcs += adj[v]
+        marker_arcs.append(arcs)
+    if not marker_arcs:
+        return adj, head, marker_of
+    return adj + marker_arcs, list(map(vmap.__getitem__, head)), marker_of
+
+
 def _component_cut_tree(
     g: WeightedMultigraph, comp: frozenset[int]
 ) -> list[tuple[int, int, Fraction]]:
@@ -270,24 +310,29 @@ def _component_cut_tree(
 
     Each step splits the first supernode holding two vertices x < y, its two
     smallest, by a minimum x-y cut in g with every subtree hanging off the
-    supernode contracted to one marker node (numbered from n + 1).  The split
-    order, (x, y), the way the vertex sets are built and the representatives
+    supernode contracted to one node (`_contract`).  The split order, (x, y),
+    the way the vertex sets are built and the representatives
     `next(iter(nodes[i]))` fix which valid tree comes out; the golden
     `ghtree` output pins it.  The component's arcs are built once from the
-    graph's pair table (`_network`).  Each split relabels the arcs' heads
-    through the contraction, gives a marker the concatenated arc lists of
-    its members and runs Dinic on a fresh copy of the capacities, with
-    |S| + markers live nodes, which is where its last search may stop; the
-    parallel arcs that the contraction makes stay apart, and an arc whose
-    ends land in one marker is never taken.  Any maximum flow leaves the
-    same minimal source side, so the tree does not depend on which one
-    Dinic finds.
+    graph's pair table (`_network`), and each split runs Dinic on a fresh
+    copy of their capacities, with |S| + neighbours live nodes, which is
+    where its last search may stop; the parallel arcs that the contraction
+    makes stay apart.
+
+    A split that cuts off y alone, with every neighbour staying on x's side,
+    leaves the supernode's hanging subtrees as they were and adds {y} as one
+    more, labelled y, so the next split of the same supernode runs on the
+    same network.  On the flow benchmark's graphs (seed 1, rounds 0-3) that
+    is 1,460 of 1,740 splits.  Any maximum flow, and any labelling of the
+    contracted nodes, leaves the same minimal source side, so the tree does
+    not depend on which flow Dinic finds.
     """
     A, L = g.pair_weights()
     adj, head, cap = _network(g.n + 1, ((u, v, c) for u in comp for v, c in A[u].items() if u < v))
     # tree over "super nodes"; each node is a set of original vertices
     nodes: list[set[int]] = [set(comp)]
     tadj: dict[int, dict[int, Fraction]] = {0: {}}
+    net = None  # the last split's network while the next split can reuse it
 
     while True:
         idx = next((i for i, s in enumerate(nodes) if len(s) >= 2), None)
@@ -297,20 +342,11 @@ def _component_cut_tree(
         it = iter(sorted(S))
         x, y = next(it), next(it)
 
-        marker_of: dict[int, int] = {}  # neighbor node -> marker node
-        vmap = list(range(g.n + 1))
-        marker_arcs: list[list[int]] = []
-        tree = {i: d.items() for i, d in tadj.items()}
-        for marker, nb in enumerate(tadj[idx], start=g.n + 1):
-            marker_of[nb] = marker
-            arcs: list[int] = []
-            for node in bfs_tree(tree, nb, banned=(idx,)):
-                for v in nodes[node]:
-                    vmap[v] = marker
-                    arcs += adj[v]
-            marker_arcs.append(arcs)
-        live = len(S) + len(marker_arcs)
-        flow, level = _dinic(adj + marker_arcs, list(map(vmap.__getitem__, head)), cap[:], x, y, live)
+        if net is None:
+            net = _contract(g.n, adj, head, nodes, tadj, idx)
+        net_adj, to, marker_of = net
+        live = len(S) + len(marker_of)
+        flow, level = _dinic(net_adj, to, cap[:], x, y, live)
         value = Fraction(flow, L)
 
         s1 = {v for v in S if level[v] >= 0}
@@ -328,6 +364,11 @@ def _component_cut_tree(
             tadj[nb][target] = w
         tadj[idx][new_idx] = value
         tadj[new_idx][idx] = value
+        # the new subtree is y alone, labelled y as `_contract` would label it
+        if len(s1) >= 2 and len(s2) == 1 and len(tadj[new_idx]) == 1:
+            marker_of[new_idx] = y
+        else:
+            net = None
 
     out = []
     for i, nbrs in tadj.items():
@@ -337,7 +378,6 @@ def _component_cut_tree(
                 v = next(iter(nodes[j]))
                 out.append((u, v, w))
     return out
-
 
 def _cut_trees(g: WeightedMultigraph) -> dict[frozenset[int], tuple[tuple[int, int, Fraction], ...]]:
     """Each component's cut tree (empty for a single vertex), in the order of

@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 import random
 import re
+import sys
 from collections import deque
 from fractions import Fraction
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
@@ -48,6 +49,10 @@ def parse_weight(tok: str) -> Fraction:
         return Fraction(tok)
     except ZeroDivisionError:
         raise GraphFormatError(f"bad weight {tok!r}") from None
+    except ValueError:  # more digits than the interpreter converts
+        raise GraphFormatError(
+            f"weight of {len(tok)} characters exceeds the limit of {sys.get_int_max_str_digits()} digits"
+        ) from None
 
 
 class WeightedMultigraph:
@@ -100,10 +105,13 @@ class WeightedMultigraph:
         common denominator of the weights (1 without edges)."""
         scaled = self._memo.get("integer_weights")
         if scaled is None:
-            L = math.lcm(*(e.w.denominator for e in self.edges))
-            scaled = self._memo["integer_weights"] = (
-                tuple(e.w.numerator * (L // e.w.denominator) for e in self.edges), L
-            )
+            # a parsed graph shares one Fraction per distinct weight token, so
+            # each weight object is read once
+            ws = [e.w for e in self.edges]
+            distinct = {id(w): w for w in ws}
+            L = math.lcm(*(w.denominator for w in distinct.values()))
+            scale = {k: w.numerator * (L // w.denominator) for k, w in distinct.items()}
+            scaled = self._memo["integer_weights"] = (tuple(map(scale.__getitem__, map(id, ws))), L)
         return scaled
 
     def pair_weights(self) -> tuple[dict[int, dict[int, int]], int]:

@@ -462,3 +462,32 @@ def test_bad_work_cap_environment_is_one_error_line(tri, capsys, monkeypatch, ra
         code, out, err = run_main(argv, capsys)
         assert code == 1 and out == ""
         assert err.splitlines() == [f"error: MAXMAXFLOW_WORKCAP must be an integer >= 1, not {raw!r}"]
+
+
+# results print in full however many digits they have; the interpreter limits
+# int <-> str conversions to 4300 digits by default, and main leaves its limit
+# as it found it, since a caller may run it in process
+def test_long_integers_print_in_full(tmp_path, capsys):
+    limit = sys.get_int_max_str_digits()
+    path = tmp_path / "big.txt"
+    path.write_text(f"v 2\ne 1 2 1{'0' * 51}\n")
+    code, out, err = run_main(["count", str(path), "--class", "W", "--x", "1", "--y", "2", "-m", "200"], capsys)
+    assert (code, err) == (0, "") and sys.get_int_max_str_digits() == limit
+    rows = [line for line in out.splitlines() if not line.startswith("#")]
+    # a walk from 1 to 2 of m steps takes the edge m times, and m is odd
+    assert rows == ["m,value", *(f"{m},{'1' + '0' * 51 * m if m % 2 else 0}" for m in range(201))]
+    # two parallel edges of weight 10^4300 - 1 are parsed, and their sum has 4301 digits
+    path.write_text(f"v 2\ne 1 2 {'9' * 4300}\ne 1 2 {'9' * 4300}\n")
+    code, out, err = run_main(["lambda", str(path)], capsys)
+    assert (code, out, err) == (0, f"1{'9' * 4299}8\n", "") and sys.get_int_max_str_digits() == limit
+
+
+# a weight token is parsed under the limit, so a huge one is rejected before
+# its quadratic-time conversion
+def test_weight_over_the_digit_limit_is_one_error_line(tmp_path, capsys):
+    limit = sys.get_int_max_str_digits()
+    path = tmp_path / "huge.txt"
+    path.write_text(f"v 2\ne 1 2 {'9' * (limit + 1)}\n")
+    code, out, err = run_main(["lambda", str(path)], capsys)
+    assert (code, out) == (1, "") and sys.get_int_max_str_digits() == limit
+    assert err.splitlines() == [f"error: line 2: weight of {limit + 1} characters exceeds the limit of {limit} digits"]

@@ -128,6 +128,47 @@ def test_cut_tree_disconnected():
     _check_cut_tree(g, t)
 
 
+def _tree_side(tree, start, banned):
+    """The vertices that tree edge number `banned`'s removal leaves with start."""
+    side, stack = {start}, [start]
+    while stack:
+        for v, k in tree[stack.pop()]:
+            if k != banned and v not in side:
+                side.add(v)
+                stack.append(v)
+    return side
+
+
+def _check_cut_sums(g):
+    """A certificate of the cut tree that shares no code with the max flow or
+    the contraction: the tree spans V(g); removing any tree edge leaves two
+    sides joined in g's pair table by exactly the edge's weight; and the
+    heaviest edge is Λ."""
+    edges = cut_tree(g).edges
+    tree = {v: [] for v in g.vertices}
+    for k, (u, v, _) in enumerate(edges):
+        tree[u].append((v, k))
+        tree[v].append((u, k))
+    assert len(edges) == g.n - 1 and _tree_side(tree, 1, None) == set(g.vertices)
+    A, L = g.pair_weights()
+    for k, (u, _, w) in enumerate(edges):
+        side = _tree_side(tree, u, k)
+        assert F(sum(c for a in side for b, c in A[a].items() if b not in side), L) == w
+    assert max(w for _, _, w in edges) == maxmaxflow(g)
+
+
+@pytest.mark.parametrize("n", [20, 35, 50, 70])
+def test_cut_sums_certify_the_tree_at_scale(n):
+    g = flow_oracle.scale_graph(random.Random(f"flow-cut-sums:{n}"), n, round(0.6 * n * (n - 1) / 2))
+    _check_cut_sums(g)
+
+
+@settings(max_examples=200, deadline=None)
+@given(flow_graphs())
+def test_cut_sums_certify_the_tree(g):
+    _check_cut_sums(g)
+
+
 # -- maxmaxflow -----------------------------------------------------------
 
 
@@ -483,6 +524,33 @@ def test_three_arc_warm_start_leaves_its_middle_arc_cancellable():
     assert flow == 3 and [v for v in range(6) if level[v] >= 0] == [s]
 
 
+# the three-arc pass stops once no arc into t is open: its first path here
+# saturates t's one arc, and the arcs of the other middle nodes are never read
+def test_three_arc_warm_start_stops_once_no_arc_into_t_is_open(monkeypatch):
+    s, t, w, first, *others = range(8)
+    arcs = [(s, u, 1) for u in (first, *others)] + [(first, w, 1), (w, t, 1)]
+    arcs += [(u, v, 1) for u, v in itertools.combinations(others, 2)]
+    adj, head, cap = flowcut._network(8, arcs)
+    read: set[int] = set()
+
+    class Watched(list):
+        def __getitem__(self, i):
+            read.add(i)
+            return list.__getitem__(self, i)
+
+    warm_start_reads = []
+    source_side = flowcut._source_side
+
+    def after_the_warm_start(*args):
+        warm_start_reads.append(set(read))
+        return source_side(*args)
+
+    monkeypatch.setattr(flowcut, "_source_side", after_the_warm_start)
+    flow, _ = flowcut._dinic(adj, Watched(head), cap, s, t, 8)
+    assert flow == 1 and len(warm_start_reads) == 1
+    assert not warm_start_reads[0] & {i for u in others for i in adj[u]}
+
+
 @pytest.fixture
 def dinic_phases(monkeypatch):
     """The number of blocking-flow phases of each `_dinic` call."""
@@ -509,6 +577,30 @@ def test_most_cut_tree_splits_run_no_phase(dinic_phases):
     cut_tree(g)
     assert len(dinic_phases) == 39
     assert sum(1 for phases in dinic_phases if phases) < len(dinic_phases) / 2
+
+
+@pytest.fixture
+def network_builds(monkeypatch):
+    """The supernode of each network `_component_cut_tree` builds, not reuses."""
+    calls: list[int] = []
+    contract = flowcut._contract
+
+    def counted(n, adj, head, nodes, tadj, idx):
+        calls.append(idx)
+        return contract(n, adj, head, nodes, tadj, idx)
+
+    monkeypatch.setattr(flowcut, "_contract", counted)
+    return calls
+
+
+# a split that cuts off y alone, with every hanging subtree on x's side,
+# leaves the next split of the same supernode its network: on a dense graph
+# most splits run on the network of the split before
+def test_most_cut_tree_splits_reuse_the_last_network(dinic_phases, network_builds):
+    g = flow_oracle.scale_graph(random.Random("flow-phases"), 40, 780)
+    assert list(cut_tree(g).edges) == flow_oracle.cut_tree_edges(g)
+    assert len(dinic_phases) == 39
+    assert len(dinic_phases) - len(network_builds) > 39 / 2
 
 
 @pytest.fixture
