@@ -23,13 +23,10 @@ from .counting import (
     CountSeries,
     SubgraphClassSpec,
     _FAMILIES,
-    _require_vertices,
     _work_limit,
     class_count_series,
     class_series,
     class_spec,
-    saw_counts,
-    fpw_counts,
     two_connected_through_edge_series,
     walk_total_counts,
 )
@@ -253,9 +250,8 @@ class SeriesProvider:
         if p < 1 or r < 1:
             raise ValueError("p and r must be >= 1")
         self.X, self.Y = frozenset(X or ()), frozenset(Y or ())
-        _require_vertices(g, sorted(self.X | self.Y | {v for v in (x, y) if v is not None}))
-        if eid is not None and not 0 <= eid < g.m:
-            raise ValueError("edge id out of range")
+        g.check_vertices(sorted(self.X | self.Y | {v for v in (x, y) if v is not None}))
+        g.check_edge_ids([] if eid is None else [eid])
         self.g, self.M, self.x, self.y, self.eid = g, M, x, y, eid
         self.p, self.r, self.cap = p, r, _work_limit(cap)
         # the anchors given, named as in `_SERIES`
@@ -269,22 +265,17 @@ class SeriesProvider:
         return self._cache[key]
 
     def edge_class(self, spec: SubgraphClassSpec) -> CountSeries:
+        """The series of any family of `_FAMILIES` on G, walks included."""
         return self._get(spec, lambda: class_count_series(self.g, spec, self.M, self.cap))
 
     def edge_classes(self, specs: Iterable[SubgraphClassSpec]):
-        """Cache the series of every spec not cached yet, all from one search."""
+        """Cache the series of every spec not cached yet, from one `class_series` call."""
         todo = [spec for spec in specs if spec not in self._cache]
         if todo:
             self._cache.update(class_series(self.g, todo, self.M, self.cap))
 
     def walk_total(self, x: int) -> CountSeries:
         return self._get(("walk_total", x), lambda: walk_total_counts(self.g, x, self.M, self.cap))
-
-    def saw(self, x: int, y: int) -> CountSeries:
-        return self._get(("saw", x, y), lambda: saw_counts(self.g, x, y, self.M, self.cap))
-
-    def fpw(self, x: int, Y: frozenset[int]) -> CountSeries:
-        return self._get(("fpw", x, Y), lambda: fpw_counts(self.g, x, Y, self.M, self.cap))
 
     def through_edge(self, eid: int) -> CountSeries:
         return self._get(
@@ -354,44 +345,45 @@ _DISCOUNTS: dict[str, tuple] = {
 
 class _Series(NamedTuple):
     """A series the bounds read: the anchors it needs, of x, y, X, Y and e;
-    the series for a context; and, for an edge-subset class of G, the
-    class's spec for a context, from which `lookup` reads it."""
+    the series for a context; and, for a family of `_FAMILIES` on G, the
+    family's spec for a context, from which `lookup` reads it."""
 
     needs: frozenset[str]
     lookup: Callable[[SeriesProvider], CountSeries]
     spec: Optional[Callable[[SeriesProvider], SubgraphClassSpec]] = None
 
 
-def _subgraph_class(kind: str, *params: str) -> _Series:
-    """An edge-subset class of G, anchored as its row of `_FAMILIES` needs:
-    at X, with the named parameters (p, r) of the context; or with each
-    component meeting Y, and X minus Y as further anchors."""
+def _family(kind: str, *params: str) -> _Series:
+    """A family of G, anchored as its row of `_FAMILIES` needs, with the
+    named parameters (p, r) of the context; a class whose components each
+    meet Y also takes X minus Y as further anchors."""
     needs = _FAMILIES[kind].needs
 
     def spec(ctx: SeriesProvider) -> SubgraphClassSpec:
+        anchors = {a: getattr(ctx, a) for a in (*needs, *params)}
         if needs == "Y":
-            return class_spec(kind, X=ctx.X_disjoint, Y=ctx.Y)
-        return class_spec(kind, X=ctx.X, **{k: getattr(ctx, k) for k in params})
+            anchors["X"] = ctx.X_disjoint
+        return class_spec(kind, **anchors)
 
-    return _Series(frozenset({needs}), lambda ctx: ctx.edge_class(spec(ctx)), spec)
+    return _Series(frozenset(needs), lambda ctx: ctx.edge_class(spec(ctx)), spec)
 
 
 _SERIES: dict[str, _Series] = {
     "walk": _Series(frozenset({"x"}), lambda ctx: ctx.walk_total(ctx.x)),
-    "fpw": _Series(frozenset({"x", "Y"}), lambda ctx: ctx.fpw(ctx.x, ctx.Y)),
-    "saw": _Series(frozenset({"x", "y"}), lambda ctx: ctx.saw(ctx.x, ctx.y)),
+    "fpw": _family("FPW"),
+    "saw": _family("SAW"),
     # nonseparable subgraphs through e: a search of G - e, not of G
     "b_e": _Series(frozenset({"e"}), lambda ctx: ctx.through_edge(ctx.eid)),
-    "f": _subgraph_class("F"),
-    "t": _subgraph_class("T"),
-    "h": _subgraph_class("H", "p", "r"),
-    "hp": _subgraph_class("H", "p"),
-    "h1": _subgraph_class("H"),
-    "c": _subgraph_class("C"),
-    "bt": _subgraph_class("BT"),
-    "bf": _subgraph_class("BF"),
-    "bfstar": _subgraph_class("BFSTAR"),
-    "b": _subgraph_class("B"),
+    "f": _family("F"),
+    "t": _family("T"),
+    "h": _family("H", "p", "r"),
+    "hp": _family("H", "p"),
+    "h1": _family("H"),
+    "c": _family("C"),
+    "bt": _family("BT"),
+    "bf": _family("BF"),
+    "bfstar": _family("BFSTAR"),
+    "b": _family("B"),
 }
 
 
@@ -566,8 +558,9 @@ def run_suite(
     ValueError, as in `verify_bound`; bounds whose anchors are still
     missing, or which need the graph invariants to exist (Lambda needs two
     vertices), are skipped.  Before any bound is evaluated, one
-    `class_series` search computes every edge-subset class of G that the
-    applicable bounds read, and the work cap bounds that one search; the
+    `class_series` call computes every family of G that the applicable
+    bounds read: the edge-subset classes from one search, which the work
+    cap bounds, then SAW and FPW.  The walk totals come apart, and the
     through-edge series of cor7.5 and cor7.13 searches G - e on its own.
     """
     Xs, Ys = frozenset(X or ()), frozenset(Y or ())
@@ -595,7 +588,7 @@ def run_suite(
 
 # -- conjecture hunting ---------------------------------------------------
 
-CONJECTURES = ("conj5.6", "conj5.7", "conj7.9", "conj7.10", "conj7.11")
+CONJECTURES = tuple(bound_id for bound_id in BOUNDS if bound_id.startswith("conj"))
 
 
 @dataclass(frozen=True)
@@ -613,42 +606,36 @@ class Finding:
     ratio: Fraction
 
 
-def _tight_instance(conjecture: str, rng: random.Random, M: int):
-    """A planted member of the families known to approach the bound."""
-    if conjecture == "conj5.6":
+def _tight_instance(blocks: bool, needs_Y: bool, rng: random.Random, M: int):
+    """A planted member of the families known to approach the bound of a
+    conjecture on block classes or forests, with or without Y."""
+    if blocks and needs_Y:
+        rr = rng.randint(1, 2)
+        g = star_multi(rr, rng.choice([5, 6]), total=1)
+        return g, frozenset({1}), frozenset(range(2, rr + 2)), "star-multi"
+    if blocks:
+        return k2_multi(rng.choice([5, 6]), total=1), frozenset({1, 2}), None, "k2-multi"
+    if needs_Y:
         rr = rng.randint(2, 5)
         g = star_graph(rr)
         return g, frozenset({1}), frozenset(range(2, rr + 2)), "star"
-    if conjecture == "conj5.7":
-        # the whole star is the only member, so its size must fit below M
-        rr = rng.randint(2, max(2, min(5, M)))
-        g = star_graph(rr)
-        return g, frozenset(range(2, rr + 2)), None, "star"
-    if conjecture in ("conj7.9", "conj7.10"):
-        rr = rng.randint(1, 2)
-        s = rng.choice([5, 6])
-        g = star_multi(rr, s, total=1)
-        return g, frozenset({1}), frozenset(range(2, rr + 2)), "star-multi"
-    if conjecture == "conj7.11":
-        s = rng.choice([5, 6])
-        g = k2_multi(s, total=1)
-        return g, frozenset({1, 2}), None, "k2-multi"
-    raise ValueError(conjecture)
+    # the whole star is the only member, so its size must fit below M
+    rr = rng.randint(2, max(2, min(5, M)))
+    g = star_graph(rr)
+    return g, frozenset(range(2, rr + 2)), None, "star"
 
 
-def _random_instance(conjecture: str, rng: random.Random):
+def _random_instance(blocks: bool, needs_Y: bool, rng: random.Random):
     n = rng.randint(3, 6)
-    block_kind = conjecture.startswith("conj7")
     g = random_multigraph(
         rng, n,
         p=rng.uniform(0.3, 0.6),
-        max_multiplicity=3 if block_kind else 1,
+        max_multiplicity=3 if blocks else 1,
         weights="rational",
     )
     if g.m == 0 or g.m > 8:
         return None
     vs = list(g.vertices)
-    needs_Y = conjecture in ("conj5.6", "conj7.9", "conj7.10")
     if needs_Y:
         kx = rng.randint(1, 2)
         ky = rng.randint(1, 2)
@@ -684,13 +671,16 @@ def hunt(
     if trials < 0:
         raise ValueError("trials must be >= 0")
     _work_limit(cap)
+    # section 7's conjectures are on block classes, tried with parallel edges
+    blocks = conjecture.startswith("conj7")
+    needs_Y = "Y" in _SERIES[BOUNDS[conjecture].series].needs
     findings: list[Finding] = []
     for trial in range(trials):
         rng = random.Random(f"{seed}:{conjecture}:{trial}")
         if trial % 10 == 0:
-            inst = _tight_instance(conjecture, rng, M)
+            inst = _tight_instance(blocks, needs_Y, rng, M)
         else:
-            inst = _random_instance(conjecture, rng)
+            inst = _random_instance(blocks, needs_Y, rng)
         if inst is None:
             continue
         g, X, Y, family = inst

@@ -344,12 +344,7 @@ def _cmd_generate(args) -> int:
         for k, v in vars(args).items()
         if k in ("n", "r", "s", "depth", "p", "weight", "total", "seed") and v is not None
     }
-    g = generate(args.family, **params)
-    data = g.serialize()
-    if args.output:
-        Path(args.output).write_text(data)
-    else:
-        sys.stdout.write(data)
+    _emit(generate(args.family, **params).serialize().splitlines(), args.output)
     return 0
 
 

@@ -173,15 +173,9 @@ def _divide(values: list[int], L: int) -> tuple[Fraction, ...]:
     return tuple(Fraction(a, L**k) for k, a in enumerate(values))
 
 
-def _require_vertices(g: WeightedMultigraph, vs: Iterable[int]):
-    for v in vs:
-        if not 1 <= v <= g.n:
-            raise ValueError(f"vertex {v} outside 1..{g.n}")
-
-
 def _target_set(g: WeightedMultigraph, x: int, Y: Iterable[int]) -> frozenset[int]:
     Ys = frozenset(Y)
-    _require_vertices(g, [x, *Ys])
+    g.check_vertices([x, *Ys])
     if not Ys:
         raise ValueError("Y must be nonempty")
     return Ys
@@ -252,13 +246,13 @@ def _self_avoiding(
 
 def walk_counts(g: WeightedMultigraph, x: int, y: int, M: int, cap: Optional[int] = None) -> CountSeries:
     """Total weight of m-step walks from x to y, m = 0..M."""
-    _require_vertices(g, [x, y])
+    g.check_vertices([x, y])
     return CountSeries(M, _transfer(g, x, [y], frozenset(), M, cap))
 
 
 def walk_total_counts(g: WeightedMultigraph, x: int, M: int, cap: Optional[int] = None) -> CountSeries:
     """Row sums: total weight of m-step walks from x to anywhere."""
-    _require_vertices(g, [x])
+    g.check_vertices([x])
     return CountSeries(M, _transfer(g, x, g.vertices, frozenset(), M, cap))
 
 
@@ -272,7 +266,7 @@ def fpw_counts(
 
 def saw_counts(g: WeightedMultigraph, x: int, y: int, M: int, cap: Optional[int] = None) -> CountSeries:
     """Self-avoiding walks from x to y.  Parallel steps aggregate by weight."""
-    _require_vertices(g, [x, y])
+    g.check_vertices([x, y])
     return CountSeries(M, _self_avoiding(g, x, frozenset({y}), M, cap))
 
 
@@ -430,10 +424,9 @@ def is_in_class(g: WeightedMultigraph, edge_ids: Iterable[int], spec: SubgraphCl
     if spec.kind in WALK_KINDS:
         raise ValueError(f"{spec.kind} is a walk family, not an edge-subset class")
     A, L = _anchors(spec)
-    _require_vertices(g, A)
+    g.check_vertices(A)
     eids = sorted(set(edge_ids))
-    if any(not 0 <= eid < g.m for eid in eids):
-        raise ValueError("edge id out of range")
+    g.check_edge_ids(eids)
     s = _EdgeSet(g)
     for eid in eids:
         s.add(eid)
@@ -458,21 +451,18 @@ def class_series(
     are divided by L^k at the end.
     The work cap bounds the number of sets this one search visits, however
     many classes it serves, and is checked as the search goes; so
-    `bounds.run_suite`, which asks for all its edge-subset classes in one
-    call, is capped as one search.  Each walk family is capped by its own
-    work (`_transfer`, `_self_avoiding`), and the cap is checked before any
-    family is computed.
+    `bounds.run_suite`, which asks for all its families in one call, is
+    capped as one search.  Each walk family is capped by its own work
+    (`_transfer`, `_self_avoiding`) and computed after the search, in the
+    order asked; the cap is checked before any family is computed.
     """
     if M < 0:
         raise ValueError("M must be >= 0")
     limit = _work_limit(cap)
     specs = list(dict.fromkeys(specs))
-    out = {spec: _FAMILIES[spec.kind].walk(g, spec, M, limit) for spec in specs if spec.kind in WALK_KINDS}
     tests = [(spec, *_anchors(spec)) for spec in specs if spec.kind in EDGE_KINDS]
-    if not tests:
-        return out
     A = frozenset().union(*(anchors for _, anchors, _ in tests))
-    _require_vertices(g, A)
+    g.check_vertices(A)
     values = {spec: [0] * (M + 1) for spec, _, _ in tests}
     adj = g.adjacency()
     s = _EdgeSet(g)
@@ -520,9 +510,10 @@ def class_series(
         else:
             s.pop()
     L = g.integer_weights()[1]
-    for spec, vals in values.items():
-        out[spec] = CountSeries(M, _divide(vals, L))
-    return {spec: out[spec] for spec in specs}
+    out = {spec: CountSeries(M, _divide(vals, L)) for spec, vals in values.items()}
+    return {
+        spec: out[spec] if spec in out else _FAMILIES[spec.kind].walk(g, spec, M, limit) for spec in specs
+    }
 
 
 def class_count_series(

@@ -13,8 +13,7 @@ passes in.  Each graph's cut tree is built once and memoised on the graph,
 and each component's tree runs all its splits on one set of arcs,
 contracting nodes by relabelling the arcs' heads instead of rebuilding the
 arcs.  A split that cuts off the sink alone leaves the contracted network
-to the next split, which reuses it (1,460 of 1,740 splits on the flow
-benchmark's seed 1, rounds 0-3).
+to the next split, which reuses it.
 """
 from __future__ import annotations
 
@@ -219,8 +218,7 @@ def max_flow(g: WeightedMultigraph, x: int, y: int) -> MinCutCertificate:
     """Exact max flow between two distinct vertices, with min-cut certificate."""
     if x == y:
         raise ValueError("source and sink must differ")
-    if x not in g._adj or y not in g._adj:
-        raise ValueError("unknown vertex")
+    g.check_vertices((x, y))
     A, L = g.pair_weights()
     adj, head, cap = _network(g.n + 1, ((u, v, c) for u in A for v, c in A[u].items() if u < v))
     flow, level = _dinic(adj, head, cap, x, y, g.n)
@@ -322,10 +320,9 @@ def _component_cut_tree(
     A split that cuts off y alone, with every neighbour staying on x's side,
     leaves the supernode's hanging subtrees as they were and adds {y} as one
     more, labelled y, so the next split of the same supernode runs on the
-    same network.  On the flow benchmark's graphs (seed 1, rounds 0-3) that
-    is 1,460 of 1,740 splits.  Any maximum flow, and any labelling of the
-    contracted nodes, leaves the same minimal source side, so the tree does
-    not depend on which flow Dinic finds.
+    same network.  Any maximum flow, and any labelling of the contracted
+    nodes, leaves the same minimal source side, so the tree does not depend
+    on which flow Dinic finds.
     """
     A, L = g.pair_weights()
     adj, head, cap = _network(g.n + 1, ((u, v, c) for u in comp for v, c in A[u].items() if u < v))
@@ -382,13 +379,9 @@ def _component_cut_tree(
 def _cut_trees(g: WeightedMultigraph) -> dict[frozenset[int], tuple[tuple[int, int, Fraction], ...]]:
     """Each component's cut tree (empty for a single vertex), in the order of
     `g.components()`; built once per graph and kept in the graph's memo."""
-    trees = g._memo.get("cut_trees")
-    if trees is None:
-        trees = g._memo["cut_trees"] = {
-            comp: tuple(_component_cut_tree(g, comp)) if len(comp) >= 2 else ()
-            for comp in g.components()
-        }
-    return trees
+    return g.memo("cut_trees", lambda: {
+        comp: tuple(_component_cut_tree(g, comp)) if len(comp) >= 2 else () for comp in g.components()
+    })
 
 
 def cut_tree(g: WeightedMultigraph) -> CutTree:
@@ -557,8 +550,7 @@ def cut_pair(g: WeightedMultigraph, X: Iterable[int]) -> CutPair:
     Xs = sorted(set(X))
     if len(Xs) < 2:
         raise ValueError("need at least two vertices in X")
-    if any(v not in g._adj for v in Xs):
-        raise ValueError("X must be a subset of V(g)")
+    g.check_vertices(Xs)
     comps = g.components()
     comp_of = {v: c for c in comps for v in c}
     by_comp: dict[frozenset[int], list[int]] = {}

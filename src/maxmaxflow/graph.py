@@ -19,7 +19,7 @@ import re
 import sys
 from collections import deque
 from fractions import Fraction
-from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 
 class GraphFormatError(ValueError):
@@ -39,20 +39,34 @@ class Edge(NamedTuple):
 _RATIONAL = re.compile(r"[+-]?[0-9]+(?:/[0-9]+|\.[0-9]+)?")
 
 
+def _unreadable(what: str, tok: str) -> GraphFormatError:
+    """The error for a token that does not read as a `what`: quoted, or
+    named by its length when it is longer than the interpreter converts."""
+    limit = sys.get_int_max_str_digits()
+    if 0 < limit < len(tok):
+        return GraphFormatError(f"{what} of {len(tok)} characters exceeds the limit of {limit} digits")
+    return GraphFormatError(f"bad {what} {tok!r}")
+
+
 def parse_weight(tok: str) -> Fraction:
     """A rational token: an optional sign, digits, then optionally "/digits"
     or ".digits" ("3", "-3/2", "0.25"); no exponents, so a short token
     cannot stand for a huge number."""
-    if not _RATIONAL.fullmatch(tok):
-        raise GraphFormatError(f"bad weight {tok!r}")
     try:
-        return Fraction(tok)
-    except ZeroDivisionError:
-        raise GraphFormatError(f"bad weight {tok!r}") from None
-    except ValueError:  # more digits than the interpreter converts
-        raise GraphFormatError(
-            f"weight of {len(tok)} characters exceeds the limit of {sys.get_int_max_str_digits()} digits"
-        ) from None
+        if _RATIONAL.fullmatch(tok):
+            return Fraction(tok)
+    except (ZeroDivisionError, ValueError):  # a zero denominator, or too many digits
+        pass
+    raise _unreadable("weight", tok)
+
+
+def _vertex_count(n: int) -> int:
+    """n, if it counts the vertices of a graph: 0 up to sys.maxsize, the most a tuple holds."""
+    if n < 0:
+        raise GraphFormatError("negative vertex count")
+    if n > sys.maxsize:
+        raise GraphFormatError(f"vertex count exceeds the limit of {sys.maxsize}")
+    return n
 
 
 class WeightedMultigraph:
@@ -60,14 +74,12 @@ class WeightedMultigraph:
 
     Immutable after construction; parallel edges are kept distinct by edge id.
     Structures derived at some cost (the integer weights, the pair table,
-    each component's cut tree, each G - e) are memoised in `_memo`, which
-    takes no part in equality or hashing.
+    each component's cut tree, each G - e) are kept by `memo`, which takes
+    no part in equality or hashing.
     """
 
     def __init__(self, n: int, edge_triples: Iterable[tuple[int, int, Fraction]]):
-        if n < 0:
-            raise GraphFormatError("negative vertex count")
-        vset = set(range(1, n + 1))
+        vset = set(range(1, _vertex_count(n) + 1))
         edges = []
         for i, (u, v, w) in enumerate(edge_triples):
             if not isinstance(w, Fraction):
@@ -100,19 +112,38 @@ class WeightedMultigraph:
     def adjacency(self) -> dict[int, list[tuple[int, int]]]:
         return self._adj
 
+    def memo(self, key, compute: Callable):
+        """The value kept with the graph under `key`, made by `compute()` on
+        first use; callers share it and must not modify it."""
+        value = self._memo.get(key)
+        if value is None:
+            value = self._memo[key] = compute()
+        return value
+
+    def check_vertices(self, vs: Iterable[int]):
+        """ValueError for the first of vs that is not a vertex, one of 1..n."""
+        for v in vs:
+            if v not in self._adj:
+                raise ValueError(f"vertex {v} outside 1..{self.n}")
+
+    def check_edge_ids(self, eids: Iterable[int]):
+        """ValueError if any of eids is outside 0..m-1."""
+        if any(not 0 <= eid < self.m for eid in eids):
+            raise ValueError("edge id out of range")
+
     def integer_weights(self) -> tuple[tuple[int, ...], int]:
         """(each edge's weight times L, by edge id; L), where L is the least
         common denominator of the weights (1 without edges)."""
-        scaled = self._memo.get("integer_weights")
-        if scaled is None:
+        def scaled():
             # a parsed graph shares one Fraction per distinct weight token, so
             # each weight object is read once
             ws = [e.w for e in self.edges]
             distinct = {id(w): w for w in ws}
             L = math.lcm(*(w.denominator for w in distinct.values()))
             scale = {k: w.numerator * (L // w.denominator) for k, w in distinct.items()}
-            scaled = self._memo["integer_weights"] = (tuple(map(scale.__getitem__, map(id, ws))), L)
-        return scaled
+            return tuple(map(scale.__getitem__, map(id, ws))), L
+
+        return self.memo("integer_weights", scaled)
 
     def pair_weights(self) -> tuple[dict[int, dict[int, int]], int]:
         """(each vertex's neighbours, each with the total integer weight of
@@ -122,19 +153,18 @@ class WeightedMultigraph:
         zero-weight edges is kept with weight 0.  Callers share the table
         and must not modify it.
         """
-        table = self._memo.get("pair_weights")
-        if table is None:
+        def table():
             weights, L = self.integer_weights()
             A: dict[int, dict[int, int]] = {v: {} for v in self.vertices}
             for (_, u, v, _), c in zip(self.edges, weights):
                 A[u][v] = A[u].get(v, 0) + c
                 A[v][u] = A[v].get(u, 0) + c
-            table = self._memo["pair_weights"] = (A, L)
-        return table
+            return A, L
+
+        return self.memo("pair_weights", table)
 
     def weighted_degree(self, x: int) -> Fraction:
-        if x not in self._adj:
-            raise GraphFormatError(f"unknown vertex {x}")
+        self.check_vertices((x,))
         return sum((self.edges[eid].w for _, eid in self._adj[x]), Fraction(0))
 
     def components(self) -> list[frozenset[int]]:
@@ -159,12 +189,11 @@ class WeightedMultigraph:
     def without_edge(self, eid: int) -> "WeightedMultigraph":
         """G - e, the later edges renumbered down by one; memoised, so its
         readers share one graph and what that memoises."""
-        if not 0 <= eid < self.m:
-            raise ValueError("edge id out of range")
-        key = ("without_edge", eid)
-        if key not in self._memo:
-            self._memo[key] = WeightedMultigraph(self.n, [(e.u, e.v, e.w) for e in self.edges if e.id != eid])
-        return self._memo[key]
+        self.check_edge_ids((eid,))
+        return self.memo(
+            ("without_edge", eid),
+            lambda: WeightedMultigraph(self.n, [(e.u, e.v, e.w) for e in self.edges if e.id != eid]),
+        )
 
     # -- text format ------------------------------------------------------
 
@@ -188,41 +217,40 @@ class WeightedMultigraph:
             if not line:
                 continue
             parts = line.split()
-            if parts[0] == "v":
-                if n is not None:
-                    raise GraphFormatError(f"line {lineno}: duplicate vertex declaration")
-                if len(parts) != 2:
-                    raise GraphFormatError(f"line {lineno}: expected 'v <n>'")
-                try:
-                    n = int(parts[1])
-                except ValueError:
-                    raise GraphFormatError(f"line {lineno}: bad vertex count {parts[1]!r}")
-                if n < 0:
-                    raise GraphFormatError(f"line {lineno}: negative vertex count")
-            elif parts[0] == "e":
-                if n is None:
-                    raise GraphFormatError(f"line {lineno}: edge before vertex declaration")
-                if len(parts) != 4:
-                    raise GraphFormatError(f"line {lineno}: expected 'e <u> <v> <w>'")
-                try:
-                    u, v = int(parts[1]), int(parts[2])
-                except ValueError:
-                    raise GraphFormatError(f"line {lineno}: bad endpoint")
-                w = weights.get(parts[3])
-                if w is None:
+            try:
+                if parts[0] == "v":
+                    if n is not None:
+                        raise GraphFormatError("duplicate vertex declaration")
+                    if len(parts) != 2:
+                        raise GraphFormatError("expected 'v <n>'")
                     try:
+                        count = int(parts[1])
+                    except ValueError:
+                        raise _unreadable("vertex count", parts[1]) from None
+                    n = _vertex_count(count)
+                elif parts[0] == "e":
+                    if n is None:
+                        raise GraphFormatError("edge before vertex declaration")
+                    if len(parts) != 4:
+                        raise GraphFormatError("expected 'e <u> <v> <w>'")
+                    try:
+                        u, v = int(parts[1]), int(parts[2])
+                    except ValueError:
+                        raise GraphFormatError("bad endpoint") from None
+                    w = weights.get(parts[3])
+                    if w is None:
                         w = weights[parts[3]] = parse_weight(parts[3])
-                    except GraphFormatError as exc:
-                        raise GraphFormatError(f"line {lineno}: {exc}") from None
-                    if w.numerator < 0 and u != v:  # a loop is reported first
-                        raise GraphFormatError(f"line {lineno}: negative weight")
-                if u == v:
-                    raise GraphFormatError(f"line {lineno}: loop edge at vertex {u}")
-                if not (1 <= u <= n and 1 <= v <= n):
-                    raise GraphFormatError(f"line {lineno}: endpoint outside 1..{n}")
-                edges.append(Edge(len(edges), u, v, w))
-            else:
-                raise GraphFormatError(f"line {lineno}: unknown directive {parts[0]!r}")
+                        if w.numerator < 0 and u != v:  # a loop is reported first
+                            raise GraphFormatError("negative weight")
+                    if u == v:
+                        raise GraphFormatError(f"loop edge at vertex {u}")
+                    if not (1 <= u <= n and 1 <= v <= n):
+                        raise GraphFormatError(f"endpoint outside 1..{n}")
+                    edges.append(Edge(len(edges), u, v, w))
+                else:
+                    raise GraphFormatError(f"unknown directive {parts[0]!r}")
+            except GraphFormatError as exc:
+                raise GraphFormatError(f"line {lineno}: {exc}") from None
         if n is None:
             raise GraphFormatError("missing 'v <n>' header")
         g = cls.__new__(cls)

@@ -260,6 +260,7 @@ def test_criterion_8_coefficient_identities():
     _pass(8, f"{len(checks)} coefficient identities and Lagrange inversion exact to m=12, k=8")
 
 
+@pytest.mark.slow
 def test_criterion_9_conjecture_hunt():
     start = time.time()
     for conj in CONJECTURES:
@@ -278,6 +279,7 @@ def test_criterion_9_conjecture_hunt():
     _pass(9, f"5 x 10^4 trials, zero violations, frontier families planted ({time.time()-start:.0f}s)")
 
 
+@pytest.mark.slow
 def test_criterion_10_chromatic():
     start = time.time()
     rng = random.Random(101)

@@ -183,14 +183,18 @@ def test_missing_series_anchors_are_named(bound_id):
 
 
 def test_provider_defines_every_traced_method():
-    # the bench tracer wraps these by name; a rename would read as no cache hits
+    # the bench tracer wraps these by name; a rename would read as no cache
+    # hits.  SAW and FPW are families of `_FAMILIES`, fetched through
+    # edge_class, so their own lookups are gone and the tracer skips them.
     path = Path(__file__).parents[1] / "bench" / "tracer.py"
     pytest.importorskip("numpy")
     spec = importlib.util.spec_from_file_location("bench_tracer", path)
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
+    folded = {"saw", "fpw"}
     for name in tracer.PROVIDER_METHODS:
-        assert callable(vars(bounds.SeriesProvider).get(name)), name
+        assert callable(vars(bounds.SeriesProvider).get(name)) != (name in folded), name
+    assert set(tracer.PROVIDER_METHODS) - folded == {"edge_class", "walk_total", "through_edge"}
 
 
 def test_through_edge_bounds_heavy_edge():
@@ -284,6 +288,25 @@ def test_suite_rows_equal_verify_bound(inputs, M):
             continue
     assert {res.bound_id: res for res in rows} == alone
     assert len(rows) == len(alone)
+
+
+# SAW and FPW are rows of counting's family table, so they ride in the
+# suite's one class_series call on G with the edge-subset classes
+def test_suite_fetches_saw_and_fpw_in_its_one_call(monkeypatch):
+    calls = []
+    class_series = bounds.class_series
+
+    def spy(g, specs, M, cap=None):
+        calls.append((g, list(specs)))
+        return class_series(g, specs, M, cap)
+
+    monkeypatch.setattr(bounds, "class_series", spy)
+    g = wheel_graph(5)
+    rows = run_suite(g, 4, X={1, 2}, Y={3, 4}, x=1, y=3)
+    assert [called for called, _ in calls] == [g]
+    specs = calls[0][1]
+    assert class_spec("SAW", x=1, y=3) in specs and class_spec("FPW", x=1, Y={3, 4}) in specs
+    assert {"cor4.4", "cor4.5", "prop4.2", "prop4.3"} <= {r.bound_id for r in rows}
 
 
 # the suite's discounts ln 2/Δ, ln 2/Λ, ln 2/(2Λ), ln α/(αΛ) with α = 2 and

@@ -491,3 +491,20 @@ def test_weight_over_the_digit_limit_is_one_error_line(tmp_path, capsys):
     code, out, err = run_main(["lambda", str(path)], capsys)
     assert (code, out) == (1, "") and sys.get_int_max_str_digits() == limit
     assert err.splitlines() == [f"error: line 2: weight of {limit + 1} characters exceeds the limit of {limit} digits"]
+
+
+# a vertex count no tuple holds is one error line, and an over-limit count
+# is named by its length, as a weight is
+_DIGITS = sys.get_int_max_str_digits()
+
+
+@pytest.mark.parametrize("count,message", [
+    (str(sys.maxsize + 1), f"vertex count exceeds the limit of {sys.maxsize}"),
+    ("9" * (_DIGITS + 700), f"vertex count of {_DIGITS + 700} characters exceeds the limit of {_DIGITS} digits"),
+], ids=["above-maxsize", "over-digit-limit"])
+def test_vertex_count_fault_is_one_short_error_line(tmp_path, capsys, count, message):
+    path = tmp_path / "huge.txt"
+    path.write_text(f"v {count}\ne 1 2 1\n")
+    code, out, err = run_main(["lambda", str(path)], capsys)
+    assert (code, out) == (1, "")
+    assert err.splitlines() == [f"error: line 1: {message}"]

@@ -94,6 +94,14 @@ def test_max_flow_same_endpoints_rejected():
         max_flow(path_graph(2), 1, 1)
 
 
+# the graph's own check, with the message every layer gives
+def test_vertex_outside_the_graph_is_named():
+    g = cycle_graph(3)
+    for call in (lambda: max_flow(g, 1, 9), lambda: cut_pair(g, [1, 9]), lambda: g.weighted_degree(9)):
+        with pytest.raises(ValueError, match=r"^vertex 9 outside 1\.\.3$"):
+            call()
+
+
 # -- cut tree -------------------------------------------------------------
 
 

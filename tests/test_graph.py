@@ -1,5 +1,6 @@
 """Graph type, text format, blocks and cut vertices, generators."""
 import random
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -134,10 +135,25 @@ def test_constructor_accepts_int_and_fraction_weights_alike():
     ("v 3\ne a 2 1\n", "line 2: bad endpoint"),
     ("v 3\ne 1 2 1\n\n# c\ne 1 2 1\ne 3 3 1\n", "line 6: loop edge at vertex 3"),
     ("v 3\ne 1 2 -0\ne 1 1 0\n", "line 3: loop edge at vertex 1"),
+    ("v x\n", "line 1: bad vertex count 'x'"),
+    ("# c\nv -2\n", "line 2: negative vertex count"),
 ])
 def test_parse_error_messages(text, message):
     with pytest.raises(GraphFormatError) as ei:
         WeightedMultigraph.parse(text)
+    assert str(ei.value) == message
+
+
+# no tuple holds more than sys.maxsize vertices.  parse is checked first:
+# without the constructor's check, its set of vertices would grow until
+# memory ran out instead of failing the test
+def test_vertex_count_above_maxsize_is_a_format_error():
+    message = f"vertex count exceeds the limit of {sys.maxsize}"
+    with pytest.raises(GraphFormatError) as ei:
+        WeightedMultigraph.parse(f"v {sys.maxsize + 1}\ne 1 2 1\n")
+    assert str(ei.value) == f"line 1: {message}"
+    with pytest.raises(GraphFormatError) as ei:
+        WeightedMultigraph(sys.maxsize + 1, [])
     assert str(ei.value) == message
 
 
