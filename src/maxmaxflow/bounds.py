@@ -23,12 +23,12 @@ from .counting import (
     CountSeries,
     SubgraphClassSpec,
     _FAMILIES,
-    _work_limit,
     class_count_series,
     class_series,
     class_spec,
     two_connected_through_edge_series,
     walk_total_counts,
+    work_cap,
 )
 from .flowcut import cut_tree, maxmaxflow
 from .graph import WeightedMultigraph, bfs_path, k2_multi, random_multigraph, star_graph, star_multi
@@ -253,7 +253,7 @@ class SeriesProvider:
         g.check_vertices(sorted(self.X | self.Y | {v for v in (x, y) if v is not None}))
         g.check_edge_ids([] if eid is None else [eid])
         self.g, self.M, self.x, self.y, self.eid = g, M, x, y, eid
-        self.p, self.r, self.cap = p, r, _work_limit(cap)
+        self.p, self.r, self.cap = p, r, work_cap(cap)
         # the anchors given, named as in `_SERIES`
         self.anchors = {a for a, v in (("x", x), ("y", y), ("e", eid)) if v is not None}
         self.anchors |= {a for a, v in (("X", self.X), ("Y", self.Y)) if v}
@@ -670,7 +670,7 @@ def hunt(
         raise ValueError("M must be >= 0")
     if trials < 0:
         raise ValueError("trials must be >= 0")
-    _work_limit(cap)
+    work_cap(cap)
     # section 7's conjectures are on block classes, tried with parallel edges
     blocks = conjecture.startswith("conj7")
     needs_Y = "Y" in _SERIES[BOUNDS[conjecture].series].needs

@@ -12,13 +12,14 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Optional
 import numpy as np
 
+from .counting import WorkMeter
 from .flowcut import maxmaxflow
 from .graph import WeightedMultigraph, random_multigraph
 from .invariants import delta_k, max_degree
 
-DEFAULT_VERTEX_CAP = 14
 _CANON_CAP = 6  # permutation canonicalization is affordable up to here
 
 Poly = tuple[int, ...]  # coefficients, ascending powers of q
@@ -65,8 +66,9 @@ def _canonical_key(vs: tuple[int, ...], pairs: list[tuple[int, int]]):
     return (n, best)
 
 
-def _chromatic_simple(vs: tuple[int, ...], pairs: list[tuple[int, int]], memo: dict) -> Poly:
+def _chromatic_simple(vs: tuple[int, ...], pairs: list[tuple[int, int]], memo: dict, meter: WorkMeter) -> Poly:
     """Deletion-contraction on a simple graph given as vertex tuple + pairs."""
+    meter.charge()  # one unit per call, a memo hit too
     n = len(vs)
     m = len(pairs)
     if m == 0:
@@ -84,7 +86,7 @@ def _chromatic_simple(vs: tuple[int, ...], pairs: list[tuple[int, int]], memo: d
 
     e = _cycle_edge(vs, pairs)
     rest = [p for p in pairs if p != e]
-    deleted = _chromatic_simple(vs, rest, memo)
+    deleted = _chromatic_simple(vs, rest, memo, meter)
     # contract: merge the endpoints, drop the duplicate vertex, re-simplify
     u, v = e
     merged_pairs = set()
@@ -94,7 +96,7 @@ def _chromatic_simple(vs: tuple[int, ...], pairs: list[tuple[int, int]], memo: d
         if a2 != b2:
             merged_pairs.add((min(a2, b2), max(a2, b2)))
     merged_vs = tuple(w for w in vs if w != v)
-    contracted = _chromatic_simple(merged_vs, sorted(merged_pairs), memo)
+    contracted = _chromatic_simple(merged_vs, sorted(merged_pairs), memo, meter)
     out = _poly_sub(deleted, contracted)
     if key is not None:
         memo[key] = out
@@ -126,15 +128,14 @@ def _cycle_edge(vs, pairs) -> tuple[int, int]:
     raise AssertionError("no cycle edge in a non-forest")
 
 
-def chromatic_polynomial(g: WeightedMultigraph, cap: int = DEFAULT_VERTEX_CAP) -> Poly:
+def chromatic_polynomial(g: WeightedMultigraph, cap: Optional[int] = None) -> Poly:
     """Integer coefficient tuple (ascending) of the chromatic polynomial."""
-    if g.n > cap:
-        raise ValueError(f"{g.n} vertices exceeds the cap {cap}")
+    meter = WorkMeter(cap, "the chromatic polynomial", "deletion-contraction calls")
     if g.n == 0:
         return (1,)
     A = g.pair_weights()[0]
     pairs = sorted((u, v) for u, nbrs in A.items() for v in nbrs if u < v)
-    return _chromatic_simple(tuple(g.vertices), pairs, {})
+    return _chromatic_simple(tuple(g.vertices), pairs, {}, meter)
 
 
 def evaluate_poly(poly: Poly, q) -> Fraction:
@@ -181,6 +182,7 @@ class ExploreRecord:
 
 
 _EXPLORE_EDGE_CAP = 22
+_EXPLORE_MAX_N = 14  # the largest n_max that explore8's --nmax may ask for
 
 
 def explore_roots(trials: int, seed: int = 0, n_max: int = 12) -> list[ExploreRecord]:

@@ -26,7 +26,7 @@ from .bounds import (
     run_suite,
     verify_bound,
 )
-from .chromatic import DEFAULT_VERTEX_CAP, chromatic_polynomial, chromatic_roots, explore_roots
+from .chromatic import _EXPLORE_MAX_N, chromatic_polynomial, chromatic_roots, explore_roots
 from .counting import _FAMILIES, WorkCapExceeded, class_count_series, class_spec
 from .flowcut import cut_pair, cut_tree, maxmaxflow
 from .graph import GraphFormatError, WeightedMultigraph, generate, parse_weight
@@ -100,6 +100,9 @@ def build_parser() -> _Parser:
     def graph_arg(sp):
         sp.add_argument("graph", help="graph file in the text format, or - for stdin")
 
+    def cap_arg(sp):  # every command's --cap is the one work cap
+        sp.add_argument("--cap", type=int, default=None, help="work cap, in each exponential routine's units")
+
     def bound_args(sp):  # the inputs of verify and suite
         graph_arg(sp)
         sp.add_argument("--x", type=_vertex_list, default=None)
@@ -107,11 +110,11 @@ def build_parser() -> _Parser:
         sp.add_argument("--edge", type=int, default=None, help="edge id for through-edge bounds")
         sp.add_argument("-m", "--m", dest="M", type=int, required=True)
         sp.add_argument("--alpha", type=_frac, default=Fraction(2))
-        sp.add_argument("--cap", type=int, default=None)
+        cap_arg(sp)
 
     sp = sub.add_parser("invariants", help="degree/peeling invariants and the comparison chain")
     graph_arg(sp)
-    sp.add_argument("--cap", type=int, default=10, help="brute-force cap for LambdaTilde and D_2")
+    cap_arg(sp)
     sp.add_argument("-o", "--output")
 
     sp = sub.add_parser("lambda", help="maxmaxflow of the graph")
@@ -133,7 +136,7 @@ def build_parser() -> _Parser:
     sp.add_argument("-m", "--m", dest="M", type=int, required=True)
     sp.add_argument("--p", type=int, default=None)
     sp.add_argument("--r", type=int, default=None)
-    sp.add_argument("--cap", type=int, default=None, help="work cap override")
+    cap_arg(sp)
     sp.add_argument("-o", "--output")
 
     sp = sub.add_parser("verify", help="check one series bound")
@@ -151,12 +154,12 @@ def build_parser() -> _Parser:
     sp.add_argument("--trials", type=int, default=1000)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("-m", "--m", dest="M", type=int, default=4)
-    sp.add_argument("--cap", type=int, default=None)
+    cap_arg(sp)
     sp.add_argument("-o", "--output")
 
     sp = sub.add_parser("chromatic", help="chromatic polynomial and roots")
     graph_arg(sp)
-    sp.add_argument("--cap", type=int, default=DEFAULT_VERTEX_CAP)
+    cap_arg(sp)
     sp.add_argument("-o", "--output")
 
     sp = sub.add_parser("explore8", help="chromatic roots vs maxmaxflow on random graphs")
@@ -187,7 +190,7 @@ def _parser() -> _Parser:
 
 def _cmd_invariants(args) -> int:
     g, text = _load_graph(args)
-    rep = inequality_chain(g, brute_cap=args.cap)
+    rep = inequality_chain(g, cap=args.cap)
     lines = _manifest(args, {"input-sha256": _digest(text)})
     lines.append("name,value")
     lines.append(f"n,{rep.n}")
@@ -323,8 +326,8 @@ def _cmd_chromatic(args) -> int:
 def _cmd_explore8(args) -> int:
     if args.nmax < 4:  # the graphs have 4..nmax vertices
         raise ValueError("--nmax must be >= 4")
-    if args.nmax > DEFAULT_VERTEX_CAP:  # chromatic_polynomial's vertex cap
-        raise ValueError(f"--nmax must be <= {DEFAULT_VERTEX_CAP}, the chromatic vertex cap")
+    if args.nmax > _EXPLORE_MAX_N:
+        raise ValueError(f"--nmax must be <= {_EXPLORE_MAX_N}")
     records = explore_roots(args.trials, seed=args.seed, n_max=args.nmax)
     lines = _manifest(args, {"seed": args.seed, "trials": args.trials})
     lines.append("trial,n,m,Lambda,Delta,Delta2,max_root_abs,max_root_re,max_root_im")

@@ -5,9 +5,8 @@ m-edge (or m-step) members of the family.  Walk families are computed by
 convolution or depth-first search.  Subgraph classes come from a search
 that grows edge sets out of the anchors, so each member is visited exactly
 once and carries the product of its edge weights; one search serves every
-class asked for together (`class_series`).  The work cap bounds the number
-of edge sets that search visits, checked as it goes, not the number of all
-subsets of at most M edges.
+class asked for together (`class_series`).  Every series charges its work
+to a `WorkMeter`, which holds it to the work cap.
 
 One table, `_FAMILIES`, gives each family the anchors it needs and either
 its walk series or what decides membership of its class: forests only or
@@ -40,7 +39,12 @@ class WorkCapExceeded(RuntimeError):
     pass
 
 
-def work_cap() -> int:
+def work_cap(cap: Optional[int] = None) -> int:
+    """The work cap in force: `cap` if given, else `WORK_CAP_ENV`'s, else the default."""
+    if cap is not None:
+        if cap < 1:
+            raise ValueError(f"the work cap must be >= 1, not cap={cap}")
+        return cap
     raw = os.environ.get(WORK_CAP_ENV)
     try:
         cap = int(raw) if raw else DEFAULT_WORK_CAP
@@ -51,13 +55,19 @@ def work_cap() -> int:
     return cap
 
 
-def _work_limit(cap: Optional[int]) -> int:
-    """The cap in force: `cap` if given, else `work_cap()`'s."""
-    if cap is None:
-        return work_cap()
-    if cap < 1:
-        raise ValueError(f"the work cap must be >= 1, not cap={cap}")
-    return cap
+class WorkMeter:
+    """The units of work one run of an exponential routine has charged; it
+    raises `WorkCapExceeded` before doing work that would pass the cap."""
+
+    def __init__(self, cap: Optional[int], what: str, unit: str):
+        self.limit = work_cap(cap)
+        self.used = 0
+        self.what, self.unit = what, unit  # e.g. "the walk search", "steps"
+
+    def charge(self, units: int = 1):
+        self.used += units
+        if self.used > self.limit:
+            raise WorkCapExceeded(f"{self.what} passed the work cap of {self.limit} {self.unit}")
 
 
 # -- the family table -----------------------------------------------------
@@ -190,15 +200,14 @@ def _transfer(
     A step costs one unit of work per vertex and one per pair-table entry
     it reads; the work cap bounds the total, charged before each step.
     """
-    limit = _work_limit(cap)
+    meter = WorkMeter(cap, "the walk series", "units of work")
     A, L = g.pair_weights()
     step_work = g.n + sum(len(A[u]) for u in g.vertices if u not in absorbing)
     ones = set(start)
     cur = {v: int(v in ones) for v in g.vertices}
     out = [cur[x]]
-    for k in range(1, M + 1):
-        if k * step_work > limit:
-            raise WorkCapExceeded(f"the walk series took more than {limit} units of work, the work cap")
+    for _ in range(M):
+        meter.charge(step_work)
         cur = {u: 0 if u in absorbing else sum(w * cur[v] for v, w in A[u].items()) for u in g.vertices}
         out.append(cur[x])
     return _divide(out, L)
@@ -211,9 +220,9 @@ def _self_avoiding(
 
     Parallel steps aggregate by weight.  The work cap bounds the number of
     steps the search tries, one per neighbour of each walk's last vertex,
-    and is checked as the search goes.
+    all charged when the walk is reached.
     """
-    limit = _work_limit(cap)
+    meter = WorkMeter(cap, "the walk search", "steps")
     A, L = g.pair_weights()
     out = [0] * (M + 1)
     if x in Ys:
@@ -224,7 +233,7 @@ def _self_avoiding(
     # to it and its neighbours still to try; a step from the top frame is
     # step number len(stack)
     stack = [(x, 1, iter(A[x].items()))] if M else []
-    steps = 0
+    meter.charge(len(A[x]) if stack else 0)
     while stack:
         u, prod, nbrs = stack[-1]
         step = next(nbrs, None)
@@ -232,13 +241,11 @@ def _self_avoiding(
             stack.pop()
             visited.remove(u)
             continue
-        steps += 1
-        if steps > limit:
-            raise WorkCapExceeded(f"the walk search tried more than {limit} steps, the work cap")
         v, w = step
         if v in Ys:
             out[len(stack)] += prod * w
         elif v not in visited and len(stack) < M:
+            meter.charge(len(A[v]))
             visited.add(v)
             stack.append((v, prod * w, iter(A[v].items())))
     return _divide(out, L)
@@ -449,16 +456,15 @@ def class_series(
     classes sharing its components, leaves and blocks, and adds its
     integer weight product to each order-k sum that accepts it; the sums
     are divided by L^k at the end.
-    The work cap bounds the number of sets this one search visits, however
-    many classes it serves, and is checked as the search goes; so
-    `bounds.run_suite`, which asks for all its families in one call, is
-    capped as one search.  Each walk family is capped by its own work
-    (`_transfer`, `_self_avoiding`) and computed after the search, in the
-    order asked; the cap is checked before any family is computed.
+    The search charges its meter one unit per set it visits, however many
+    classes it serves, so `bounds.run_suite`, which asks for all its
+    families in one call, is capped as one search.  Each walk family has a
+    meter of its own and is computed after the search, in the order asked;
+    the cap is checked before any family is computed.
     """
     if M < 0:
         raise ValueError("M must be >= 0")
-    limit = _work_limit(cap)
+    meter = WorkMeter(cap, "the edge-set search", "edge sets")
     specs = list(dict.fromkeys(specs))
     tests = [(spec, *_anchors(spec)) for spec in specs if spec.kind in EDGE_KINDS]
     A = frozenset().union(*(anchors for _, anchors, _ in tests))
@@ -466,16 +472,12 @@ def class_series(
     values = {spec: [0] * (M + 1) for spec, _, _ in tests}
     adj = g.adjacency()
     s = _EdgeSet(g)
-    visited = 0
 
     def reached(v: int) -> bool:
         return v in A or s.deg[v] > 0
 
     def visit():
-        nonlocal visited
-        visited += 1
-        if visited > limit:
-            raise WorkCapExceeded(f"the search visited more than {limit} edge sets, the work cap")
+        meter.charge()
         for spec, anchors, leaf_anchors in tests:
             if _accepts(s, spec, anchors, leaf_anchors):
                 values[spec][s.k] += s.weight
@@ -511,9 +513,8 @@ def class_series(
             s.pop()
     L = g.integer_weights()[1]
     out = {spec: CountSeries(M, _divide(vals, L)) for spec, vals in values.items()}
-    return {
-        spec: out[spec] if spec in out else _FAMILIES[spec.kind].walk(g, spec, M, limit) for spec in specs
-    }
+    walk = lambda spec: _FAMILIES[spec.kind].walk(g, spec, M, meter.limit)  # each on its own meter
+    return {spec: out[spec] if spec in out else walk(spec) for spec in specs}
 
 
 def class_count_series(

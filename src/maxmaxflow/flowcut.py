@@ -19,8 +19,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, Optional, Sequence
 
+from .counting import WorkMeter
 from .graph import WeightedMultigraph, bfs_path, bfs_tree, components_of
 
 
@@ -470,24 +471,23 @@ def _gf2_add(pivots: list[int], vec: int) -> bool:
     return True
 
 
-def lambda_tilde_bruteforce(g: WeightedMultigraph, cap: int = 12) -> Fraction:
+def lambda_tilde_bruteforce(g: WeightedMultigraph, cap: Optional[int] = None) -> Fraction:
     """Min over cocycle-space bases of the max basis weight, by exhaustion.
 
     Greedy matroid argument: sorting all cocycles by weight and keeping a
     maximal GF(2)-independent prefix yields a basis minimizing the sorted
-    weight vector lexicographically, hence the max.  Exponential in component
-    size; refuses components above `cap` vertices.
+    weight vector lexicographically, hence the max.  Exponential: a component
+    of c vertices has 2^(c-1) - 1 cocycle sides, each a unit of work.
     """
     if g.n < 2:
         raise ValueError("requires at least two vertices")
+    meter = WorkMeter(cap, "LambdaTilde by exhaustion", "cocycle sides")
     A, L = g.pair_weights()
     best = 0
     for comp in g.components():
         cn = len(comp)
         if cn < 2:
             continue
-        if cn > cap:
-            raise ValueError(f"component with {cn} vertices exceeds brute-force cap {cap}")
         # the component's i-th smallest vertex is bit i of a side's mask
         order = sorted(comp)
         bit = {v: i for i, v in enumerate(order)}
@@ -504,6 +504,7 @@ def lambda_tilde_bruteforce(g: WeightedMultigraph, cap: int = 12) -> Fraction:
         # side, whose cocycle is empty, is left out.  Side k is side k - low
         # plus one vertex, and a side's cocycle is the symmetric difference
         # of the stars of its vertices.
+        meter.charge(2 ** (cn - 1) - 1)  # the sides built next, charged before any is
         vecs, weight = [star[0]], [degree[0]]
         for k in range(1, 2 ** (cn - 1) - 1):
             low = k & -k

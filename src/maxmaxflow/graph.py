@@ -121,9 +121,9 @@ class WeightedMultigraph:
         return value
 
     def check_vertices(self, vs: Iterable[int]):
-        """ValueError for the first of vs that is not a vertex, one of 1..n."""
+        """ValueError for the first of vs that is not a vertex, an int in 1..n."""
         for v in vs:
-            if v not in self._adj:
+            if not isinstance(v, int) or v not in self._adj:
                 raise ValueError(f"vertex {v} outside 1..{self.n}")
 
     def check_edge_ids(self, eids: Iterable[int]):
@@ -247,6 +247,8 @@ class WeightedMultigraph:
                     if not (1 <= u <= n and 1 <= v <= n):
                         raise GraphFormatError(f"endpoint outside 1..{n}")
                     edges.append(Edge(len(edges), u, v, w))
+                elif len(parts[0]) > 20:  # a long one is named by its length, not echoed
+                    raise GraphFormatError(f"unknown directive of {len(parts[0])} characters")
                 else:
                     raise GraphFormatError(f"unknown directive {parts[0]!r}")
             except GraphFormatError as exc:

@@ -17,8 +17,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
+from .counting import WorkMeter, work_cap
 from .flowcut import lambda_tilde_bruteforce, maxmaxflow
 from .graph import WeightedMultigraph
+
+BRUTE_FORCE_MAX_N = 10  # inequality_chain computes LambdaTilde and D_2 up to here
 
 
 def degree_sequence(g: WeightedMultigraph) -> list[Fraction]:
@@ -64,20 +67,20 @@ def degeneracy(g: WeightedMultigraph) -> Fraction:
     return Fraction(best, L)
 
 
-def degeneracy_k(g: WeightedMultigraph, k: int, cap: int = 10) -> Fraction:
+def degeneracy_k(g: WeightedMultigraph, k: int, cap: Optional[int] = None) -> Fraction:
     """Max over induced subgraphs with >= k vertices of the k-th smallest degree.
 
-    Exhaustive over vertex subsets.  Deleting edges only lowers degrees, so
-    restricting to induced subgraphs loses nothing.
+    Exhaustive over vertex subsets, each a unit of work.  Deleting edges
+    only lowers degrees, so restricting to induced subgraphs loses nothing.
     """
     if not 1 <= k <= g.n:
         raise ValueError(f"k must be in 1..{g.n}")
-    if g.n > cap:
-        raise ValueError(f"{g.n} vertices exceeds brute-force cap {cap}")
+    meter = WorkMeter(cap, f"D_{k} by exhaustion", "vertex subsets")
     A, L = g.pair_weights()
     best = 0
     for size in range(k, g.n + 1):
         for subset in itertools.combinations(g.vertices, size):
+            meter.charge()
             degs = sorted([sum(map(A[x].get, subset, itertools.repeat(0))) for x in subset])
             best = max(best, degs[k - 1])
     return Fraction(best, L)
@@ -112,23 +115,24 @@ class InvariantReport:
         return all(c.holds for c in self.checks)
 
 
-def inequality_chain(g: WeightedMultigraph, brute_cap: int = 10) -> InvariantReport:
+def inequality_chain(g: WeightedMultigraph, cap: Optional[int] = None) -> InvariantReport:
     """Compute the invariants and evaluate every comparison in the chain.
 
-    The exponential quantities (LambdaTilde by exhaustion, D_2) are skipped on
-    graphs above `brute_cap` vertices; their comparisons are then omitted.
+    The exponential quantities (LambdaTilde by exhaustion, D_2), each under
+    the work cap, and their comparisons are left out above `BRUTE_FORCE_MAX_N` vertices.
     """
     if g.n == 0:
         raise ValueError("empty graph")
+    cap = work_cap(cap)  # checked here, whether or not a brute force runs
     seq = degree_sequence(g)
     Delta = seq[0]
     D = degeneracy(g)
     Delta2 = seq[1] if g.n >= 2 else None
     Dn1 = seq[g.n - 2] if g.n >= 2 else None
     Lam = maxmaxflow(g) if g.n >= 2 else None
-    small = g.n <= brute_cap
-    LamT = lambda_tilde_bruteforce(g, cap=brute_cap) if (g.n >= 2 and small) else None
-    D2 = degeneracy_k(g, 2, cap=brute_cap) if (g.n >= 2 and small) else None
+    small = 2 <= g.n <= BRUTE_FORCE_MAX_N
+    LamT = lambda_tilde_bruteforce(g, cap) if small else None
+    D2 = degeneracy_k(g, 2, cap) if small else None
 
     checks: list[ChainCheck] = []
     if Lam is not None:

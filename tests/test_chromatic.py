@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from maxmaxflow.counting import WorkCapExceeded
 from maxmaxflow.graph import (
     WeightedMultigraph,
     complete_graph,
@@ -78,9 +79,13 @@ def test_integer_roots_within_degeneracy_range():
                 assert q <= dgen
 
 
-def test_vertex_cap():
-    with pytest.raises(ValueError):
-        chromatic_polynomial(WeightedMultigraph(20, []), cap=14)
+def test_cap_counts_deletion_contraction_calls():
+    # one unit per call of the recursion: an edgeless graph of any size is
+    # one call; a triangle is three, itself, its deletion and its contraction
+    assert chromatic_polynomial(WeightedMultigraph(20, []), cap=1) == (0,) * 20 + (1,)
+    assert chromatic_polynomial(cycle_graph(3), cap=3) == (0, 2, -3, 1)
+    with pytest.raises(WorkCapExceeded, match="^the chromatic polynomial passed the work cap of 2 "):
+        chromatic_polynomial(cycle_graph(3), cap=2)
 
 
 def _root_residual(poly, roots) -> float:

@@ -1,14 +1,14 @@
 """Command-line interface: exit codes, deterministic output, manifests."""
 import io
+import random
 import subprocess
 import sys
 
 import pytest
 
 from maxmaxflow import bounds, cli, counting
-from maxmaxflow.chromatic import DEFAULT_VERTEX_CAP
 from maxmaxflow.cli import main
-from maxmaxflow.graph import WeightedMultigraph, complete_graph, cycle_graph, path_graph
+from maxmaxflow.graph import WeightedMultigraph, complete_graph, cycle_graph, path_graph, random_multigraph
 
 TRIANGLE = "v 3\ne 1 2 1\ne 2 3 1\ne 3 1 1\n"
 
@@ -249,8 +249,22 @@ def test_count_lists_the_families(tri, capsys):
     assert f"one of {', '.join(kinds)}" in " ".join(capsys.readouterr().out.split())
 
 
-def test_chromatic_cap_defaults_to_the_vertex_cap():
-    assert cli._parser().parse_args(["chromatic", "g.txt"]).cap == DEFAULT_VERTEX_CAP
+def test_chromatic_cap_defaults_to_the_work_cap():
+    # None: chromatic_polynomial reads the cap in force, MAXMAXFLOW_WORKCAP or the default
+    assert cli._parser().parse_args(["chromatic", "g.txt"]).cap is None
+
+
+def test_every_cap_flag_is_the_work_cap():
+    # one meaning of --cap for every subcommand: an int, default None (the
+    # cap in force), with the same help text
+    subparsers = next(a for a in cli.build_parser()._actions if a.dest == "cmd").choices
+    caps = {
+        name: next(a for a in sp._actions if "--cap" in a.option_strings)
+        for name, sp in subparsers.items()
+        if any("--cap" in a.option_strings for a in sp._actions)
+    }
+    assert {"chromatic", "count", "hunt", "invariants", "suite", "verify"} <= set(caps)
+    assert {(a.type, a.default, a.help) for a in caps.values()} == {(int, None, caps["count"].help)}
 
 
 def test_manifest_records_argv_given_to_main(tri, capsys):
@@ -324,7 +338,7 @@ def test_suite_runs_one_search_per_graph(tri, capsys, monkeypatch, extra, search
 def test_suite_cap_is_one_error_line(tri, capsys):
     code, out, err = run_main(["suite", tri, "--x", "1,2", "--y", "3", "-m", "3", "--cap", "2"], capsys)
     assert code == 1 and out == ""
-    assert err.splitlines() == ["error: the search visited more than 2 edge sets, the work cap"]
+    assert err.splitlines() == ["error: the edge-set search passed the work cap of 2 edge sets"]
 
 
 def test_verify_checks_anchors_the_bound_does_not_read(tri, capsys):
@@ -358,7 +372,8 @@ BAD_INPUTS = {
     "verify": (TRIANGLE, ["-", "--bound", "prop4.3", "--x", "1", "--y", "2", "-m", "-1"], "M must be >= 0"),
     "suite": (TRIANGLE, ["-", "--x", "1", "-m", "-1"], "M must be >= 0"),
     "hunt": ("", ["--conjecture", "conj5.6", "--trials", "3", "-m", "-1"], "M must be >= 0"),
-    "chromatic": (TRIANGLE, ["-", "--cap", "2"], "3 vertices exceeds the cap 2"),
+    "chromatic": (TRIANGLE, ["-", "--cap", "2"],
+                  "the chromatic polynomial passed the work cap of 2 deletion-contraction calls"),
     "explore8": ("", ["--nmax", "3"], "--nmax must be >= 4"),
     "generate": ("", ["--family", "nope"], "unknown family 'nope'; choose from "
                  "['complete', 'cycle', 'k2s', 'path', 'pns', 'random', 'star', 'stars', "
@@ -391,11 +406,11 @@ def test_explore8_rejects_negative_trials(capsys):
     assert err.splitlines() == ["error: trials must be >= 0"]
 
 
-def test_explore8_rejects_nmax_above_the_chromatic_cap(capsys):
-    # rejected before any graph is drawn, not when one exceeds the cap
+def test_explore8_rejects_nmax_above_its_limit(capsys):
+    # rejected before any graph is drawn
     code, out, err = run_main(["explore8", "--trials", "20", "--nmax", "20"], capsys)
     assert code == 1 and out == ""
-    assert err.splitlines() == ["error: --nmax must be <= 14, the chromatic vertex cap"]
+    assert err.splitlines() == ["error: --nmax must be <= 14"]
 
 
 @pytest.mark.parametrize("cmd", [
@@ -405,6 +420,8 @@ def test_explore8_rejects_nmax_above_the_chromatic_cap(capsys):
     ["suite", "TRI", "--edge", "0", "-m", "3"],
     ["verify", "TRI", "--bound", "prop4.1", "--x", "1", "-m", "3"],
     ["hunt", "--conjecture", "conj5.6", "--trials", "3"],
+    ["chromatic", "TRI"],
+    ["invariants", "TRI"],
 ])
 @pytest.mark.parametrize("cap", ["-5", "0"])
 def test_cap_below_one_is_one_error_line(tri, capsys, cmd, cap):
@@ -424,7 +441,7 @@ def test_saw_search_stops_at_the_cap(tmp_path, capsys):
     argv = ["count", str(path), "--class", "SAW", "--x", "1", "--y", "2", "-m", "12"]
     code, out, err = run_main([*argv, "--cap", "1000"], capsys)
     assert code == 1 and out == ""
-    assert err.splitlines() == ["error: the walk search tried more than 1000 steps, the work cap"]
+    assert err.splitlines() == ["error: the walk search passed the work cap of 1000 steps"]
 
 
 # K6 holds about 5^20000 walks of 20000 steps; the transfer is charged 36
@@ -436,7 +453,26 @@ def test_walk_series_stops_at_the_cap(tmp_path, capsys, kind):
     argv = ["count", str(path), "--class", kind, "--x", "1", "--y", "2", "-m", "20000"]
     code, out, err = run_main([*argv, "--cap", "10"], capsys)
     assert code == 1 and out == ""
-    assert err.splitlines() == ["error: the walk series took more than 10 units of work, the work cap"]
+    assert err.splitlines() == ["error: the walk series passed the work cap of 10 units of work"]
+
+
+# LambdaTilde by exhaustion builds 2^9 - 1 cocycle sides of a 10-cycle
+def test_invariants_brute_force_stops_at_the_cap(tmp_path, capsys):
+    path = tmp_path / "c10.txt"
+    path.write_text(cycle_graph(10).serialize())
+    code, out, err = run_main(["invariants", str(path), "--cap", "5"], capsys)
+    assert code == 1 and out == ""
+    assert err.splitlines() == ["error: LambdaTilde by exhaustion passed the work cap of 5 cocycle sides"]
+
+
+# this graph takes about 30,000 deletion-contraction calls; the cap stops
+# the recursion after 1000
+def test_chromatic_stops_at_the_cap(tmp_path, capsys):
+    path = tmp_path / "g12.txt"
+    path.write_text(random_multigraph(random.Random(5), 12, p=0.4, weights="unit").serialize())
+    code, out, err = run_main(["chromatic", str(path), "--cap", "1000"], capsys)
+    assert code == 1 and out == ""
+    assert err.splitlines() == ["error: the chromatic polynomial passed the work cap of 1000 deletion-contraction calls"]
 
 
 # a series of 10^11 + 1 terms cannot be allocated, and the allocation fails

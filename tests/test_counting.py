@@ -631,7 +631,7 @@ def test_saw_cap_counts_search_steps(seed):
         steps = _saw_steps(g, x, Ys, M)
         assert call(max(steps, 1)).values == call(None).values
         if steps > 1:
-            with pytest.raises(WorkCapExceeded, match=f"^the walk search tried more than {steps - 1} steps"):
+            with pytest.raises(WorkCapExceeded, match=f"^the walk search passed the work cap of {steps - 1} steps$"):
                 call(steps - 1)
 
 
@@ -652,7 +652,7 @@ def test_walk_cap_counts_transfer_work(seed):
                             (Y, lambda cap: fpw_counts(g, x, Y, M, cap))):
         work = M * (g.n + sum(1 for u, _ in arcs if u not in absorbing))
         assert call(work).values == call(None).values
-        with pytest.raises(WorkCapExceeded, match=f"^the walk series took more than {work - 1} units of work"):
+        with pytest.raises(WorkCapExceeded, match=f"^the walk series passed the work cap of {work - 1} units of work$"):
             call(work - 1)
 
 

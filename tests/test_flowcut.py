@@ -10,6 +10,7 @@ import flow_oracle
 from flow_oracle import flow_graphs, maxmaxflow_blockwise
 from maxmaxflow import flowcut
 from maxmaxflow.bounds import run_suite
+from maxmaxflow.counting import WorkCapExceeded
 from maxmaxflow.invariants import inequality_chain
 from maxmaxflow.graph import (
     WeightedMultigraph,
@@ -99,6 +100,14 @@ def test_vertex_outside_the_graph_is_named():
     g = cycle_graph(3)
     for call in (lambda: max_flow(g, 1, 9), lambda: cut_pair(g, [1, 9]), lambda: g.weighted_degree(9)):
         with pytest.raises(ValueError, match=r"^vertex 9 outside 1\.\.3$"):
+            call()
+
+
+# 1.0 equals the vertex 1 and hashes alike, but is no vertex
+def test_non_int_vertex_is_named():
+    g = cycle_graph(3)
+    for call in (lambda: max_flow(g, 1.0, 2), lambda: cut_pair(g, [1.0, 2]), lambda: g.weighted_degree(1.0)):
+        with pytest.raises(ValueError, match=r"^vertex 1\.0 outside 1\.\.3$"):
             call()
 
 
@@ -332,6 +341,21 @@ def test_lambda_tilde_matches_oracle_and_lambda():
         lt = lambda_tilde_bruteforce(g)
         assert lt == _lambda_tilde_oracle(g)
         assert lt == maxmaxflow(g)
+
+
+# the cap counts the cocycle sides the exhaustion builds, 2^(c-1) - 1 for a
+# component of c vertices: it succeeds at exactly their total, fails one below
+@pytest.mark.parametrize("seed", range(4))
+def test_lambda_tilde_cap_counts_cocycle_sides(seed):
+    rng = random.Random(f"lambda-tilde-cap:{seed}")
+    g = disjoint_union([random_multigraph(rng, rng.randint(1, 6), 0.6) for _ in range(3)])
+    if g.n < 2:
+        g = disjoint_union([g, path_graph(2)])
+    sides = sum(2 ** (len(comp) - 1) - 1 for comp in g.components())
+    assert lambda_tilde_bruteforce(g, cap=max(sides, 1)) == lambda_tilde_bruteforce(g)
+    if sides > 1:
+        with pytest.raises(WorkCapExceeded, match=f"^LambdaTilde by exhaustion passed the work cap of {sides - 1} "):
+            lambda_tilde_bruteforce(g, cap=sides - 1)
 
 
 # -- cut pairs ------------------------------------------------------------

@@ -157,6 +157,16 @@ def test_vertex_count_above_maxsize_is_a_format_error():
     assert str(ei.value) == message
 
 
+# an unknown directive is quoted while short, and named by its length when
+# long, so the error stays one short line
+def test_unknown_directive_message():
+    for directive, message in (("x", "unknown directive 'x'"),
+                               ("z" * 5000, "unknown directive of 5000 characters")):
+        with pytest.raises(GraphFormatError) as ei:
+            WeightedMultigraph.parse(f"v 2\n{directive} 1 2\n")
+        assert str(ei.value) == f"line 2: {message}"
+
+
 def test_serialize_lowest_terms():
     g = WeightedMultigraph(2, [(1, 2, F(2, 4))])
     assert "1/2" in g.serialize()

@@ -1,10 +1,12 @@
 """Degree statistics, degeneracy variants, and the invariant inequality chain."""
 import itertools
+import math
 import random
 from fractions import Fraction as F
 
 import pytest
 
+from maxmaxflow.counting import WorkCapExceeded
 from maxmaxflow.graph import (
     WeightedMultigraph,
     complete_graph,
@@ -100,6 +102,26 @@ def test_degeneracy_k_oracle_and_reduction():
             assert degeneracy_k(g, k) == _degeneracy_k_oracle(g, k)
         # k = 1 is ordinary degeneracy: max over subgraphs of the min degree
         assert degeneracy_k(g, 1) == degeneracy(g)
+
+
+# the cap counts the vertex subsets the exhaustion tests, those of at least
+# k vertices: it succeeds at exactly their number and fails one below
+@pytest.mark.parametrize("seed", range(4))
+def test_degeneracy_k_cap_counts_vertex_subsets(seed):
+    rng = random.Random(f"degeneracy-k-cap:{seed}")
+    g = random_multigraph(rng, rng.randint(2, 9), 0.5, max_multiplicity=2)
+    k = rng.randint(1, g.n)
+    subsets = sum(math.comb(g.n, s) for s in range(k, g.n + 1))
+    assert degeneracy_k(g, k, cap=subsets) == degeneracy_k(g, k)
+    if subsets > 1:
+        with pytest.raises(WorkCapExceeded, match=f"^D_{k} by exhaustion passed the work cap of {subsets - 1} "):
+            degeneracy_k(g, k, cap=subsets - 1)
+
+
+def test_inequality_chain_checks_the_cap_on_every_graph():
+    # a graph too large for the brute forces still rejects a cap below 1
+    with pytest.raises(ValueError, match="^the work cap must be >= 1, not cap=0$"):
+        inequality_chain(cycle_graph(12), cap=0)
 
 
 def test_inequality_chain_holds_on_random_graphs():
