@@ -162,10 +162,6 @@ class BoundResult:
     rhs_hi: Fraction
     note: str = ""
 
-    @property
-    def ratio_upper(self) -> Optional[Fraction]:
-        return None if self.rhs_lo <= 0 else self.lhs_hi / self.rhs_lo
-
 
 def _sum_result(bound_id: str, M: int, terms, rhs, note: str = "") -> BoundResult:
     if all(isinstance(t, Fraction) for t in terms) and isinstance(rhs, Fraction):
@@ -662,10 +658,11 @@ def hunt(
     """Seeded random search for violations; returns the near-violation
     leaderboard sorted by descending ratio (ties: fewer edges, then fewer
     vertices).  A planted tightness-family instance is mixed in every tenth
-    trial so the known near-extremal graphs compete with the random pool."""
+    trial so the known near-extremal graphs compete with the random pool.
+    An error raised in a trial ends the hunt."""
     if conjecture not in CONJECTURES:
         raise ValueError(f"unknown conjecture {conjecture!r}; known: {CONJECTURES}")
-    # checked once here: inside the loop a bad M or cap would only drop every trial
+    # checked before any trial, so a bad M or cap fails whatever the trial count
     if M < 0:
         raise ValueError("M must be >= 0")
     if trials < 0:
@@ -684,18 +681,12 @@ def hunt(
         if inst is None:
             continue
         g, X, Y, family = inst
-        try:
-            res = verify_bound(g, conjecture, M, X=X, Y=Y, cap=cap)
-        except ValueError:
-            continue
-        ratio = res.ratio_upper
-        if ratio is None:
-            continue
+        res = verify_bound(g, conjecture, M, X=X, Y=Y, cap=cap)
         findings.append(
             Finding(
                 conjecture, trial, family, g.serialize(),
                 tuple(sorted(X or ())), tuple(sorted(Y or ())),
-                M, res.verdict, res.lhs_hi, res.rhs_lo, ratio,
+                M, res.verdict, res.lhs_hi, res.rhs_lo, res.lhs_hi / res.rhs_lo,
             )
         )
     findings.sort(

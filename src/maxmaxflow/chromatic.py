@@ -199,7 +199,7 @@ def explore_roots(trials: int, seed: int = 0, n_max: int = 12) -> list[ExploreRe
         rng = random.Random(f"explore:{seed}:{attempts}")
         n = rng.randint(4, n_max)
         g = random_multigraph(rng, n, p=rng.uniform(0.15, 0.35), weights="unit")
-        if g.m == 0 or g.m > _EXPLORE_EDGE_CAP or g.n < 2:
+        if g.m == 0 or g.m > _EXPLORE_EDGE_CAP:
             continue
         poly = chromatic_polynomial(g)
         roots = chromatic_roots(poly)
@@ -208,7 +208,7 @@ def explore_roots(trials: int, seed: int = 0, n_max: int = 12) -> list[ExploreRe
         out.append(
             ExploreRecord(
                 trial, g.n, g.m,
-                maxmaxflow(g), max_degree(g), delta_k(g, 2) if g.n >= 2 else max_degree(g),
+                maxmaxflow(g), max_degree(g), delta_k(g, 2),
                 max_abs, max_root, g.serialize(),
             )
         )

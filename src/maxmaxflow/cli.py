@@ -228,9 +228,9 @@ def _cmd_cutpair(args) -> int:
     g, _ = _load_graph(args)
     cp = cut_pair(g, args.xset)
     lam = maxmaxflow(g)
-    for xi, side, w in [(cp.x1, cp.side1, cp.weight1), (cp.x2, cp.side2, cp.weight2)]:
-        vs = ",".join(str(v) for v in sorted(side))
-        print(f"x={xi} side={{{vs}}} cutweight={w} Lambda={lam}")
+    for xi, cut in [(cp.x1, cp.cut1), (cp.x2, cp.cut2)]:
+        vs = ",".join(str(v) for v in sorted(cut.side))
+        print(f"x={xi} side={{{vs}}} cutweight={cut.value} Lambda={lam}")
     return 0
 
 

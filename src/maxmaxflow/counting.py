@@ -24,7 +24,6 @@ once; the subgraph classes read the edges themselves.
 """
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Callable, Iterable, Optional
@@ -32,7 +31,6 @@ from typing import Callable, Iterable, Optional
 from .graph import WeightedMultigraph, biconnected_components
 
 DEFAULT_WORK_CAP = 50_000_000
-WORK_CAP_ENV = "MAXMAXFLOW_WORKCAP"
 
 
 class WorkCapExceeded(RuntimeError):
@@ -40,18 +38,11 @@ class WorkCapExceeded(RuntimeError):
 
 
 def work_cap(cap: Optional[int] = None) -> int:
-    """The work cap in force: `cap` if given, else `WORK_CAP_ENV`'s, else the default."""
-    if cap is not None:
-        if cap < 1:
-            raise ValueError(f"the work cap must be >= 1, not cap={cap}")
-        return cap
-    raw = os.environ.get(WORK_CAP_ENV)
-    try:
-        cap = int(raw) if raw else DEFAULT_WORK_CAP
-    except ValueError:
-        cap = 0
+    """The work cap in force: `cap` if given, else `DEFAULT_WORK_CAP`."""
+    if cap is None:
+        return DEFAULT_WORK_CAP
     if cap < 1:
-        raise ValueError(f"{WORK_CAP_ENV} must be an integer >= 1, not {raw!r}")
+        raise ValueError(f"the work cap must be >= 1, not cap={cap}")
     return cap
 
 

@@ -1,19 +1,21 @@
 """Exact max-flow / min-cut, cut trees, cocycle space and maxmaxflow.
 
-All computations are exact over the rationals.  Flows and cut weights are
-computed on the graph's pair table (`WeightedMultigraph.pair_weights`: the
-parallel edges of each pair summed once, every weight times L) and divided
-by L once per reported value.  `_network` turns the pairs into arc arrays,
-the one place arcs are built; Dinic's blocking-flow algorithm runs on them
-after a warm start that saturates the source's paths of one, two and three
-arcs to the sink, which leaves most cut-tree splits without a phase.  Once
-no residual arc enters the sink, the last search for the source side stops
-as soon as it has reached every live node but the sink, a count the caller
-passes in.  Each graph's cut tree is built once and memoised on the graph,
-and each component's tree runs all its splits on one set of arcs,
-contracting nodes by relabelling the arcs' heads instead of rebuilding the
-arcs.  A split that cuts off the sink alone leaves the contracted network
-to the next split, which reuses it.
+All computations are exact over the rationals.  Flows are computed on the
+graph's pair table (`WeightedMultigraph.pair_weights`: the parallel edges
+of each pair summed once, every weight times L) and divided by L once per
+reported value.  Every cut E(X, X^c) is a `Cocycle`, the minimum cuts of
+`max_flow` included, and `cocycle_of` weighs a side on the edges
+themselves.  `_network` turns the pairs into arc arrays, the one place arcs
+are built; Dinic's blocking-flow algorithm runs on them after a warm start
+that saturates the source's paths of one, two and three arcs to the sink,
+which leaves most cut-tree splits without a phase.  Once no residual arc
+enters the sink, the last search for the source side stops as soon as it
+has reached every live node but the sink, a count the caller passes in.
+Each graph's cut tree is built once and memoised on the graph, and each
+component's tree runs all its splits on one set of arcs, contracting nodes
+by relabelling the arcs' heads instead of rebuilding the arcs.  A split
+that cuts off the sink alone leaves the contracted network to the next
+split, which reuses it.
 """
 from __future__ import annotations
 
@@ -26,17 +28,22 @@ from .graph import WeightedMultigraph, bfs_path, bfs_tree, components_of
 
 
 @dataclass(frozen=True)
-class MinCutCertificate:
-    """Max-flow value with the canonical minimum cut certifying it.
+class Cocycle:
+    """The cut E(X, X^c) of a vertex side X: its edge ids and total weight.
 
-    `side` is the set of vertices reachable from the source in the final
-    residual network (so it contains the source and not the sink whenever the
-    two are connected).  `cut_edges` are the ids of edges crossing the cut.
+    `max_flow` returns one as its minimum cut, `cocycle_of` weighs any side,
+    and the cocycle bases and `CutPair` are built of them.
     """
 
-    value: Fraction
     side: frozenset[int]
     cut_edges: frozenset[int]
+    value: Fraction
+
+
+def cocycle_of(g: WeightedMultigraph, side: Iterable[int]) -> Cocycle:
+    s = frozenset(side)
+    eids = frozenset(e.id for e in g.edges if (e.u in s) != (e.v in s))
+    return Cocycle(s, eids, sum((g.edges[i].w for i in eids), Fraction(0)))
 
 
 def _network(k: int, arcs: Iterable[tuple[int, int, int]]) -> tuple[list[list[int]], list[int], list[int]]:
@@ -215,8 +222,10 @@ def _blocking_flow(dag: list[list[int]], to: list[int], res: list[int], s: int, 
             dag[u].pop()
 
 
-def max_flow(g: WeightedMultigraph, x: int, y: int) -> MinCutCertificate:
-    """Exact max flow between two distinct vertices, with min-cut certificate."""
+def max_flow(g: WeightedMultigraph, x: int, y: int) -> Cocycle:
+    """Exact max flow between two distinct vertices, as the minimum cut that
+    certifies it: `value` is Dinic's flow, and `side` the vertices reachable
+    from x in the final residual network, so it holds x and not y."""
     if x == y:
         raise ValueError("source and sink must differ")
     g.check_vertices((x, y))
@@ -224,14 +233,7 @@ def max_flow(g: WeightedMultigraph, x: int, y: int) -> MinCutCertificate:
     adj, head, cap = _network(g.n + 1, ((u, v, c) for u in A for v, c in A[u].items() if u < v))
     flow, level = _dinic(adj, head, cap, x, y, g.n)
     reach = frozenset(v for v in g.vertices if level[v] >= 0)
-    cut = frozenset(e.id for e in g.edges if (e.u in reach) != (e.v in reach))
-    return MinCutCertificate(Fraction(flow, L), reach, cut)
-
-
-def cut_weight(g: WeightedMultigraph, side: Iterable[int]) -> Fraction:
-    s = set(side)
-    A, L = g.pair_weights()
-    return Fraction(sum(c for u in s if u in A for v, c in A[u].items() if v not in s), L)
+    return Cocycle(reach, cocycle_of(g, reach).cut_edges, Fraction(flow, L))
 
 
 # -- cut trees ------------------------------------------------------------
@@ -257,14 +259,11 @@ class CutTree:
             adj[v].append((u, w))
         return adj
 
-    def path(self, x: int, y: int) -> list[tuple[int, int, Fraction]]:
+    def bottleneck(self, x: int, y: int) -> Fraction:
         steps = bfs_path(self.adjacency(), x, y)
         if steps is None:
             raise ValueError("vertices not connected in tree")
-        return steps
-
-    def bottleneck(self, x: int, y: int) -> Fraction:
-        return min(w for _, _, w in self.path(x, y))
+        return min(w for _, _, w in steps)
 
     def split(self, u: int, v: int) -> frozenset[int]:
         """Vertex side containing u after removing tree edge (u, v)."""
@@ -413,22 +412,6 @@ def maxmaxflow(g: WeightedMultigraph) -> Fraction:
 # -- cocycles -------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Cocycle:
-    """Edge set E(X, X^c) together with the side X that induced it."""
-
-    side: frozenset[int]
-    edge_ids: frozenset[int]
-    weight: Fraction
-
-
-def cocycle_of(g: WeightedMultigraph, side: Iterable[int]) -> Cocycle:
-    s = frozenset(side)
-    eids = frozenset(e.id for e in g.edges if (e.u in s) != (e.v in s))
-    w = sum((g.edges[i].w for i in eids), Fraction(0))
-    return Cocycle(s, eids, w)
-
-
 def elementary_cocycle(g: WeightedMultigraph, tree_edges: Sequence[tuple[int, int]], k: int) -> Cocycle:
     """Cocycle induced in g by removing the k-th edge of a spanning tree of V(g).
 
@@ -454,7 +437,7 @@ def cocycle_basis_from_tree(
     basis = [elementary_cocycle(g, tree_edges, k) for k in range(len(tree_edges))]
     pivots: list[int] = []
     for c in basis:
-        if not _gf2_add(pivots, sum(1 << eid for eid in c.edge_ids)):
+        if not _gf2_add(pivots, sum(1 << eid for eid in c.cut_edges)):
             raise AssertionError("elementary cocycles not independent")
     return basis
 
@@ -531,16 +514,15 @@ def lambda_tilde_bruteforce(g: WeightedMultigraph, cap: Optional[int] = None) ->
 @dataclass(frozen=True)
 class CutPair:
     x1: int
-    side1: frozenset[int]
-    weight1: Fraction
+    cut1: Cocycle
     x2: int
-    side2: frozenset[int]
-    weight2: Fraction
+    cut2: Cocycle
 
 
 def cut_pair(g: WeightedMultigraph, X: Iterable[int]) -> CutPair:
-    """Two members x1, x2 of X with disjoint vertex sets X1, X2 such that
-    X ∩ Xi = {xi} and both cut weights w(E(Xi, Xi^c)) are at most maxmaxflow.
+    """Two members x1, x2 of X with the cuts E(X1, X1^c) and E(X2, X2^c) of
+    disjoint vertex sets X1, X2 such that X ∩ Xi = {xi} and both cut weights
+    are at most maxmaxflow; each cut is `cocycle_of` its side.
 
     Construction: take the cut tree, restrict to the minimal subtree spanning
     X in a component holding at least two members, and peel off two of its
@@ -562,7 +544,7 @@ def cut_pair(g: WeightedMultigraph, X: Iterable[int]) -> CutPair:
     if not rich:
         # members are spread over components; two components are the cuts
         (c1, (x1,)), (c2, (x2,)) = sorted(by_comp.items(), key=lambda kv: kv[1])[:2]
-        return CutPair(x1, c1, Fraction(0), x2, c2, Fraction(0))
+        return CutPair(x1, cocycle_of(g, c1), x2, cocycle_of(g, c2))
 
     comp = min(rich, key=min)
     members = set(by_comp[comp])
@@ -583,12 +565,9 @@ def cut_pair(g: WeightedMultigraph, X: Iterable[int]) -> CutPair:
     ends = sorted(v for v in keep if degree[v] == 1)
     x1, x2 = ends[0], ends[1]
 
-    def one(xi: int) -> tuple[frozenset[int], Fraction]:
+    def cut(xi: int) -> Cocycle:
         nb = next(u for u, _ in adj[xi] if u in keep)
-        side = tree.split(xi, nb)
-        return side, cut_weight(g, side)
+        return cocycle_of(g, tree.split(xi, nb))
 
-    side1, w1 = one(x1)
-    side2, w2 = one(x2)
-    return CutPair(x1, side1, w1, x2, side2, w2)
+    return CutPair(x1, cut(x1), x2, cut(x2))
 

@@ -493,19 +493,12 @@ def parallel_expand(g: WeightedMultigraph, s: int, divide: bool = False) -> Weig
 
 def k2_multi(s: int, total=None) -> WeightedMultigraph:
     """Two vertices joined by s parallel edges of weight total/s (default total=s)."""
-    if s < 1:
-        raise ValueError("s >= 1 required")
-    total = Fraction(s) if total is None else Fraction(total)
-    return WeightedMultigraph(2, [(1, 2, total / s) for _ in range(s)])
+    return parallel_expand(path_graph(2, Fraction(s if total is None else total)), s, divide=True)
 
 
 def star_multi(r: int, s: int, total=None) -> WeightedMultigraph:
     """Star K_{1,r} with each edge replaced by s parallels of weight total/s."""
-    base = star_graph(r)
-    total = Fraction(s) if total is None else Fraction(total)
-    return WeightedMultigraph(
-        base.n, [(e.u, e.v, total / s) for e in base.edges for _ in range(s)]
-    )
+    return parallel_expand(star_graph(r, Fraction(s if total is None else total)), s, divide=True)
 
 
 def truncated_tree(r: int, depth: int, weight=1) -> WeightedMultigraph:

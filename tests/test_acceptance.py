@@ -23,7 +23,7 @@ from maxmaxflow.graph import (
     random_multigraph,
     theta_graph,
 )
-from maxmaxflow.flowcut import cut_tree, cut_weight, max_flow, maxmaxflow
+from maxmaxflow.flowcut import cocycle_of, cut_tree, max_flow, maxmaxflow
 from maxmaxflow.invariants import inequality_chain
 from maxmaxflow.counting import class_count_series, class_spec, fpsaw_counts, fpw_counts, saw_counts, walk_total_counts
 from maxmaxflow.bounds import (
@@ -124,7 +124,7 @@ def test_criterion_2_cut_tree_properties(corpus):
         for x, y in itertools.combinations(sorted(g.vertices), 2):
             assert t.bottleneck(x, y) == max_flow(g, x, y).value
         for u, v, w in t.edges:
-            assert cut_weight(g, t.split(u, v)) == w
+            assert cocycle_of(g, t.split(u, v)).value == w
     _pass(2, "cut-tree bottleneck and elementary-cocycle properties exact on the corpus")
 
 

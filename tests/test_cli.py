@@ -250,13 +250,13 @@ def test_count_lists_the_families(tri, capsys):
 
 
 def test_chromatic_cap_defaults_to_the_work_cap():
-    # None: chromatic_polynomial reads the cap in force, MAXMAXFLOW_WORKCAP or the default
+    # None: chromatic_polynomial takes the default work cap
     assert cli._parser().parse_args(["chromatic", "g.txt"]).cap is None
 
 
 def test_every_cap_flag_is_the_work_cap():
     # one meaning of --cap for every subcommand: an int, default None (the
-    # cap in force), with the same help text
+    # default work cap), with the same help text
     subparsers = next(a for a in cli.build_parser()._actions if a.dest == "cmd").choices
     caps = {
         name: next(a for a in sp._actions if "--cap" in a.option_strings)
@@ -265,6 +265,20 @@ def test_every_cap_flag_is_the_work_cap():
     }
     assert {"chromatic", "count", "hunt", "invariants", "suite", "verify"} <= set(caps)
     assert {(a.type, a.default, a.help) for a in caps.values()} == {(int, None, caps["count"].help)}
+
+
+# a trial's error is a fault to report, not a trial to drop: the hunt and
+# the CLI end in it rather than leave the trial out of the leaderboard
+def test_hunt_trial_error_propagates(capsys, monkeypatch):
+    def fail(*args, **kwargs):
+        raise ValueError("the trial failed")
+
+    monkeypatch.setattr(bounds, "verify_bound", fail)
+    with pytest.raises(ValueError, match="^the trial failed$"):
+        bounds.hunt("conj5.6", trials=3)
+    code, out, err = run_main(["hunt", "--conjecture", "conj5.6", "--trials", "3"], capsys)
+    assert code == 1 and out == ""
+    assert err.splitlines() == ["error: the trial failed"]
 
 
 def test_manifest_records_argv_given_to_main(tri, capsys):
@@ -487,17 +501,6 @@ def test_huge_m_is_one_error_line(tri, capsys, cmd):
     code, out, err = run_main([*argv, "-m", "100000000000"], capsys)
     assert code == 1 and out == ""
     assert err.splitlines() == ["error: out of memory"]
-
-
-@pytest.mark.parametrize("raw", ["abc", "0", "-5", "1e3"])
-def test_bad_work_cap_environment_is_one_error_line(tri, capsys, monkeypatch, raw):
-    monkeypatch.setenv(counting.WORK_CAP_ENV, raw)
-    for argv in (["count", tri, "--class", "T", "--x", "1", "-m", "3"],
-                 ["count", tri, "--class", "SAW", "--x", "1", "--y", "2", "-m", "3"],
-                 ["hunt", "--conjecture", "conj5.6", "--trials", "3"]):
-        code, out, err = run_main(argv, capsys)
-        assert code == 1 and out == ""
-        assert err.splitlines() == [f"error: MAXMAXFLOW_WORKCAP must be an integer >= 1, not {raw!r}"]
 
 
 # results print in full however many digits they have; the interpreter limits

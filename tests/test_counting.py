@@ -2,7 +2,9 @@
 import itertools
 import math
 import random
+import re
 from fractions import Fraction as F
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -26,7 +28,6 @@ from maxmaxflow.graph import (
 )
 from maxmaxflow.counting import (
     DEFAULT_WORK_CAP,
-    WORK_CAP_ENV,
     WorkCapExceeded,
     class_count_series,
     class_series,
@@ -656,29 +657,22 @@ def test_walk_cap_counts_transfer_work(seed):
             call(work - 1)
 
 
-def test_walk_families_check_the_cap_first(monkeypatch):
+def test_walk_families_check_the_cap_first():
     g = path_graph(3)
     for kind, kw in (("SAW", dict(x=1, y=3)), ("W", dict(x=1, y=3)), ("FPSAW", dict(x=1, Y={3}))):
         with pytest.raises(ValueError, match="^the work cap must be >= 1, not cap=0$"):
             class_count_series(g, class_spec(kind, **kw), 2, cap=0)
     with pytest.raises(ValueError, match="work cap"):
         saw_counts(g, 1, 3, 2, cap=0)
-    monkeypatch.setenv(WORK_CAP_ENV, "0")
-    with pytest.raises(ValueError, match=WORK_CAP_ENV):
-        class_count_series(g, class_spec("W", x=1, y=3), 2)
 
 
-def test_work_cap_environment(monkeypatch):
-    monkeypatch.delenv(WORK_CAP_ENV, raising=False)
-    assert work_cap() == DEFAULT_WORK_CAP
-    monkeypatch.setenv(WORK_CAP_ENV, "7")
-    assert work_cap() == 7
-    for raw in ("abc", "0", "-5", "2.5"):
-        monkeypatch.setenv(WORK_CAP_ENV, raw)
-        with pytest.raises(ValueError, match=f"^{WORK_CAP_ENV} must be an integer >= 1"):
-            work_cap()
-        with pytest.raises(ValueError, match=WORK_CAP_ENV):
-            class_count_series(path_graph(3), class_spec("C", X={1}), 2)
+# a result depends on its arguments alone: the work cap is `cap=` or the
+# default, and no setting of the environment changes either
+def test_no_module_reads_the_environment():
+    package = Path(counting.__file__).parent
+    for path in sorted(package.glob("*.py")):
+        assert not re.search(r"\b(environ|getenv)\b", path.read_text()), path.name
+    assert work_cap() == work_cap(None) == DEFAULT_WORK_CAP
 
 
 def test_search_depth_follows_M_not_m():

@@ -23,10 +23,10 @@ from maxmaxflow.graph import (
     theta_graph,
 )
 from maxmaxflow.flowcut import (
+    Cocycle,
     cocycle_of,
     cut_pair,
     cut_tree,
-    cut_weight,
     cocycle_basis_from_tree,
     elementary_cocycle,
     lambda_tilde_bruteforce,
@@ -75,7 +75,7 @@ def test_max_flow_certificate_is_cut():
         x, y = rng.sample(list(g.vertices), 2)
         cert = max_flow(g, x, y)
         assert x in cert.side and y not in cert.side
-        assert cut_weight(g, cert.side) == cert.value
+        assert cocycle_of(g, cert.side) == cert  # Dinic's value weighs the edges its side cuts
         assert cert.value == _min_cut_brute(g, x, y)
 
 
@@ -122,8 +122,7 @@ def _check_cut_tree(g, t):
     # (b) each tree edge induces a bipartition whose cut weight in g equals
     # the tree edge weight
     for u, v, w in t.edges:
-        side = t.split(u, v)
-        assert cut_weight(g, side) == w
+        assert cocycle_of(g, t.split(u, v)).value == w
 
 
 def test_cut_tree_small_named():
@@ -269,7 +268,7 @@ def test_elementary_cocycles_span_all_cocycles():
         assert len(basis) == g.n - 1
         pivots = []
         for c in basis:
-            vec = sum(1 << i for i in c.edge_ids)
+            vec = sum(1 << i for i in c.cut_edges)
             for p in pivots:
                 vec = min(vec, vec ^ p)
             assert vec
@@ -278,18 +277,18 @@ def test_elementary_cocycles_span_all_cocycles():
         vs = sorted(g.vertices)
         for mask in range(1, 1 << (g.n - 1)):
             side = {vs[0]} | {vs[i + 1] for i in range(g.n - 1) if mask >> i & 1}
-            vec = sum(1 << i for i in cocycle_of(g, side).edge_ids)
+            vec = sum(1 << i for i in cocycle_of(g, side).cut_edges)
             for p in pivots:
                 vec = min(vec, vec ^ p)
             assert vec == 0
 
 
 def test_elementary_cocycle_weight_is_cut_weight():
-    g = cycle_graph(4)
+    # edges 0..3 are 12, 23, 34, 41; removing 23 from the path leaves {1, 2},
+    # cut by edges 1 (weight 2) and 3 (weight 4)
+    g = cycle_graph(4, weights=[1, 2, 3, 4])
     pairs = [(1, 2), (2, 3), (3, 4)]
-    c = elementary_cocycle(g, pairs, 1)
-    assert c.weight == cut_weight(g, c.side)
-    assert len(c.edge_ids) == 2
+    assert elementary_cocycle(g, pairs, 1) == Cocycle(frozenset({1, 2}), frozenset({1, 3}), F(6))
 
 
 def _lambda_tilde_oracle(g):
@@ -364,12 +363,12 @@ def test_lambda_tilde_cap_counts_cocycle_sides(seed):
 def _check_cut_pair(g, X, cp):
     X = set(X)
     assert cp.x1 != cp.x2 and {cp.x1, cp.x2} <= X
-    assert not (cp.side1 & cp.side2)
+    assert not (cp.cut1.side & cp.cut2.side)
     lam = maxmaxflow(g)
-    for xi, side, wi in [(cp.x1, cp.side1, cp.weight1), (cp.x2, cp.side2, cp.weight2)]:
-        assert X & side == {xi}
-        assert wi == cut_weight(g, side)
-        assert wi <= lam
+    for xi, cut in [(cp.x1, cp.cut1), (cp.x2, cp.cut2)]:
+        assert X & cut.side == {xi}
+        assert cut == cocycle_of(g, cut.side)
+        assert cut.value <= lam
 
 
 def test_cut_pair_basic():
@@ -381,7 +380,7 @@ def test_cut_pair_basic():
 def test_cut_pair_cross_component():
     g = disjoint_union([cycle_graph(3), cycle_graph(3)])
     cp = cut_pair(g, {1, 4})
-    assert cp.weight1 == cp.weight2 == 0
+    assert cp.cut1.value == cp.cut2.value == 0
     _check_cut_pair(g, {1, 4}, cp)
 
 
@@ -400,7 +399,7 @@ def test_cut_pair_random():
         # each side is a cut separating its member from the other, so its
         # weight is at least the pairwise max-flow
         mf = max_flow(g, cp.x1, cp.x2).value
-        assert cp.weight1 >= mf and cp.weight2 >= mf
+        assert cp.cut1.value >= mf and cp.cut2.value >= mf
 
 
 # -- the Dinic engine against the reference routes ------------------------
