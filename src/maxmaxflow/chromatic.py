@@ -17,7 +17,7 @@ import numpy as np
 
 from .counting import WorkMeter
 from .flowcut import maxmaxflow
-from .graph import WeightedMultigraph, random_multigraph
+from .graph import WeightedMultigraph, components_of, random_multigraph
 from .invariants import delta_k, max_degree
 
 _CANON_CAP = 6  # permutation canonicalization is affordable up to here
@@ -74,12 +74,12 @@ def _chromatic_simple(vs: tuple[int, ...], pairs: list[tuple[int, int]], memo: d
     if m == 0:
         return _poly_shift((1,), n)
     # forest shortcut: q^c (q-1)^m with c components
-    comps = _components(vs, pairs)
-    if m == n - len(comps):
+    c = len(components_of(vs, pairs))
+    if m == n - c:
         out: Poly = (1,)
         for _ in range(m):
             out = _poly_mul(out, (-1, 1))
-        return _poly_shift(out, len(comps))
+        return _poly_shift(out, c)
     key = _canonical_key(vs, pairs)
     if key is not None and key in memo:
         return memo[key]
@@ -103,27 +103,11 @@ def _chromatic_simple(vs: tuple[int, ...], pairs: list[tuple[int, int]], memo: d
     return out
 
 
-def _components(vs, pairs):
-    parent = {v: v for v in vs}
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for u, v in pairs:
-        ru, rv = find(u), find(v)
-        if ru != rv:
-            parent[ru] = rv
-    return {find(v) for v in vs}
-
-
 def _cycle_edge(vs, pairs) -> tuple[int, int]:
     """Some edge lying on a cycle (exists since the graph is not a forest)."""
+    c = len(components_of(vs, pairs))
     for e in pairs:
-        rest = [p for p in pairs if p != e]
-        if len(_components(vs, rest)) == len(_components(vs, pairs)):
+        if len(components_of(vs, [p for p in pairs if p != e])) == c:
             return e
     raise AssertionError("no cycle edge in a non-forest")
 
@@ -182,15 +166,18 @@ class ExploreRecord:
 
 
 _EXPLORE_EDGE_CAP = 22
-_EXPLORE_MAX_N = 14  # the largest n_max that explore8's --nmax may ask for
+_EXPLORE_MAX_N = 14  # the largest n_max that explore_roots takes
 
 
 def explore_roots(trials: int, seed: int = 0, n_max: int = 12) -> list[ExploreRecord]:
-    """Random unweighted graphs with 1 to `_EXPLORE_EDGE_CAP` edges: chromatic
-    roots next to maxmaxflow and the degree statistics, for eyeballing linear
-    root bounds."""
+    """Random unweighted graphs on 4 to `n_max` vertices (at most
+    `_EXPLORE_MAX_N`) with 1 to `_EXPLORE_EDGE_CAP` edges: chromatic roots
+    next to maxmaxflow and the degree statistics, for eyeballing linear root
+    bounds."""
     if trials < 0:
         raise ValueError("trials must be >= 0")
+    if not 4 <= n_max <= _EXPLORE_MAX_N:  # the graphs have 4..n_max vertices
+        raise ValueError(f"n_max must lie in 4..{_EXPLORE_MAX_N}, not {n_max}")
     out: list[ExploreRecord] = []
     trial = 0
     attempts = 0

@@ -26,7 +26,7 @@ from .bounds import (
     run_suite,
     verify_bound,
 )
-from .chromatic import _EXPLORE_MAX_N, chromatic_polynomial, chromatic_roots, explore_roots
+from .chromatic import chromatic_polynomial, chromatic_roots, explore_roots
 from .counting import _FAMILIES, WorkCapExceeded, class_count_series, class_spec
 from .flowcut import cut_pair, cut_tree, maxmaxflow
 from .graph import GraphFormatError, WeightedMultigraph, generate, parse_weight
@@ -324,10 +324,6 @@ def _cmd_chromatic(args) -> int:
 
 
 def _cmd_explore8(args) -> int:
-    if args.nmax < 4:  # the graphs have 4..nmax vertices
-        raise ValueError("--nmax must be >= 4")
-    if args.nmax > _EXPLORE_MAX_N:
-        raise ValueError(f"--nmax must be <= {_EXPLORE_MAX_N}")
     records = explore_roots(args.trials, seed=args.seed, n_max=args.nmax)
     lines = _manifest(args, {"seed": args.seed, "trials": args.trials})
     lines.append("trial,n,m,Lambda,Delta,Delta2,max_root_abs,max_root_re,max_root_im")

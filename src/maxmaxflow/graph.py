@@ -13,6 +13,7 @@ Parallel edges are summed once per graph, in its pair table
 """
 from __future__ import annotations
 
+import inspect
 import math
 import random
 import re
@@ -60,8 +61,25 @@ def parse_weight(tok: str) -> Fraction:
     raise _unreadable("weight", tok)
 
 
+def _edge(i: int, u: int, v: int, w: Fraction, n: int) -> Edge:
+    """Edge number i, if u-v of weight w fits a graph on 1..n: the one check
+    of the constructor and `parse`.  A loop is reported first, then an
+    endpoint that is not an int in 1..n (`type(x) is int`, which a bool or a
+    float fails), then a negative weight."""
+    if u == v:
+        raise GraphFormatError(f"loop edge at vertex {u}")
+    if not (type(u) is int and type(v) is int and 1 <= u <= n and 1 <= v <= n):
+        raise GraphFormatError(f"edge endpoint outside 1..{n}: ({u},{v})")
+    if w.numerator < 0:
+        raise GraphFormatError(f"negative weight on edge ({u},{v})")
+    return Edge(i, u, v, w)
+
+
 def _vertex_count(n: int) -> int:
-    """n, if it counts the vertices of a graph: 0 up to sys.maxsize, the most a tuple holds."""
+    """n, if it counts the vertices of a graph: an int from 0 up to
+    sys.maxsize, the most a tuple holds."""
+    if type(n) is not int:
+        raise GraphFormatError(f"bad vertex count {n!r}")
     if n < 0:
         raise GraphFormatError("negative vertex count")
     if n > sys.maxsize:
@@ -79,23 +97,13 @@ class WeightedMultigraph:
     """
 
     def __init__(self, n: int, edge_triples: Iterable[tuple[int, int, Fraction]]):
-        vset = set(range(1, _vertex_count(n) + 1))
-        edges = []
-        for i, (u, v, w) in enumerate(edge_triples):
-            if not isinstance(w, Fraction):
-                w = Fraction(w)
-            if u == v:
-                raise GraphFormatError(f"loop edge at vertex {u}")
-            if u not in vset or v not in vset:
-                raise GraphFormatError(f"edge endpoint outside 1..{n}: ({u},{v})")
-            if w.numerator < 0:
-                raise GraphFormatError(f"negative weight on edge ({u},{v})")
-            edges.append(Edge(i, u, v, w))
+        n = _vertex_count(n)
+        edges = [_edge(i, u, v, w if isinstance(w, Fraction) else Fraction(w), n)
+                 for i, (u, v, w) in enumerate(edge_triples)]
         self._set_up(n, edges)
 
     def _set_up(self, n: int, edges: list[Edge]):
-        """Build the graph of `edges`, numbered 0..m-1, which have passed the
-        constructor's checks."""
+        """Build the graph of `edges`, numbered 0..m-1, each made by `_edge`."""
         self.n = n
         self.vertices: tuple[int, ...] = tuple(range(1, n + 1))
         self.edges: tuple[Edge, ...] = tuple(edges)
@@ -123,7 +131,7 @@ class WeightedMultigraph:
     def check_vertices(self, vs: Iterable[int]):
         """ValueError for the first of vs that is not a vertex, an int in 1..n."""
         for v in vs:
-            if not isinstance(v, int) or v not in self._adj:
+            if not (type(v) is int and 1 <= v <= self.n):
                 raise ValueError(f"vertex {v} outside 1..{self.n}")
 
     def check_edge_ids(self, eids: Iterable[int]):
@@ -135,13 +143,9 @@ class WeightedMultigraph:
         """(each edge's weight times L, by edge id; L), where L is the least
         common denominator of the weights (1 without edges)."""
         def scaled():
-            # a parsed graph shares one Fraction per distinct weight token, so
-            # each weight object is read once
             ws = [e.w for e in self.edges]
-            distinct = {id(w): w for w in ws}
-            L = math.lcm(*(w.denominator for w in distinct.values()))
-            scale = {k: w.numerator * (L // w.denominator) for k, w in distinct.items()}
-            return tuple(map(scale.__getitem__, map(id, ws))), L
+            L = math.lcm(*{w.denominator for w in ws})
+            return tuple([w.numerator * (L // w.denominator) for w in ws]), L
 
         return self.memo("integer_weights", scaled)
 
@@ -205,13 +209,11 @@ class WeightedMultigraph:
 
     @classmethod
     def parse(cls, text: str) -> "WeightedMultigraph":
-        """The graph of the text format, every edge checked once, as the
-        constructor checks it, and each fault reported with its line."""
+        """The graph of the text format, every edge checked once by the
+        constructor's own check, and each fault reported with its line."""
         n = None
         edges: list[Edge] = []
-        # each distinct token is parsed and sign-checked once; a negative one
-        # fails on its first line, so it is never looked up again
-        weights: dict[str, Fraction] = {}
+        weights: dict[str, Fraction] = {}  # each distinct token is parsed once
         for lineno, raw in enumerate(text.splitlines(), start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
@@ -240,13 +242,7 @@ class WeightedMultigraph:
                     w = weights.get(parts[3])
                     if w is None:
                         w = weights[parts[3]] = parse_weight(parts[3])
-                        if w.numerator < 0 and u != v:  # a loop is reported first
-                            raise GraphFormatError("negative weight")
-                    if u == v:
-                        raise GraphFormatError(f"loop edge at vertex {u}")
-                    if not (1 <= u <= n and 1 <= v <= n):
-                        raise GraphFormatError(f"endpoint outside 1..{n}")
-                    edges.append(Edge(len(edges), u, v, w))
+                    edges.append(_edge(len(edges), u, v, w, n))
                 elif len(parts[0]) > 20:  # a long one is named by its length, not echoed
                     raise GraphFormatError(f"unknown directive of {len(parts[0])} characters")
                 else:
@@ -461,14 +457,14 @@ def complete_graph(n: int, weight=1) -> WeightedMultigraph:
     return WeightedMultigraph(n, triples)
 
 
-def theta_graph(r: int, w=1) -> WeightedMultigraph:
+def theta_graph(r: int, weight=1) -> WeightedMultigraph:
     """Endvertices a=1, b=2 joined by internally disjoint paths of lengths 1..r.
 
-    On each path one edge carries weight w, the remaining edges weight 1.
+    On each path one edge carries the given weight, the remaining edges weight 1.
     """
     if r < 2:
         raise ValueError("r >= 2 required")
-    w = Fraction(w)
+    w = Fraction(weight)
     triples: list[tuple[int, int, Fraction]] = []
     nxt = 3
     for length in range(1, r + 1):
@@ -557,60 +553,37 @@ def random_multigraph(
     return WeightedMultigraph(n, triples)
 
 
-class _FamilyParams(dict):
-    """The keyword parameters of `generate`, recording the ones read; a
-    missing required one is a ValueError, and so is one that is never read."""
-
-    def __init__(self, family: str, params: dict):
-        super().__init__(params)
-        self.family = family
-        self.read: set[str] = set()
-
-    def __getitem__(self, key: str):
-        self.read.add(key)
-        return super().__getitem__(key)
-
-    def get(self, key: str, default=None):
-        self.read.add(key)
-        return super().get(key, default)
-
-    def __missing__(self, key: str):
-        raise ValueError(f"family {self.family!r} needs the parameter {key!r}")
-
-    def check_all_read(self):
-        unread = sorted(self.keys() - self.read)
-        if unread:
-            raise ValueError(f"family {self.family!r} does not take the parameter {unread[0]!r}")
+# each family's parameters are its builder's: a required one must be given,
+# and one the builder does not take is refused
+_BUILDERS: dict[str, Callable[..., WeightedMultigraph]] = {
+    "path": path_graph,
+    "cycle": cycle_graph,
+    "star": star_graph,
+    "wheel": wheel_graph,
+    "complete": complete_graph,
+    "theta": theta_graph,
+    "k2s": k2_multi,
+    "stars": star_multi,
+    "pns": lambda n, s: parallel_expand(path_graph(n), s, divide=True),
+    "tree": truncated_tree,
+    "trees": lambda r, depth, s: parallel_expand(truncated_tree(r, depth), s, divide=True),
+    "random": lambda n, p=0.5, max_multiplicity=1, weights="rational", seed=0: random_multigraph(
+        random.Random(seed), n, p, max_multiplicity, weights
+    ),
+}
 
 
 def generate(family: str, **params) -> WeightedMultigraph:
-    """Dispatcher used by the CLI `generate` subcommand; each family takes the
-    parameters its builder reads and no others."""
-    params = _FamilyParams(family, params)
-    fns = {
-        "path": lambda: path_graph(params["n"], params.get("weights")),
-        "cycle": lambda: cycle_graph(params["n"], params.get("weights")),
-        "star": lambda: star_graph(params["r"], params.get("weights")),
-        "wheel": lambda: wheel_graph(params["r"], params.get("weights")),
-        "complete": lambda: complete_graph(params["n"], params.get("weight", 1)),
-        "theta": lambda: theta_graph(params["r"], params.get("weight", 1)),
-        "k2s": lambda: k2_multi(params["s"], params.get("total")),
-        "stars": lambda: star_multi(params["r"], params["s"], params.get("total")),
-        "pns": lambda: parallel_expand(path_graph(params["n"]), params["s"], divide=True),
-        "tree": lambda: truncated_tree(params["r"], params["depth"], params.get("weight", 1)),
-        "trees": lambda: parallel_expand(
-            truncated_tree(params["r"], params["depth"]), params["s"], divide=True
-        ),
-        "random": lambda: random_multigraph(
-            random.Random(params.get("seed", 0)),
-            params["n"],
-            params.get("p", 0.5),
-            params.get("max_multiplicity", 1),
-            params.get("weights", "rational"),
-        ),
-    }
-    if family not in fns:
-        raise ValueError(f"unknown family {family!r}; choose from {sorted(fns)}")
-    g = fns[family]()
-    params.check_all_read()
-    return g
+    """Dispatcher used by the CLI `generate` subcommand: the family's builder
+    called with `params`, which must fit its signature."""
+    if family not in _BUILDERS:
+        raise ValueError(f"unknown family {family!r}; choose from {sorted(_BUILDERS)}")
+    build = _BUILDERS[family]
+    taken = inspect.signature(build).parameters
+    for name, param in taken.items():
+        if param.default is param.empty and name not in params:
+            raise ValueError(f"family {family!r} needs the parameter {name!r}")
+    unknown = sorted(params.keys() - taken.keys())
+    if unknown:
+        raise ValueError(f"family {family!r} does not take the parameter {unknown[0]!r}")
+    return build(**params)

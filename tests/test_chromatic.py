@@ -122,3 +122,11 @@ def test_explore_roots_deterministic_and_bounded():
         assert rec.max_root_abs <= 8.0 * rec.Delta + 1e-6 or rec.Delta == 0
         g = WeightedMultigraph.parse(rec.graph_text)
         assert g.n == rec.n
+
+
+# the graphs have 4..n_max vertices, and explore8 goes no further than 14
+@pytest.mark.parametrize("n_max", [3, 15])
+def test_explore_roots_rejects_n_max_outside_its_range(n_max):
+    with pytest.raises(ValueError) as ei:
+        explore_roots(trials=1, n_max=n_max)
+    assert str(ei.value) == f"n_max must lie in 4..14, not {n_max}"

@@ -380,7 +380,7 @@ def test_count_deep_search_on_long_path(tmp_path, capsys, extra, nonzero):
 BAD_INPUTS = {
     "invariants": ("v 0\n", ["-"], "empty graph"),
     "lambda": ("v 1\n", ["-"], "maxmaxflow requires at least two vertices"),
-    "ghtree": ("v 2\ne 1 3 1\n", ["-"], "line 2: endpoint outside 1..2"),
+    "ghtree": ("v 2\ne 1 3 1\n", ["-"], "line 2: edge endpoint outside 1..2: (1,3)"),
     "cutpair": (TRIANGLE, ["-", "--set", "1"], "need at least two vertices in X"),
     "count": (TRIANGLE, ["-", "--class", "T", "--x", "1", "-m", "-1"], "M must be >= 0"),
     "verify": (TRIANGLE, ["-", "--bound", "prop4.3", "--x", "1", "--y", "2", "-m", "-1"], "M must be >= 0"),
@@ -388,7 +388,7 @@ BAD_INPUTS = {
     "hunt": ("", ["--conjecture", "conj5.6", "--trials", "3", "-m", "-1"], "M must be >= 0"),
     "chromatic": (TRIANGLE, ["-", "--cap", "2"],
                   "the chromatic polynomial passed the work cap of 2 deletion-contraction calls"),
-    "explore8": ("", ["--nmax", "3"], "--nmax must be >= 4"),
+    "explore8": ("", ["--nmax", "3"], "n_max must lie in 4..14, not 3"),
     "generate": ("", ["--family", "nope"], "unknown family 'nope'; choose from "
                  "['complete', 'cycle', 'k2s', 'path', 'pns', 'random', 'star', 'stars', "
                  "'theta', 'tree', 'trees', 'wheel']"),
@@ -424,7 +424,7 @@ def test_explore8_rejects_nmax_above_its_limit(capsys):
     # rejected before any graph is drawn
     code, out, err = run_main(["explore8", "--trials", "20", "--nmax", "20"], capsys)
     assert code == 1 and out == ""
-    assert err.splitlines() == ["error: --nmax must be <= 14"]
+    assert err.splitlines() == ["error: n_max must lie in 4..14, not 20"]
 
 
 @pytest.mark.parametrize("cmd", [

@@ -6,6 +6,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from maxmaxflow import graph
 from maxmaxflow.graph import (
     GraphFormatError,
     WeightedMultigraph,
@@ -13,6 +14,7 @@ from maxmaxflow.graph import (
     components_of,
     complete_graph,
     cycle_graph,
+    generate,
     k2_multi,
     parallel_expand,
     path_graph,
@@ -89,10 +91,12 @@ def test_parse_repeated_weight_tokens():
     assert str(ei.value) == "line 3: bad weight '1e3'"
     with pytest.raises(GraphFormatError) as ei:
         WeightedMultigraph.parse("v 3\ne 1 2 1\ne 1 2 1\ne 2 3 -1\ne 2 3 -1\n")
-    assert str(ei.value) == "line 4: negative weight"
+    assert str(ei.value) == "line 4: negative weight on edge (2,3)"
 
 
-# the constructor's own checks, for int and Fraction weights alike
+# the one table of edge faults: the constructor's message, which parse
+# reports with the edge's line, for int and Fraction weights alike.  The
+# checks run in the order loop, endpoints, sign
 @pytest.mark.parametrize("w", [1, F(1, 2)])
 @pytest.mark.parametrize("n,triple,message", [
     (3, (2, 2, None), "loop edge at vertex 2"),
@@ -101,6 +105,7 @@ def test_parse_repeated_weight_tokens():
     (3, (1, 2, "neg"), "negative weight on edge (1,2)"),
     (3, (3, 3, "neg"), "loop edge at vertex 3"),
     (3, (1, 5, "neg"), "edge endpoint outside 1..3: (1,5)"),
+    (3, (1, 4, "neg"), "edge endpoint outside 1..3: (1,4)"),
 ])
 def test_constructor_errors(w, n, triple, message):
     u, v, sign = triple
@@ -109,8 +114,34 @@ def test_constructor_errors(w, n, triple, message):
         WeightedMultigraph(n, [(1, 2, F(1)), (u, v, weight)])
     assert str(ei.value) == message
     with pytest.raises(GraphFormatError) as ei:
+        WeightedMultigraph.parse(f"v {n}\ne 1 2 1\ne {u} {v} {weight}\n")
+    assert str(ei.value) == f"line 3: {message}"
+    with pytest.raises(GraphFormatError) as ei:
         WeightedMultigraph(-1, [])
     assert str(ei.value) == "negative vertex count"
+
+
+# endpoints and the vertex count are ints: a float or a bool equal to one is
+# refused, since the text format could not write it back
+@pytest.mark.parametrize("n,triples,message", [
+    (2, [(1.0, 2, 1)], "edge endpoint outside 1..2: (1.0,2)"),
+    (2, [(1, 2.0, 1)], "edge endpoint outside 1..2: (1,2.0)"),
+    (2, [(True, 2, 1)], "edge endpoint outside 1..2: (True,2)"),
+    (2, [(2, True, 1)], "edge endpoint outside 1..2: (2,True)"),
+    (2.0, [(1, 2, 1)], "bad vertex count 2.0"),
+    (True, [], "bad vertex count True"),
+])
+def test_endpoints_and_vertex_count_are_ints(n, triples, message):
+    with pytest.raises(GraphFormatError) as ei:
+        WeightedMultigraph(n, triples)
+    assert str(ei.value) == message
+
+
+@pytest.mark.parametrize("v", [True, 1.0])
+def test_check_vertices_refuses_what_only_equals_a_vertex(v):
+    with pytest.raises(ValueError) as ei:
+        path_graph(2).check_vertices([v])
+    assert str(ei.value) == f"vertex {v} outside 1..2"
 
 
 def test_constructor_accepts_int_and_fraction_weights_alike():
@@ -120,17 +151,16 @@ def test_constructor_accepts_int_and_fraction_weights_alike():
     assert [(e.id, e.u, e.v) for e in g.edges] == [(0, 1, 2), (1, 2, 3), (2, 1, 3)]
 
 
-# each message with its line, where a line has two faults too: the checks
-# run in the order endpoints, weight token, loop, sign, range
+# each message with its line, where a line has two faults too: a line's
+# tokens are read first (its endpoints, then its weight), then its edge gets
+# the constructor's check (loop, endpoints, sign); the first faulty line is
+# the one reported
 @pytest.mark.parametrize("text,message", [
     ("v 3\ne 1 2 1\ne 2 2 1\n", "line 3: loop edge at vertex 2"),
-    ("v 3\ne 1 2 1\ne 1 2 -1/2\n", "line 3: negative weight"),
-    ("v 3\ne 1 2 1\ne 1 4 1\n", "line 3: endpoint outside 1..3"),
     ("v 3\ne 2 2 -1\n", "line 2: loop edge at vertex 2"),
     ("v 3\ne 1 2 1\ne 3 3 -1\n", "line 3: loop edge at vertex 3"),
-    ("v 3\ne 1 2 -1\ne 2 2 -1\n", "line 2: negative weight"),
+    ("v 3\ne 1 2 -1\ne 2 2 -1\n", "line 2: negative weight on edge (1,2)"),
     ("v 3\ne 2 2 -1\ne 1 2 -1\n", "line 2: loop edge at vertex 2"),
-    ("v 3\ne 1 4 -1\n", "line 2: negative weight"),
     ("v 3\ne 2 2 x\n", "line 2: bad weight 'x'"),
     ("v 3\ne a 2 1\n", "line 2: bad endpoint"),
     ("v 3\ne 1 2 1\n\n# c\ne 1 2 1\ne 3 3 1\n", "line 6: loop edge at vertex 3"),
@@ -145,7 +175,7 @@ def test_parse_error_messages(text, message):
 
 
 # no tuple holds more than sys.maxsize vertices.  parse is checked first:
-# without the constructor's check, its set of vertices would grow until
+# without the constructor's check, its tuple of vertices would grow until
 # memory ran out instead of failing the test
 def test_vertex_count_above_maxsize_is_a_format_error():
     message = f"vertex count exceeds the limit of {sys.maxsize}"
@@ -193,6 +223,43 @@ def test_roundtrip(g):
     h = WeightedMultigraph.parse(g.serialize())
     assert h == g and hash(h) == hash(g)
     assert h.edges == g.edges and [e.id for e in h.edges] == list(range(g.m))
+
+
+# one member of every family of `generate`
+FAMILY_EXAMPLES = {
+    "path": {"n": 4, "weights": [1, F(1, 2), 3]},
+    "cycle": {"n": 4},
+    "star": {"r": 3, "weights": F(2, 3)},
+    "wheel": {"r": 4},
+    "complete": {"n": 4, "weight": F(3, 2)},
+    "theta": {"r": 3, "weight": F(1, 3)},
+    "k2s": {"s": 3},
+    "stars": {"r": 2, "s": 3, "total": F(1, 2)},
+    "pns": {"n": 3, "s": 2},
+    "tree": {"r": 3, "depth": 2},
+    "trees": {"r": 2, "depth": 2, "s": 3},
+    "random": {"n": 5, "p": 0.6, "max_multiplicity": 2, "seed": 7},
+}
+
+# what a caller may hand the constructor, valid or not
+ENDPOINTS = [-1, 0, 1, 2, 3, 4, 1.0, 2.0, True, F(2)]
+WEIGHTS = [0, 1, 2, F(1, 2), F(7, 3), 0.25, -1, F(-1, 2), True, "3/4"]
+
+
+def test_every_constructed_graph_round_trips():
+    assert sorted(FAMILY_EXAMPLES) == sorted(graph._BUILDERS)
+    built = [generate(family, **params) for family, params in FAMILY_EXAMPLES.items()]
+    rng = random.Random(0)
+    for _ in range(500):
+        triples = [(rng.choice(ENDPOINTS), rng.choice(ENDPOINTS), rng.choice(WEIGHTS))
+                   for _ in range(rng.randint(0, 3))]
+        try:
+            built.append(WeightedMultigraph(rng.randint(0, 4), triples))
+        except GraphFormatError:
+            pass
+    assert len(built) > 100
+    for g in built:
+        assert WeightedMultigraph.parse(g.serialize()) == g, g.serialize()
 
 
 @settings(max_examples=60, deadline=None)
