@@ -96,7 +96,8 @@ def test_parse_repeated_weight_tokens():
 
 # the one table of edge faults: the constructor's message, which parse
 # reports with the edge's line, for int and Fraction weights alike.  The
-# checks run in the order loop, endpoints, sign
+# checks run in the order loop, endpoints, sign.  test_parse_error_messages
+# holds two more faults on line 3, after a good edge
 @pytest.mark.parametrize("w", [1, F(1, 2)])
 @pytest.mark.parametrize("n,triple,message", [
     (3, (2, 2, None), "loop edge at vertex 2"),
@@ -154,9 +155,14 @@ def test_constructor_accepts_int_and_fraction_weights_alike():
 # each message with its line, where a line has two faults too: a line's
 # tokens are read first (its endpoints, then its weight), then its edge gets
 # the constructor's check (loop, endpoints, sign); the first faulty line is
-# the one reported
+# the one reported.  Two rows have a short id that names the fault; they
+# check the full message all the same
 @pytest.mark.parametrize("text,message", [
     ("v 3\ne 1 2 1\ne 2 2 1\n", "line 3: loop edge at vertex 2"),
+    pytest.param("v 3\ne 1 2 1\ne 1 2 -1/2\n", "line 3: negative weight on edge (1,2)",
+                 id="v 3\ne 1 2 1\ne 1 2 -1/2\n-line 3: negative weight"),
+    pytest.param("v 3\ne 1 2 1\ne 1 4 1\n", "line 3: edge endpoint outside 1..3: (1,4)",
+                 id="v 3\ne 1 2 1\ne 1 4 1\n-line 3: endpoint outside 1..3"),
     ("v 3\ne 2 2 -1\n", "line 2: loop edge at vertex 2"),
     ("v 3\ne 1 2 1\ne 3 3 -1\n", "line 3: loop edge at vertex 3"),
     ("v 3\ne 1 2 -1\ne 2 2 -1\n", "line 2: negative weight on edge (1,2)"),
