@@ -216,7 +216,10 @@ def _discounted(values, zeta) -> list:
 class SeriesProvider:
     """The inputs of the bounds on one graph: the truncation order M, the
     anchors (x, y, X, Y and the edge id), p, r, alpha and the work cap,
-    checked once on construction.  Every fact the bounds read is computed
+    checked once on construction; an absent x or y is the least member of
+    X or Y, when that set is given.  `verify_bound` and `run_suite` pass
+    their keyword inputs here, so a bound's row does not depend on which
+    of the two computed it.  Every fact the bounds read is computed
     at most once per context: the series, Δ, Λ, λ(x,y), the hop distance,
     each kind's discount and the ln enclosure of each argument the
     discounts share.  Λ and λ(x,y) come from the graph's memoised cut tree,
@@ -248,6 +251,10 @@ class SeriesProvider:
         self.X, self.Y = frozenset(X or ()), frozenset(Y or ())
         g.check_vertices(sorted(self.X | self.Y | {v for v in (x, y) if v is not None}))
         g.check_edge_ids([] if eid is None else [eid])
+        if x is None and self.X:
+            x = min(self.X)
+        if y is None and self.Y:
+            y = min(self.Y)
         self.g, self.M, self.x, self.y, self.eid = g, M, x, y, eid
         self.p, self.r, self.cap = p, r, work_cap(cap)
         # the anchors given, named as in `_SERIES`
@@ -513,60 +520,30 @@ BOUNDS: dict[str, _Bound] = {
 }
 
 
-def verify_bound(
-    g: WeightedMultigraph,
-    bound_id: str,
-    M: int,
-    X: Optional[Iterable[int]] = None,
-    Y: Optional[Iterable[int]] = None,
-    x: Optional[int] = None,
-    y: Optional[int] = None,
-    eid: Optional[int] = None,
-    p: int = 1,
-    r: int = 1,
-    alpha=Fraction(2),
-    cap: Optional[int] = None,
-) -> BoundResult:
+def verify_bound(g: WeightedMultigraph, bound_id: str, M: int, **inputs) -> BoundResult:
+    """One bound on g; `inputs` are the keywords of `SeriesProvider` (X, Y,
+    x, y, eid, p, r, alpha, cap).  ValueError for bad inputs, or when the
+    bound does not apply to them."""
     if bound_id not in BOUNDS:
         raise ValueError(f"unknown bound {bound_id!r}; known: {sorted(BOUNDS)}")
-    ctx = SeriesProvider(g, M, X=X, Y=Y, x=x, y=y, eid=eid, p=p, r=r, alpha=alpha, cap=cap)
-    return _evaluate(bound_id, ctx)
+    return _evaluate(bound_id, SeriesProvider(g, M, **inputs))
 
 
 def run_suite(
-    g: WeightedMultigraph,
-    M: int,
-    X: Optional[Iterable[int]] = None,
-    Y: Optional[Iterable[int]] = None,
-    x: Optional[int] = None,
-    y: Optional[int] = None,
-    eid: Optional[int] = None,
-    p: int = 1,
-    r: int = 1,
-    alpha=Fraction(2),
-    cap: Optional[int] = None,
-    include_conjectures: bool = False,
+    g: WeightedMultigraph, M: int, *, include_conjectures: bool = False, **inputs
 ) -> list[BoundResult]:
     """Evaluate every applicable bound on one context, sharing its series cache.
 
-    Anchors that were not supplied are filled in from the others where the
-    meaning is unambiguous (x from X, y from Y).  Bad input raises
-    ValueError, as in `verify_bound`; bounds whose anchors are still
-    missing, or which need the graph invariants to exist (Lambda needs two
-    vertices), are skipped.  Before any bound is evaluated, one
+    `inputs` are those of `verify_bound`, and each row is the one it gives.
+    Bad input raises ValueError, as in `verify_bound`; bounds whose anchors
+    are missing, or which need the graph invariants to exist (Lambda needs
+    two vertices), are skipped.  Before any bound is evaluated, one
     `class_series` call computes every family of G that the applicable
     bounds read: the edge-subset classes from one search, which the work
     cap bounds, then SAW and FPW.  The walk totals come apart, and the
     through-edge series of cor7.5 and cor7.13 searches G - e on its own.
     """
-    Xs, Ys = frozenset(X or ()), frozenset(Y or ())
-    if x is None and Xs:
-        x = min(Xs)
-    if y is None and Ys:
-        y = min(Ys)
-    if y is not None and x == y and Xs and len(Xs) > 1:
-        y = min(v for v in Xs if v != x)
-    ctx = SeriesProvider(g, M, X=Xs, Y=Ys, x=x, y=y, eid=eid, p=p, r=r, alpha=alpha, cap=cap)
+    ctx = SeriesProvider(g, M, **inputs)
     ids = [
         bound_id for bound_id in sorted(BOUNDS)
         if (include_conjectures or not bound_id.startswith("conj")) and _inapplicable(bound_id, ctx) is None

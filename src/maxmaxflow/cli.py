@@ -30,6 +30,7 @@ from .chromatic import chromatic_polynomial, chromatic_roots, explore_roots
 from .counting import _FAMILIES, WorkCapExceeded, class_count_series, class_spec
 from .flowcut import cut_pair, cut_tree, maxmaxflow
 from .graph import GraphFormatError, WeightedMultigraph, generate, parse_weight
+from .intervals import UndecidedComparison
 from .invariants import inequality_chain
 
 
@@ -270,6 +271,8 @@ def _result_row(res) -> str:
 
 def _bound_inputs(args) -> dict:
     """The keyword inputs of `verify_bound` and `run_suite` that both commands take."""
+    # x and y are the first vertices listed, not the library's least member
+    # of X and Y: a user's order picks the anchor, and the golden files pin it
     x, y = (args.x[0] if args.x else None), (args.y[0] if args.y else None)
     return dict(X=args.x, Y=args.y, x=x, y=y, eid=args.edge, alpha=args.alpha, cap=args.cap)
 
@@ -369,7 +372,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     try:
         with _int_str_digits(0):  # results print in full, whatever their length
             return _DISPATCH[args.cmd](args)
-    except (ValueError, OSError, WorkCapExceeded) as exc:
+    except (ValueError, OSError, WorkCapExceeded, UndecidedComparison) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except MemoryError:  # its message is empty

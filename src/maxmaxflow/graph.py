@@ -61,6 +61,14 @@ def parse_weight(tok: str) -> Fraction:
     raise _unreadable("weight", tok)
 
 
+def _int_token(tok: str) -> int:
+    """An integer token: ASCII digits with an optional sign, as in a weight;
+    ValueError for anything else `int` reads (`1_0`, non-ASCII digits)."""
+    if tok.isascii() and "_" not in tok:
+        return int(tok)
+    raise ValueError(tok)
+
+
 def _edge(i: int, u: int, v: int, w: Fraction, n: int) -> Edge:
     """Edge number i, if u-v of weight w fits a graph on 1..n: the one check
     of the constructor and `parse`.  A loop is reported first, then an
@@ -226,7 +234,7 @@ class WeightedMultigraph:
                     if len(parts) != 2:
                         raise GraphFormatError("expected 'v <n>'")
                     try:
-                        count = int(parts[1])
+                        count = _int_token(parts[1])
                     except ValueError:
                         raise _unreadable("vertex count", parts[1]) from None
                     n = _vertex_count(count)
@@ -236,7 +244,7 @@ class WeightedMultigraph:
                     if len(parts) != 4:
                         raise GraphFormatError("expected 'e <u> <v> <w>'")
                     try:
-                        u, v = int(parts[1]), int(parts[2])
+                        u, v = _int_token(parts[1]), _int_token(parts[2])
                     except ValueError:
                         raise GraphFormatError("bad endpoint") from None
                     w = weights.get(parts[3])
@@ -476,25 +484,24 @@ def theta_graph(r: int, weight=1) -> WeightedMultigraph:
     return WeightedMultigraph(nxt - 1, triples)
 
 
-def parallel_expand(g: WeightedMultigraph, s: int, divide: bool = False) -> WeightedMultigraph:
-    """Replace every edge by s parallel copies (weight w_e, or w_e/s if divide)."""
+def parallel_expand(g: WeightedMultigraph, s: int) -> WeightedMultigraph:
+    """Replace every edge by s parallel copies of weight w_e/s."""
     if s < 1:
         raise ValueError("s >= 1 required")
     triples = []
     for e in g.edges:
-        w = e.w / s if divide else e.w
-        triples.extend((e.u, e.v, w) for _ in range(s))
+        triples += [(e.u, e.v, e.w / s)] * s
     return WeightedMultigraph(g.n, triples)
 
 
 def k2_multi(s: int, total=None) -> WeightedMultigraph:
     """Two vertices joined by s parallel edges of weight total/s (default total=s)."""
-    return parallel_expand(path_graph(2, Fraction(s if total is None else total)), s, divide=True)
+    return parallel_expand(path_graph(2, Fraction(s if total is None else total)), s)
 
 
 def star_multi(r: int, s: int, total=None) -> WeightedMultigraph:
     """Star K_{1,r} with each edge replaced by s parallels of weight total/s."""
-    return parallel_expand(star_graph(r, Fraction(s if total is None else total)), s, divide=True)
+    return parallel_expand(star_graph(r, Fraction(s if total is None else total)), s)
 
 
 def truncated_tree(r: int, depth: int, weight=1) -> WeightedMultigraph:
@@ -564,9 +571,9 @@ _BUILDERS: dict[str, Callable[..., WeightedMultigraph]] = {
     "theta": theta_graph,
     "k2s": k2_multi,
     "stars": star_multi,
-    "pns": lambda n, s: parallel_expand(path_graph(n), s, divide=True),
+    "pns": lambda n, s: parallel_expand(path_graph(n), s),
     "tree": truncated_tree,
-    "trees": lambda r, depth, s: parallel_expand(truncated_tree(r, depth), s, divide=True),
+    "trees": lambda r, depth, s: parallel_expand(truncated_tree(r, depth), s),
     "random": lambda n, p=0.5, max_multiplicity=1, weights="rational", seed=0: random_multigraph(
         random.Random(seed), n, p, max_multiplicity, weights
     ),

@@ -97,6 +97,46 @@ def test_identities_all_hold():
     assert len(names) >= 4
 
 
+# -- verdicts ---------------------------------------------------------------
+
+_I = bounds.Interval
+
+
+# the two forms' verdicts on exact terms and on enclosures; an enclosure
+# that straddles the bound raises rather than guessing
+@pytest.mark.parametrize("terms,rhs,verdict,enclosures", [
+    ([F(1), F(1, 2)], F(2), CONSISTENT, (F(3, 2), F(3, 2), F(2), F(2))),
+    ([F(1), F(1)], F(2), EQUALITY, (F(2), F(2), F(2), F(2))),
+    ([F(2), F(1, 2)], F(2), VIOLATION, (F(5, 2), F(5, 2), F(2), F(2))),
+    ([F(1), _I(F(1, 4), F(1, 2))], F(2), CONSISTENT, (F(5, 4), F(3, 2), F(2), F(2))),
+    ([F(1), _I(F(3, 2), F(2))], _I(F(2), F(9, 4)), VIOLATION, (F(5, 2), F(3), F(2), F(9, 4))),
+    ([F(1), _I(F(1, 2), F(3, 2))], F(2), None, None),
+])
+def test_sum_result_verdicts(terms, rhs, verdict, enclosures):
+    if verdict is None:
+        with pytest.raises(bounds.UndecidedComparison, match="^s: sum enclosure"):
+            bounds._sum_result("s", 1, terms, rhs)
+        return
+    res = bounds._sum_result("s", 1, terms, rhs)
+    assert (res.verdict, (res.lhs_lo, res.lhs_hi, res.rhs_lo, res.rhs_hi)) == (verdict, enclosures)
+
+
+# per term, the tightest pair is reported, or the first that exceeds its bound
+@pytest.mark.parametrize("pairs,verdict,enclosures", [
+    ([(F(1), F(2)), (F(1), F(3, 2))], CONSISTENT, (F(1), F(1), F(3, 2), F(3, 2))),
+    ([(F(1), F(2)), (F(1), F(1))], EQUALITY, (F(1), F(1), F(1), F(1))),
+    ([(F(1), F(2)), (_I(F(3), F(4)), F(2)), (F(9), F(1))], VIOLATION, (F(3), F(4), F(2), F(2))),
+    ([(F(1), F(2)), (_I(F(1), F(3)), F(2))], None, None),
+])
+def test_pointwise_result_verdicts(pairs, verdict, enclosures):
+    if verdict is None:
+        with pytest.raises(bounds.UndecidedComparison, match="^p: pointwise term undecided$"):
+            bounds._pointwise_result("p", 1, pairs)
+        return
+    res = bounds._pointwise_result("p", 1, pairs)
+    assert (res.verdict, (res.lhs_lo, res.lhs_hi, res.rhs_lo, res.rhs_hi)) == (verdict, enclosures)
+
+
 # -- individual bound verifiers -------------------------------------------
 
 
@@ -249,7 +289,8 @@ _WEIGHTS = st.sampled_from([F(0), F(1), F(2), F(1, 2), F(1, 7), F(2, 7), F(3, 7)
 
 @st.composite
 def _suite_inputs(draw):
-    """A multigraph with n <= 6 and anchors that run_suite fills in nothing for."""
+    """A multigraph with n <= 6 and any anchors: x and y absent, equal, or
+    outside X and Y."""
     n = draw(st.integers(1, 6))
     edges = []
     if n > 1:
@@ -259,11 +300,8 @@ def _suite_inputs(draw):
     vertex = st.integers(1, n)
     X = draw(st.frozensets(vertex, max_size=3))
     Y = draw(st.frozensets(vertex, max_size=3))
-    # run_suite takes x from X and y from Y when they are missing, and moves
-    # y off x when X has two members; x and y are drawn so neither happens
-    x = draw(vertex if X else st.none() | vertex)
-    ys = st.sampled_from([v for v in range(1, n + 1) if v != x or len(X) < 2])
-    y = draw(ys if Y else st.none() | ys)
+    x = draw(st.none() | vertex)
+    y = draw(st.none() | vertex)
     eid = draw(st.none() | st.integers(0, g.m - 1)) if g.m else None
     return g, {
         "X": X, "Y": Y, "x": x, "y": y, "eid": eid,

@@ -1,12 +1,17 @@
 """Command-line interface: exit codes, deterministic output, manifests."""
+import importlib
 import io
+import pkgutil
 import random
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import maxmaxflow
 from maxmaxflow import bounds, cli, counting
+from maxmaxflow.bounds import BOUNDS
 from maxmaxflow.cli import main
 from maxmaxflow.graph import WeightedMultigraph, complete_graph, cycle_graph, path_graph, random_multigraph
 
@@ -406,6 +411,50 @@ def test_bad_input_is_one_error_line(cmd, monkeypatch, capsys):
     code, out, err = run_main([cmd, *args], capsys)
     assert code == 1 and out == ""
     assert err.splitlines() == [f"error: {message}"]
+
+
+def _package_errors() -> list[type]:
+    """Every exception class a module of the package defines."""
+    found = set()
+    for info in pkgutil.iter_modules(maxmaxflow.__path__):
+        module = importlib.import_module(f"maxmaxflow.{info.name}")
+        found |= {obj for obj in vars(module).values()
+                  if isinstance(obj, type) and issubclass(obj, Exception) and obj.__module__ == module.__name__}
+    return sorted(found, key=lambda cls: cls.__name__)
+
+
+@pytest.mark.parametrize("error", _package_errors(), ids=lambda cls: cls.__name__)
+def test_package_error_in_a_command_is_one_error_line(error, tri, monkeypatch, capsys):
+    def fail(g):
+        raise error("the command failed")
+
+    monkeypatch.setattr(cli, "maxmaxflow", fail)
+    code, out, err = run_main(["lambda", tri], capsys)
+    assert code == 1 and out == ""
+    assert err.splitlines() == ["error: the command failed"]
+
+
+def test_package_errors_are_found():
+    names = {cls.__name__ for cls in _package_errors()}
+    assert {"GraphFormatError", "UndecidedComparison", "WorkCapExceeded"} <= names
+
+
+# a bound's row depends on the graph and its anchors only: verify prints the
+# row the suite prints, here where y is also the first vertex of --x
+def test_verify_rows_equal_suite_rows(capsys):
+    wheel = str(Path(__file__).parent / "golden" / "wheel.txt")
+    flags = ["--x", "1,3", "--y", "1", "-m", "4"]
+    code, out, _ = run_main(["suite", wheel, *flags], capsys)
+    assert code == 0
+    rows = [row for row in out.splitlines() if not row.startswith("#")][1:]
+    suite = {row.split(",")[0]: row for row in rows}
+    alone = {}
+    for bound_id in sorted(set(BOUNDS) - set(bounds.CONJECTURES)):  # the suite leaves these out
+        code, out, _ = run_main(["verify", wheel, "--bound", bound_id, *flags], capsys)
+        if code != 1:
+            alone[bound_id] = out.splitlines()[1]
+    assert {"prop4.3", "cor4.4", "cor4.5"} <= set(alone)
+    assert alone == suite
 
 
 def test_hunt_rejects_negative_trials(capsys):

@@ -173,6 +173,10 @@ def test_constructor_accepts_int_and_fraction_weights_alike():
     ("v 3\ne 1 2 -0\ne 1 1 0\n", "line 3: loop edge at vertex 1"),
     ("v x\n", "line 1: bad vertex count 'x'"),
     ("# c\nv -2\n", "line 2: negative vertex count"),
+    # integers are ASCII digits with an optional sign, as in a weight
+    ("v 1_0\n", "line 1: bad vertex count '1_0'"),
+    ("v \uff13\n", "line 1: bad vertex count '\uff13'"),
+    ("v 4\ne \u0663 4 1\n", "line 2: bad endpoint"),
 ])
 def test_parse_error_messages(text, message):
     with pytest.raises(GraphFormatError) as ei:
@@ -394,7 +398,7 @@ def test_generator_shapes():
     assert sum(1 for e in th.edges if e.w == F(1, 2)) == 3
     assert truncated_tree(3, 2).n == 1 + 3 + 6
     assert parallel_expand(path_graph(3), 2).m == 4
-    pe = parallel_expand(path_graph(2), 3, divide=True)
+    pe = parallel_expand(path_graph(2), 3)
     assert pe.total_weight() == 1
 
 
