@@ -29,7 +29,7 @@ from .bounds import (
 from .chromatic import chromatic_polynomial, chromatic_roots, explore_roots
 from .counting import _FAMILIES, WorkCapExceeded, class_count_series, class_spec
 from .flowcut import cut_pair, cut_tree, maxmaxflow
-from .graph import GraphFormatError, WeightedMultigraph, generate, parse_weight
+from .graph import GraphFormatError, WeightedMultigraph, _int_token, generate, parse_weight
 from .intervals import UndecidedComparison
 from .invariants import inequality_chain
 
@@ -48,11 +48,21 @@ def _frac(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"bad rational {text!r}")
 
 
-def _vertex_list(text: str) -> list[int]:
+def _int(text: str) -> int:
+    """An integer flag, in the text format's integer grammar; argparse's own
+    message for a bad one."""
     try:
-        return [int(t) for t in text.split(",") if t]
+        return _int_token(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"bad vertex list {text!r}")
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+
+
+def _vertex_list(text: str) -> list[int]:
+    """Comma-separated vertices, each in the text format's integer grammar."""
+    try:
+        return [_int_token(t) for t in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"bad vertex list {text!r}") from None
 
 
 @contextlib.contextmanager
@@ -102,14 +112,14 @@ def build_parser() -> _Parser:
         sp.add_argument("graph", help="graph file in the text format, or - for stdin")
 
     def cap_arg(sp):  # every command's --cap is the one work cap
-        sp.add_argument("--cap", type=int, default=None, help="work cap, in each exponential routine's units")
+        sp.add_argument("--cap", type=_int, default=None, help="work cap, in each exponential routine's units")
 
     def bound_args(sp):  # the inputs of verify and suite
         graph_arg(sp)
         sp.add_argument("--x", type=_vertex_list, default=None)
         sp.add_argument("--y", type=_vertex_list, default=None)
-        sp.add_argument("--edge", type=int, default=None, help="edge id for through-edge bounds")
-        sp.add_argument("-m", "--m", dest="M", type=int, required=True)
+        sp.add_argument("--edge", type=_int, default=None, help="edge id for through-edge bounds")
+        sp.add_argument("-m", "--m", dest="M", type=_int, required=True)
         sp.add_argument("--alpha", type=_frac, default=Fraction(2))
         cap_arg(sp)
 
@@ -134,17 +144,17 @@ def build_parser() -> _Parser:
     sp.add_argument("--class", dest="kind", required=True, help=f"one of {', '.join(sorted(_FAMILIES))}")
     sp.add_argument("--x", type=_vertex_list, default=None)
     sp.add_argument("--y", type=_vertex_list, default=None)
-    sp.add_argument("-m", "--m", dest="M", type=int, required=True)
-    sp.add_argument("--p", type=int, default=None)
-    sp.add_argument("--r", type=int, default=None)
+    sp.add_argument("-m", "--m", dest="M", type=_int, required=True)
+    sp.add_argument("--p", type=_int, default=None)
+    sp.add_argument("--r", type=_int, default=None)
     cap_arg(sp)
     sp.add_argument("-o", "--output")
 
     sp = sub.add_parser("verify", help="check one series bound")
     bound_args(sp)
     sp.add_argument("--bound", required=True, help=f"one of {', '.join(sorted(BOUNDS))}")
-    sp.add_argument("--p", type=int, default=1)
-    sp.add_argument("--r", type=int, default=1)
+    sp.add_argument("--p", type=_int, default=1)
+    sp.add_argument("--r", type=_int, default=1)
 
     sp = sub.add_parser("suite", help="run every applicable bound")
     bound_args(sp)
@@ -152,9 +162,9 @@ def build_parser() -> _Parser:
 
     sp = sub.add_parser("hunt", help="seeded random search for conjecture violations")
     sp.add_argument("--conjecture", required=True, help=f"one of {', '.join(CONJECTURES)}")
-    sp.add_argument("--trials", type=int, default=1000)
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("-m", "--m", dest="M", type=int, default=4)
+    sp.add_argument("--trials", type=_int, default=1000)
+    sp.add_argument("--seed", type=_int, default=0)
+    sp.add_argument("-m", "--m", dest="M", type=_int, default=4)
     cap_arg(sp)
     sp.add_argument("-o", "--output")
 
@@ -164,21 +174,21 @@ def build_parser() -> _Parser:
     sp.add_argument("-o", "--output")
 
     sp = sub.add_parser("explore8", help="chromatic roots vs maxmaxflow on random graphs")
-    sp.add_argument("--trials", type=int, default=1000)
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--nmax", type=int, default=12)
+    sp.add_argument("--trials", type=_int, default=1000)
+    sp.add_argument("--seed", type=_int, default=0)
+    sp.add_argument("--nmax", type=_int, default=12)
     sp.add_argument("-o", "--output")
 
     sp = sub.add_parser("generate", help="write a member of a named graph family")
     sp.add_argument("--family", required=True)
-    sp.add_argument("--n", type=int)
-    sp.add_argument("--r", type=int)
-    sp.add_argument("--s", type=int)
-    sp.add_argument("--depth", type=int)
+    sp.add_argument("--n", type=_int)
+    sp.add_argument("--r", type=_int)
+    sp.add_argument("--s", type=_int)
+    sp.add_argument("--depth", type=_int)
     sp.add_argument("--p", type=float)
     sp.add_argument("--weight", type=_frac)
     sp.add_argument("--total", type=_frac)
-    sp.add_argument("--seed", type=int)
+    sp.add_argument("--seed", type=_int)
     sp.add_argument("-o", "--output")
     return p
 

@@ -21,7 +21,9 @@ from .counting import WorkMeter, work_cap
 from .flowcut import lambda_tilde_bruteforce, maxmaxflow
 from .graph import WeightedMultigraph
 
-BRUTE_FORCE_MAX_N = 10  # inequality_chain computes LambdaTilde and D_2 up to here
+# inequality_chain computes LambdaTilde and D_2 up to here; D_2 is polynomial,
+# but the recorded `D2,n/a` bytes of larger graphs keep it to this size too
+BRUTE_FORCE_MAX_N = 10
 
 
 def degree_sequence(g: WeightedMultigraph) -> list[Fraction]:
@@ -44,45 +46,40 @@ def max_degree(g: WeightedMultigraph) -> Fraction:
 
 
 def degeneracy(g: WeightedMultigraph) -> Fraction:
-    """Max over subgraphs of the minimum weighted degree, by greedy peeling.
-
-    Repeatedly delete a vertex of minimum weighted degree (ties: smallest id);
-    the answer is the largest minimum seen.  The standard core argument goes
-    through unchanged for nonnegative weights: when the first vertex of a
-    maximizing subgraph H is peeled, its current degree is at least delta(H).
-    """
+    """Max over subgraphs of the minimum weighted degree: `degeneracy_k(g, 1)`."""
     if g.n == 0:
         raise ValueError("empty graph")
-    A, L = g.pair_weights()
-    deg = {v: sum(nbrs.values()) for v, nbrs in A.items()}
-    alive = set(g.vertices)
-    best = 0
-    while alive:
-        x = min(alive, key=lambda v: (deg[v], v))
-        best = max(best, deg[x])
-        alive.remove(x)
-        for v, c in A[x].items():
-            if v in alive:
-                deg[v] -= c
-    return Fraction(best, L)
+    return degeneracy_k(g, 1)
 
 
 def degeneracy_k(g: WeightedMultigraph, k: int, cap: Optional[int] = None) -> Fraction:
     """Max over induced subgraphs with >= k vertices of the k-th smallest degree.
 
-    Exhaustive over vertex subsets, each a unit of work.  Deleting edges
-    only lowers degrees, so restricting to induced subgraphs loses nothing.
+    For each exempt set E of k - 1 vertices, one peel deletes a vertex of
+    least degree outside E while at least k vertices are left, and records
+    its degree; each exempt set is a unit of work.  A record is at most the
+    k-th smallest degree of the current set, since some vertex outside E is
+    among its k smallest.  For an optimal S with E its k - 1 vertices of least
+    degree, the first vertex of S - E to be deleted has degree at least the
+    k-th smallest of S.  So the largest record is D_k, whatever the tie
+    order; k = 1 is Matula and Beck's core argument.  Deleting edges only
+    lowers degrees, so restricting to induced subgraphs loses nothing.
     """
     if not 1 <= k <= g.n:
         raise ValueError(f"k must be in 1..{g.n}")
-    meter = WorkMeter(cap, f"D_{k} by exhaustion", "vertex subsets")
+    meter = WorkMeter(cap, f"D_{k} by exempt-set peeling", "exempt sets")
     A, L = g.pair_weights()
+    full = {v: sum(nbrs.values()) for v, nbrs in A.items()}
     best = 0
-    for size in range(k, g.n + 1):
-        for subset in itertools.combinations(g.vertices, size):
-            meter.charge()
-            degs = sorted([sum(map(A[x].get, subset, itertools.repeat(0))) for x in subset])
-            best = max(best, degs[k - 1])
+    for exempt in itertools.combinations(g.vertices, k - 1):
+        meter.charge()
+        deg, rest = dict(full), set(g.vertices).difference(exempt)
+        while rest:  # the set left is rest and E, so it has at least k vertices
+            x = min(rest, key=deg.__getitem__)
+            best = max(best, deg[x])
+            rest.remove(x)
+            for v, c in A[x].items():
+                deg[v] -= c
     return Fraction(best, L)
 
 
@@ -118,8 +115,10 @@ class InvariantReport:
 def inequality_chain(g: WeightedMultigraph, cap: Optional[int] = None) -> InvariantReport:
     """Compute the invariants and evaluate every comparison in the chain.
 
-    The exponential quantities (LambdaTilde by exhaustion, D_2), each under
-    the work cap, and their comparisons are left out above `BRUTE_FORCE_MAX_N` vertices.
+    LambdaTilde by exhaustion and D_2 by exempt-set peeling, each under the
+    work cap, and their comparisons are left out above `BRUTE_FORCE_MAX_N`
+    vertices.  Only LambdaTilde is exponential; D_2 is left out there too
+    because recorded outputs of larger graphs read `n/a` for it.
     """
     if g.n == 0:
         raise ValueError("empty graph")

@@ -260,8 +260,8 @@ def test_chromatic_cap_defaults_to_the_work_cap():
 
 
 def test_every_cap_flag_is_the_work_cap():
-    # one meaning of --cap for every subcommand: an int, default None (the
-    # default work cap), with the same help text
+    # one meaning of --cap for every subcommand: an integer in the text
+    # format's grammar, default None (the default work cap), with the same help text
     subparsers = next(a for a in cli.build_parser()._actions if a.dest == "cmd").choices
     caps = {
         name: next(a for a in sp._actions if "--cap" in a.option_strings)
@@ -269,7 +269,7 @@ def test_every_cap_flag_is_the_work_cap():
         if any("--cap" in a.option_strings for a in sp._actions)
     }
     assert {"chromatic", "count", "hunt", "invariants", "suite", "verify"} <= set(caps)
-    assert {(a.type, a.default, a.help) for a in caps.values()} == {(int, None, caps["count"].help)}
+    assert {(a.type, a.default, a.help) for a in caps.values()} == {(cli._int, None, caps["count"].help)}
 
 
 # a trial's error is a fault to report, not a trial to drop: the hunt and
@@ -312,6 +312,46 @@ def test_rational_options_take_the_weight_grammar(tri, capsys, flag, value):
     assert ei.value.code == 1
     assert [line for line in err.splitlines() if line.startswith("error:")] == [
         f"error: argument {flag}: bad rational {value!r}"
+    ]
+
+
+# flag -> a command whose argv parses with V replaced by an ASCII integer
+INTEGER_FLAGS = {
+    "--x": ["verify", "TRI", "--bound", "prop4.3", "--x", "V", "--y", "1", "-m", "4"],
+    "--y": ["verify", "TRI", "--bound", "prop4.3", "--x", "1", "--y", "V", "-m", "4"],
+    "--set": ["cutpair", "TRI", "--set", "V"],
+    "--edge": ["suite", "TRI", "--edge", "V", "-m", "3"],
+    "-m": ["verify", "TRI", "--bound", "prop4.3", "--x", "1", "--y", "2", "-m", "V"],
+    "--cap": ["invariants", "TRI", "--cap", "V"],
+    "--trials": ["hunt", "--conjecture", "conj5.6", "--trials", "V"],
+    "--seed": ["hunt", "--conjecture", "conj5.6", "--trials", "1", "--seed", "V"],
+    "--nmax": ["explore8", "--trials", "1", "--nmax", "V"],
+    "generate --n": ["generate", "--family", "random", "--n", "V"],
+    "generate --r": ["generate", "--family", "trees", "--r", "V", "--depth", "2", "--s", "2"],
+    "generate --s": ["generate", "--family", "trees", "--r", "2", "--depth", "2", "--s", "V"],
+    "generate --depth": ["generate", "--family", "trees", "--r", "2", "--depth", "V", "--s", "2"],
+    "generate --seed": ["generate", "--family", "random", "--n", "4", "--seed", "V"],
+}
+VERTEX_LISTS = {"--x", "--y", "--set"}
+
+
+# integer flags and vertex-list items take the text format's integer grammar:
+# no non-ASCII digits, no underscores, no empty list items
+@pytest.mark.parametrize("key,value", [
+    *[(key, value) for key in INTEGER_FLAGS for value in ["\uff13", "\u0663", "1_0"]],
+    *[(key, value) for key in sorted(VERTEX_LISTS) for value in ["1,,3", "1,", ""]],
+])
+def test_integer_flags_take_the_text_formats_grammar(tri, capsys, key, value):
+    argv = [tri if a == "TRI" else value if a == "V" else a for a in INTEGER_FLAGS[key]]
+    with pytest.raises(SystemExit) as ei:
+        main(argv)
+    err = capsys.readouterr().err
+    flag = key.split()[-1]
+    name = "-m/--m" if flag == "-m" else flag
+    what = "bad vertex list" if key in VERTEX_LISTS else "invalid int value:"
+    assert ei.value.code == 1
+    assert [line for line in err.splitlines() if line.startswith("error:")] == [
+        f"error: argument {name}: {what} {value!r}"
     ]
 
 

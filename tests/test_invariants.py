@@ -5,6 +5,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from maxmaxflow.counting import WorkCapExceeded
 from maxmaxflow.graph import (
@@ -104,18 +105,71 @@ def test_degeneracy_k_oracle_and_reduction():
         assert degeneracy_k(g, 1) == degeneracy(g)
 
 
-# the cap counts the vertex subsets the exhaustion tests, those of at least
-# k vertices: it succeeds at exactly their number and fails one below
+# the cap counts the exempt sets peeled, C(n, k - 1): it succeeds at exactly
+# their number and fails one below
 @pytest.mark.parametrize("seed", range(4))
-def test_degeneracy_k_cap_counts_vertex_subsets(seed):
+def test_degeneracy_k_cap_counts_exempt_sets(seed):
     rng = random.Random(f"degeneracy-k-cap:{seed}")
     g = random_multigraph(rng, rng.randint(2, 9), 0.5, max_multiplicity=2)
-    k = rng.randint(1, g.n)
-    subsets = sum(math.comb(g.n, s) for s in range(k, g.n + 1))
-    assert degeneracy_k(g, k, cap=subsets) == degeneracy_k(g, k)
-    if subsets > 1:
-        with pytest.raises(WorkCapExceeded, match=f"^D_{k} by exhaustion passed the work cap of {subsets - 1} "):
-            degeneracy_k(g, k, cap=subsets - 1)
+    for k in range(1, g.n + 1):
+        sets = math.comb(g.n, k - 1)
+        assert degeneracy_k(g, k, cap=sets) == _degeneracy_k_oracle(g, k)
+        if sets > 1:
+            message = f"^D_{k} by exempt-set peeling passed the work cap of {sets - 1} exempt sets$"
+            with pytest.raises(WorkCapExceeded, match=message):
+                degeneracy_k(g, k, cap=sets - 1)
+
+
+def _plain_peel_second_degree(g):
+    """The largest second-least degree seen while peeling a vertex of least
+    degree (ties: smallest id) down to two vertices: D_2 with no exempt vertex."""
+    alive, best = set(g.vertices), F(0)
+    while len(alive) >= 2:
+        deg = {x: sum((e.w for e in g.edges if x in (e.u, e.v) and {e.u, e.v} <= alive), F(0)) for x in alive}
+        order = sorted(alive, key=lambda x: (deg[x], x))
+        best = max(best, deg[order[1]])
+        alive.remove(order[0])
+    return best
+
+
+def test_degeneracy_k_needs_its_exempt_vertex():
+    # degrees 2, 3, 4, 7: the plain peel deletes vertex 1 first and reads 3
+    # at most, but D_2 = 4 on {1, 3, 4}, whose least-degree vertex is 1
+    g = WeightedMultigraph(4, [(1, 3, 1), (1, 4, 1), *[(2, 4, 1)] * 3, *[(3, 4, 1)] * 3])
+    assert _plain_peel_second_degree(g) == 3
+    assert degeneracy_k(g, 2) == _degeneracy_k_oracle(g, 2) == 4
+
+
+_WEIGHTS = st.sampled_from([F(w) for w in ("0", "1", "2", "1/2", "2/3", "5/2", "1/7")])
+
+
+@st.composite
+def _dense_multigraphs(draw):
+    """Up to 10 vertices, up to 3 parallel edges per pair, rational weights."""
+    n = draw(st.integers(1, 10))
+    return WeightedMultigraph(n, [(u, v, w) for u, v in itertools.combinations(range(1, n + 1), 2)
+                                  for w in draw(st.lists(_WEIGHTS, max_size=3))])
+
+
+def _degeneracy_all_k_oracle(g):
+    """[D_1, ..., D_n] in one pass over the vertex subsets."""
+    L = math.lcm(*(e.w.denominator for e in g.edges))
+    W = [[0] * (g.n + 1) for _ in range(g.n + 1)]
+    for e in g.edges:
+        W[e.u][e.v] += e.w.numerator * (L // e.w.denominator)
+        W[e.v][e.u] += e.w.numerator * (L // e.w.denominator)
+    best = [0] * g.n
+    for r in range(1, g.n + 1):
+        for sub in itertools.combinations(g.vertices, r):
+            for i, d in enumerate(sorted(sum(W[x][y] for y in sub) for x in sub)):
+                best[i] = max(best[i], d)
+    return [F(b, L) for b in best]
+
+
+@settings(max_examples=200, deadline=None)
+@given(_dense_multigraphs())
+def test_degeneracy_k_matches_one_subset_pass_for_every_k(g):
+    assert [degeneracy_k(g, k) for k in range(1, g.n + 1)] == _degeneracy_all_k_oracle(g)
 
 
 def test_inequality_chain_checks_the_cap_on_every_graph():

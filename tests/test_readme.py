@@ -50,4 +50,4 @@ def test_library_example_values():
             checked += 1
         else:
             exec(code, namespace)
-    assert checked == 6
+    assert checked == 7
