@@ -61,7 +61,7 @@ def degeneracy_k(g: WeightedMultigraph, k: int, cap: Optional[int] = None) -> Fr
     k-th smallest degree of the current set, since some vertex outside E is
     among its k smallest.  For an optimal S with E its k - 1 vertices of least
     degree, the first vertex of S - E to be deleted has degree at least the
-    k-th smallest of S.  So the largest record is D_k, whatever the tie
+    k-th smallest of S, as weights are nonnegative.  So the largest record is D_k, whatever the tie
     order; k = 1 is Matula and Beck's core argument.  Deleting edges only
     lowers degrees, so restricting to induced subgraphs loses nothing.
     """
