@@ -125,7 +125,6 @@ def build_parser() -> _Parser:
 
     sp = sub.add_parser("invariants", help="degree/peeling invariants and the comparison chain")
     graph_arg(sp)
-    cap_arg(sp)
     sp.add_argument("-o", "--output")
 
     sp = sub.add_parser("lambda", help="maxmaxflow of the graph")
@@ -201,7 +200,7 @@ def _parser() -> _Parser:
 
 def _cmd_invariants(args) -> int:
     g, text = _load_graph(args)
-    rep = inequality_chain(g, cap=args.cap)
+    rep = inequality_chain(g)
     lines = _manifest(args, {"input-sha256": _digest(text)})
     lines.append("name,value")
     lines.append(f"n,{rep.n}")

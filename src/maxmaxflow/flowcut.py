@@ -1,4 +1,4 @@
-"""Exact max-flow / min-cut, cut trees, cocycle space and maxmaxflow.
+"""Exact max-flow / min-cut, cut trees, maxmaxflow and LambdaTilde.
 
 All computations are exact over the rationals.  Flows are computed on the
 graph's pair table (`WeightedMultigraph.pair_weights`: the parallel edges
@@ -15,16 +15,16 @@ Each graph's cut tree is built once and memoised on the graph, and each
 component's tree runs all its splits on one set of arcs, contracting nodes
 by relabelling the arcs' heads instead of rebuilding the arcs.  A split
 that cuts off the sink alone leaves the contracted network to the next
-split, which reuses it.
+split, which reuses it.  LambdaTilde is the heaviest of the tree's
+fundamental cocycles, each weighed by `cocycle_of`.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Iterable
 
-from .counting import WorkMeter
-from .graph import WeightedMultigraph, bfs_path, bfs_tree, components_of
+from .graph import WeightedMultigraph, bfs_path, bfs_tree
 
 
 @dataclass(frozen=True)
@@ -32,7 +32,8 @@ class Cocycle:
     """The cut E(X, X^c) of a vertex side X: its edge ids and total weight.
 
     `max_flow` returns one as its minimum cut, `cocycle_of` weighs any side,
-    and the cocycle bases and `CutPair` are built of them.
+    `lambda_tilde` weighs the cut tree's fundamental ones, and `CutPair`
+    holds two.
     """
 
     side: frozenset[int]
@@ -409,103 +410,28 @@ def maxmaxflow(g: WeightedMultigraph) -> Fraction:
     return max((w for tree in _cut_trees(g).values() for _, _, w in tree), default=Fraction(0))
 
 
-# -- cocycles -------------------------------------------------------------
+# -- LambdaTilde ----------------------------------------------------------
 
 
-def elementary_cocycle(g: WeightedMultigraph, tree_edges: Sequence[tuple[int, int]], k: int) -> Cocycle:
-    """Cocycle induced in g by removing the k-th edge of a spanning tree of V(g).
+def lambda_tilde(g: WeightedMultigraph) -> Fraction:
+    """Min over cocycle-space bases of the max basis weight: the heaviest
+    fundamental cocycle of the cut trees, each weighed by `cocycle_of`.
 
-    The side is the vertex set of the tree component containing the first
-    endpoint of the removed edge.
-    """
-    if not (0 <= k < len(tree_edges)):
-        raise ValueError("tree edge index out of range")
-    remaining = [p for i, p in enumerate(tree_edges) if i != k]
-    comps = components_of(g.vertices, remaining)
-    a = tree_edges[k][0]
-    side = next(c for c in comps if a in c)
-    return cocycle_of(g, side)
-
-
-def cocycle_basis_from_tree(
-    g: WeightedMultigraph, tree_edges: Sequence[tuple[int, int]]
-) -> list[Cocycle]:
-    """Elementary cocycles of a spanning tree; a GF(2) basis of the cocycle space."""
-    comps = components_of(g.vertices, list(tree_edges))
-    if len(comps) != 1 or len(tree_edges) != g.n - 1:
-        raise ValueError("expected a spanning tree of V(g)")
-    basis = [elementary_cocycle(g, tree_edges, k) for k in range(len(tree_edges))]
-    pivots: list[int] = []
-    for c in basis:
-        if not _gf2_add(pivots, sum(1 << eid for eid in c.cut_edges)):
-            raise AssertionError("elementary cocycles not independent")
-    return basis
-
-
-def _gf2_add(pivots: list[int], vec: int) -> bool:
-    """Reduce vec against pivots; append and return True if independent."""
-    for p in pivots:
-        if (vec ^ p) < vec:
-            vec ^= p
-    if vec == 0:
-        return False
-    pivots.append(vec)
-    pivots.sort(reverse=True)
-    return True
-
-
-def lambda_tilde_bruteforce(g: WeightedMultigraph, cap: Optional[int] = None) -> Fraction:
-    """Min over cocycle-space bases of the max basis weight, by exhaustion.
-
-    Greedy matroid argument: sorting all cocycles by weight and keeping a
-    maximal GF(2)-independent prefix yields a basis minimizing the sorted
-    weight vector lexicographically, hence the max.  Exponential: a component
-    of c vertices has 2^(c-1) - 1 cocycle sides, each a unit of work.
+    Removing an edge of a component's cut tree leaves a side whose cocycle
+    weighs the edge's label, a minimum cut.  These n - c cocycles are a
+    basis, and the heaviest of them weighs Lambda.  No basis does better:
+    every basis holds a cocycle that separates the ends of the heaviest tree
+    edge, since a sum of cocycles that all keep them together keeps them
+    together, and that cocycle weighs at least their min cut, Lambda.
     """
     if g.n < 2:
         raise ValueError("requires at least two vertices")
-    meter = WorkMeter(cap, "LambdaTilde by exhaustion", "cocycle sides")
-    A, L = g.pair_weights()
-    best = 0
-    for comp in g.components():
-        cn = len(comp)
-        if cn < 2:
-            continue
-        # the component's i-th smallest vertex is bit i of a side's mask
-        order = sorted(comp)
-        bit = {v: i for i, v in enumerate(order)}
-        degree = [sum(A[v].values()) for v in order]
-        nbrs = [[(bit[u], w) for u, w in A[v].items()] for v in order]
-        # the pairs at each vertex, as a mask over pair numbers: a cocycle
-        # holds all or none of a parallel family, so one bit per pair keeps
-        # every rank and weight
-        star = [0] * cn
-        for p, (a, b) in enumerate((a, b) for a in range(cn) for b, _ in nbrs[a] if a < b):
-            star[a] ^= 1 << p
-            star[b] ^= 1 << p
-        # side k holds vertex 0 and vertex i + 1 for each bit i of k; the full
-        # side, whose cocycle is empty, is left out.  Side k is side k - low
-        # plus one vertex, and a side's cocycle is the symmetric difference
-        # of the stars of its vertices.
-        meter.charge(2 ** (cn - 1) - 1)  # the sides built next, charged before any is
-        vecs, weight = [star[0]], [degree[0]]
-        for k in range(1, 2 ** (cn - 1) - 1):
-            low = k & -k
-            prev, i = k ^ low, low.bit_length()
-            side = prev << 1 | 1
-            vecs.append(vecs[prev] ^ star[i])
-            weight.append(weight[prev] + degree[i] - 2 * sum(w for j, w in nbrs[i] if side >> j & 1))
-        pivots: list[int] = []
-        comp_max = 0
-        for k in sorted(range(len(vecs)), key=weight.__getitem__):  # stable: ties by k
-            if _gf2_add(pivots, vecs[k]):
-                comp_max = weight[k]
-                if len(pivots) == cn - 1:
-                    break
-        if len(pivots) != cn - 1:
-            raise AssertionError("failed to reach full cocycle rank")
-        best = max(best, comp_max)
-    return Fraction(best, L)
+    best = Fraction(0)
+    for comp, edges in _cut_trees(g).items():
+        tree = CutTree(comp, edges)
+        for u, v, _ in edges:
+            best = max(best, cocycle_of(g, tree.split(u, v)).value)
+    return best
 
 
 # -- disjoint bounded cuts around a vertex set ----------------------------

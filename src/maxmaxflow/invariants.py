@@ -5,10 +5,11 @@ The central comparison chain ties the peeling invariants to maxmaxflow:
     D <= Lambda = LambdaTilde <= Delta_2 <= Delta
     Lambda >= D_2 >= max(D, Delta_{n-1})
 
-Degrees and cut weights are sums of edge weights, so every invariant is
-computed on the graph's pair table (`WeightedMultigraph.pair_weights`: the
-parallel edges of each pair summed once, every weight times L) and divided
-by L once, when it is returned.
+Lambda and LambdaTilde are read off `flowcut`'s cut tree: its heaviest edge
+and its heaviest fundamental cocycle.  Degrees and cut weights are sums of
+edge weights, so every invariant is computed on the graph's pair table
+(`WeightedMultigraph.pair_weights`: the parallel edges of each pair summed
+once, every weight times L) and divided by L once, when it is returned.
 """
 from __future__ import annotations
 
@@ -17,13 +18,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .counting import WorkMeter, work_cap
-from .flowcut import lambda_tilde_bruteforce, maxmaxflow
+from .counting import WorkMeter
+from .flowcut import lambda_tilde, maxmaxflow
 from .graph import WeightedMultigraph
 
-# inequality_chain computes LambdaTilde and D_2 up to here; D_2 is polynomial,
-# but the recorded `D2,n/a` bytes of larger graphs keep it to this size too
-BRUTE_FORCE_MAX_N = 10
+# inequality_chain computes LambdaTilde and D_2 up to here.  Both are
+# polynomial: the recorded flow digests (bench/digests.json), which pin `n/a`
+# for them on larger graphs, are the only reason this limit exists
+RECORDED_MAX_N = 10
 
 
 def degree_sequence(g: WeightedMultigraph) -> list[Fraction]:
@@ -112,26 +114,26 @@ class InvariantReport:
         return all(c.holds for c in self.checks)
 
 
-def inequality_chain(g: WeightedMultigraph, cap: Optional[int] = None) -> InvariantReport:
+def inequality_chain(g: WeightedMultigraph) -> InvariantReport:
     """Compute the invariants and evaluate every comparison in the chain.
 
-    LambdaTilde by exhaustion and D_2 by exempt-set peeling, each under the
-    work cap, and their comparisons are left out above `BRUTE_FORCE_MAX_N`
-    vertices.  Only LambdaTilde is exponential; D_2 is left out there too
-    because recorded outputs of larger graphs read `n/a` for it.
+    LambdaTilde comes from the cut tree's fundamental cocycles
+    (`lambda_tilde`) and D_2 from exempt-set peeling, n exempt sets under
+    the default work cap.  Both, and their comparisons, are left out above
+    `RECORDED_MAX_N` vertices only because recorded outputs of larger graphs
+    read `n/a` for them.
     """
     if g.n == 0:
         raise ValueError("empty graph")
-    cap = work_cap(cap)  # checked here, whether or not a brute force runs
     seq = degree_sequence(g)
     Delta = seq[0]
     D = degeneracy(g)
     Delta2 = seq[1] if g.n >= 2 else None
     Dn1 = seq[g.n - 2] if g.n >= 2 else None
     Lam = maxmaxflow(g) if g.n >= 2 else None
-    small = 2 <= g.n <= BRUTE_FORCE_MAX_N
-    LamT = lambda_tilde_bruteforce(g, cap) if small else None
-    D2 = degeneracy_k(g, 2, cap) if small else None
+    small = 2 <= g.n <= RECORDED_MAX_N
+    LamT = lambda_tilde(g) if small else None
+    D2 = degeneracy_k(g, 2) if small else None
 
     checks: list[ChainCheck] = []
     if Lam is not None:

@@ -5,7 +5,9 @@ brute-force LambdaTilde.
 
 These are the package's routines as they were before they moved onto
 `WeightedMultigraph.integer_weights`: every weight stays a `Fraction` and
-every sum and product is taken in `Fraction`s.  The edge-subset classes have
+every sum and product is taken in `Fraction`s.  `lambda_tilde` is the tests'
+one exhaustion over all cocycle bases; the package reads LambdaTilde off the
+cut tree's fundamental cocycles instead.  The edge-subset classes have
 their own oracle (`subset_oracle`) and the cut tree has `flow_oracle`.
 """
 from __future__ import annotations

@@ -13,6 +13,8 @@ from fractions import Fraction as F
 
 import pytest
 
+import fraction_oracle
+from coefficient_identities import series_power_coefficients, verify_identities
 from conftest import record_acceptance
 
 from maxmaxflow.graph import (
@@ -32,9 +34,7 @@ from maxmaxflow.bounds import (
     C_mk,
     hunt,
     run_suite,
-    series_power_coefficients,
     verify_bound,
-    verify_identities,
 )
 from maxmaxflow.chromatic import (
     chromatic_polynomial,
@@ -64,47 +64,6 @@ def corpus():
     return graphs
 
 
-def _lambda_tilde_oracle(g):
-    """Independent greedy GF(2) oracle: scan all cocycles by weight, keep an
-    independent prefix per component; the answer is the heaviest kept."""
-    best = F(0)
-    for comp in g.components():
-        vs = sorted(comp)
-        if len(vs) < 2:
-            continue
-        eids = [e.id for e in g.edges if e.u in comp]
-        cocs = []
-        for mask in range((1 << (len(vs) - 1)) - 1):
-            side = {vs[0]} | {vs[i + 1] for i in range(len(vs) - 1) if mask >> i & 1}
-            em = 0
-            w = F(0)
-            for i in eids:
-                e = g.edges[i]
-                if (e.u in side) != (e.v in side):
-                    em |= 1 << i
-                    w += e.w
-            cocs.append((w, em))
-        cocs.sort()
-        pivots = []
-        comp_best = F(0)
-        for w, em in cocs:
-            v = em
-            changed = True
-            while changed:
-                changed = False
-                for p in pivots:
-                    if v ^ p < v:
-                        v ^= p
-                        changed = True
-            if v:
-                pivots.append(v)
-                comp_best = w
-                if len(pivots) == len(vs) - 1:
-                    break
-        best = max(best, comp_best)
-    return best
-
-
 def test_criterion_1_invariant_chain(corpus):
     start = time.time()
     for g in corpus:
@@ -112,7 +71,7 @@ def test_criterion_1_invariant_chain(corpus):
         assert rep.all_hold, (g.serialize(), [c for c in rep.checks if not c.holds])
         if rep.Lambda is not None:
             assert rep.LambdaTilde == rep.Lambda
-            assert rep.LambdaTilde == _lambda_tilde_oracle(g)
+            assert rep.LambdaTilde == fraction_oracle.lambda_tilde(g)
     elapsed = time.time() - start
     assert elapsed < 300
     _pass(1, f"invariant chain exact on 1000 graphs (n<=9, mult<=3) in {elapsed:.1f}s")
@@ -125,7 +84,7 @@ def test_criterion_2_cut_tree_properties(corpus):
             assert t.bottleneck(x, y) == max_flow(g, x, y).value
         for u, v, w in t.edges:
             assert cocycle_of(g, t.split(u, v)).value == w
-    _pass(2, "cut-tree bottleneck and elementary-cocycle properties exact on the corpus")
+    _pass(2, "cut-tree bottleneck and fundamental-cocycle properties exact on the corpus")
 
 
 def test_criterion_3_closed_forms():

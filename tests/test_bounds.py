@@ -38,11 +38,9 @@ from maxmaxflow.bounds import (
     C_mk,
     hunt,
     run_suite,
-    series_power_coefficients,
-    tree_series,
     verify_bound,
-    verify_identities,
 )
+from coefficient_identities import series_power_coefficients, tree_series, verify_identities
 
 
 # -- coefficient functions ------------------------------------------------

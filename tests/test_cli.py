@@ -268,8 +268,10 @@ def test_every_cap_flag_is_the_work_cap():
         for name, sp in subparsers.items()
         if any("--cap" in a.option_strings for a in sp._actions)
     }
-    assert {"chromatic", "count", "hunt", "invariants", "suite", "verify"} <= set(caps)
+    assert set(caps) == {"chromatic", "count", "hunt", "suite", "verify"}
     assert {(a.type, a.default, a.help) for a in caps.values()} == {(cli._int, None, caps["count"].help)}
+    # invariants takes none: its one capped routine, D_2, charges at most 10 exempt sets
+    assert "invariants" in subparsers and "invariants" not in caps
 
 
 # a trial's error is a fault to report, not a trial to drop: the hunt and
@@ -322,7 +324,7 @@ INTEGER_FLAGS = {
     "--set": ["cutpair", "TRI", "--set", "V"],
     "--edge": ["suite", "TRI", "--edge", "V", "-m", "3"],
     "-m": ["verify", "TRI", "--bound", "prop4.3", "--x", "1", "--y", "2", "-m", "V"],
-    "--cap": ["invariants", "TRI", "--cap", "V"],
+    "--cap": ["chromatic", "TRI", "--cap", "V"],
     "--trials": ["hunt", "--conjecture", "conj5.6", "--trials", "V"],
     "--seed": ["hunt", "--conjecture", "conj5.6", "--trials", "1", "--seed", "V"],
     "--nmax": ["explore8", "--trials", "1", "--nmax", "V"],
@@ -524,7 +526,6 @@ def test_explore8_rejects_nmax_above_its_limit(capsys):
     ["verify", "TRI", "--bound", "prop4.1", "--x", "1", "-m", "3"],
     ["hunt", "--conjecture", "conj5.6", "--trials", "3"],
     ["chromatic", "TRI"],
-    ["invariants", "TRI"],
 ])
 @pytest.mark.parametrize("cap", ["-5", "0"])
 def test_cap_below_one_is_one_error_line(tri, capsys, cmd, cap):
@@ -559,13 +560,15 @@ def test_walk_series_stops_at_the_cap(tmp_path, capsys, kind):
     assert err.splitlines() == ["error: the walk series passed the work cap of 10 units of work"]
 
 
-# LambdaTilde by exhaustion builds 2^9 - 1 cocycle sides of a 10-cycle
-def test_invariants_brute_force_stops_at_the_cap(tmp_path, capsys):
-    path = tmp_path / "c10.txt"
-    path.write_text(cycle_graph(10).serialize())
-    code, out, err = run_main(["invariants", str(path), "--cap", "5"], capsys)
-    assert code == 1 and out == ""
-    assert err.splitlines() == ["error: LambdaTilde by exhaustion passed the work cap of 5 cocycle sides"]
+# invariants has no --cap: the flag is a usage error like any unknown one
+def test_invariants_takes_no_cap(tri, capsys):
+    with pytest.raises(SystemExit) as ei:
+        main(["invariants", tri, "--cap", "5"])
+    out, err = capsys.readouterr()
+    assert ei.value.code == 1 and out == ""
+    assert [line for line in err.splitlines() if line.startswith("error:")] == [
+        "error: unrecognized arguments: --cap 5"
+    ]
 
 
 # this graph takes about 30,000 deletion-contraction calls; the cap stops

@@ -1,4 +1,4 @@
-"""Exact max-flow, cut trees, maxmaxflow, cocycle machinery, cut pairs."""
+"""Exact max-flow, cut trees, maxmaxflow, LambdaTilde, cut pairs."""
 import itertools
 import random
 from fractions import Fraction as F
@@ -7,10 +7,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import flow_oracle
+import fraction_oracle
 from flow_oracle import flow_graphs, maxmaxflow_blockwise
 from maxmaxflow import flowcut
 from maxmaxflow.bounds import run_suite
-from maxmaxflow.counting import WorkCapExceeded
 from maxmaxflow.invariants import inequality_chain
 from maxmaxflow.graph import (
     WeightedMultigraph,
@@ -27,9 +27,7 @@ from maxmaxflow.flowcut import (
     cocycle_of,
     cut_pair,
     cut_tree,
-    cocycle_basis_from_tree,
-    elementary_cocycle,
-    lambda_tilde_bruteforce,
+    lambda_tilde,
     max_flow,
     maxmaxflow,
 )
@@ -234,127 +232,91 @@ def test_maxmaxflow_brute_agreement():
         )
 
 
-# -- cocycles and the greedy cocycle invariant ----------------------------
+# -- LambdaTilde: the cut tree's fundamental cocycles ---------------------
 
 
-def _spanning_tree_pairs(g):
-    seen = {1}
-    pairs = []
-    stack = [1]
-    adj = {v: [] for v in g.vertices}
-    for e in g.edges:
-        adj[e.u].append(e.v)
-        adj[e.v].append(e.u)
-    while stack:
-        u = stack.pop()
-        for v in adj[u]:
-            if v not in seen:
-                seen.add(v)
-                pairs.append((u, v))
-                stack.append(v)
-    return pairs
+def _fundamental_cocycles(g):
+    """(label, cocycle of the side) for each edge of each component's cut
+    tree: the basis that `lambda_tilde` reads."""
+    out = []
+    for comp, edges in flowcut._cut_trees(g).items():
+        tree = flowcut.CutTree(comp, edges)
+        out += [(w, cocycle_of(g, tree.split(u, v))) for u, v, w in edges]
+    return out
+
+
+def _gf2_rank(masks):
+    """Rank over GF(2) of edge-id masks, by elimination on their top bits."""
+    rows = {}
+    for vec in masks:
+        while vec and vec.bit_length() in rows:
+            vec ^= rows[vec.bit_length()]
+        if vec:
+            rows[vec.bit_length()] = vec
+    return len(rows)
+
+
+def _mask(cocycle):
+    return sum(1 << i for i in cocycle.cut_edges)
+
+
+def _check_fundamental_basis(g):
+    """Each fundamental cocycle weighs its tree label, the n - c of them are
+    independent, and the heaviest is both LambdaTilde and Lambda."""
+    basis = _fundamental_cocycles(g)
+    assert all(c.value == w for w, c in basis)
+    rank = g.n - len(g.components())
+    assert len(basis) == rank == _gf2_rank(_mask(c) for _, c in basis)
+    assert lambda_tilde(g) == max((w for w, _ in basis), default=F(0)) == maxmaxflow(g)
+    return basis
+
+
+# the flow benchmark's cells, alone and with isolated vertices and a second
+# component added
+@pytest.mark.parametrize("n,m", [(8, 20), (16, 70), (32, 300), (70, 1600)])
+def test_fundamental_cocycles_are_a_basis_at_scale(n, m):
+    rng = random.Random(f"fundamental-cocycles:{n}")
+    g = flow_oracle.scale_graph(rng, n, m)
+    _check_fundamental_basis(g)
+    h = flow_oracle.scale_graph(rng, n // 2, m // 4)
+    _check_fundamental_basis(disjoint_union([path_graph(1), g, path_graph(1), h, path_graph(1)]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(flow_graphs(), min_size=1, max_size=3), st.integers(0, 3))
+def test_fundamental_cocycles_are_a_basis(parts, isolated):
+    _check_fundamental_basis(disjoint_union([*parts, *[path_graph(1)] * isolated]))
 
 
 def test_elementary_cocycles_span_all_cocycles():
     rng = random.Random(19)
-    done = 0
-    while done < 30:
-        g = random_multigraph(rng, rng.randint(2, 6), 0.6, max_multiplicity=3)
-        if len(g.components()) != 1:
-            continue
-        done += 1
-        pairs = _spanning_tree_pairs(g)
-        basis = cocycle_basis_from_tree(g, pairs)  # independence checked inside
-        assert len(basis) == g.n - 1
-        pivots = []
-        for c in basis:
-            vec = sum(1 << i for i in c.cut_edges)
-            for p in pivots:
-                vec = min(vec, vec ^ p)
-            assert vec
-            pivots.append(vec)
+    # first a graph where a spanning tree of V(g) through both components
+    # gives dependent cuts; the cut trees, one per component, give rank n - c
+    graphs = [WeightedMultigraph(3, [(1, 2, F(1))])]
+    graphs += [random_multigraph(rng, rng.randint(2, 6), 0.6, max_multiplicity=3) for _ in range(30)]
+    for g in graphs:
+        masks = [_mask(c) for _, c in _check_fundamental_basis(g)]
+        rank = len(masks)
         # every cocycle reduces to zero against the basis
         vs = sorted(g.vertices)
-        for mask in range(1, 1 << (g.n - 1)):
-            side = {vs[0]} | {vs[i + 1] for i in range(g.n - 1) if mask >> i & 1}
-            vec = sum(1 << i for i in cocycle_of(g, side).cut_edges)
-            for p in pivots:
-                vec = min(vec, vec ^ p)
-            assert vec == 0
-
-
-def test_elementary_cocycle_weight_is_cut_weight():
-    # edges 0..3 are 12, 23, 34, 41; removing 23 from the path leaves {1, 2},
-    # cut by edges 1 (weight 2) and 3 (weight 4)
-    g = cycle_graph(4, weights=[1, 2, 3, 4])
-    pairs = [(1, 2), (2, 3), (3, 4)]
-    assert elementary_cocycle(g, pairs, 1) == Cocycle(frozenset({1, 2}), frozenset({1, 3}), F(6))
-
-
-def _lambda_tilde_oracle(g):
-    """Oracle: greedy scan of all cocycles in increasing (weight, mask) order,
-    keeping GF(2)-independent ones; answer is the heaviest kept."""
-    best = F(0)
-    for comp in g.components():
-        vs = sorted(comp)
-        if len(vs) < 2:
-            continue
-        eids = [e.id for e in g.edges if e.u in comp]
-        cocs = []
-        # sides containing vs[0]; the full component (empty cocycle) excluded
-        for mask in range((1 << (len(vs) - 1)) - 1):
-            side = {vs[0]} | {vs[i + 1] for i in range(len(vs) - 1) if mask >> i & 1}
-            em = 0
-            w = F(0)
-            for i in eids:
-                e = g.edges[i]
-                if (e.u in side) != (e.v in side):
-                    em |= 1 << i
-                    w += e.w
-            cocs.append((w, em))
-        cocs.sort()
-        pivots = []
-        comp_best = F(0)
-        for w, em in cocs:
-            v = em
-            changed = True
-            while changed:
-                changed = False
-                for p in pivots:
-                    if v ^ p < v:
-                        v ^= p
-                        changed = True
-            if v:
-                pivots.append(v)
-                comp_best = w
-                if len(pivots) == len(vs) - 1:
-                    break
-        best = max(best, comp_best)
-    return best
+        for bits in range(1 << (g.n - 1)):
+            side = {vs[0]} | {vs[i + 1] for i in range(g.n - 1) if bits >> i & 1}
+            assert _gf2_rank([*masks, _mask(cocycle_of(g, side))]) == rank
+    assert [c for _, c in _fundamental_cocycles(graphs[0])] == [Cocycle(frozenset({1}), frozenset({0}), F(1))]
 
 
 def test_lambda_tilde_matches_oracle_and_lambda():
     rng = random.Random(23)
     for _ in range(40):
         g = random_multigraph(rng, rng.randint(2, 6), 0.5, max_multiplicity=3)
-        lt = lambda_tilde_bruteforce(g)
-        assert lt == _lambda_tilde_oracle(g)
+        lt = lambda_tilde(g)
+        assert lt == fraction_oracle.lambda_tilde(g)
         assert lt == maxmaxflow(g)
 
 
-# the cap counts the cocycle sides the exhaustion builds, 2^(c-1) - 1 for a
-# component of c vertices: it succeeds at exactly their total, fails one below
-@pytest.mark.parametrize("seed", range(4))
-def test_lambda_tilde_cap_counts_cocycle_sides(seed):
-    rng = random.Random(f"lambda-tilde-cap:{seed}")
-    g = disjoint_union([random_multigraph(rng, rng.randint(1, 6), 0.6) for _ in range(3)])
-    if g.n < 2:
-        g = disjoint_union([g, path_graph(2)])
-    sides = sum(2 ** (len(comp) - 1) - 1 for comp in g.components())
-    assert lambda_tilde_bruteforce(g, cap=max(sides, 1)) == lambda_tilde_bruteforce(g)
-    if sides > 1:
-        with pytest.raises(WorkCapExceeded, match=f"^LambdaTilde by exhaustion passed the work cap of {sides - 1} "):
-            lambda_tilde_bruteforce(g, cap=sides - 1)
+def test_lambda_tilde_undefined_below_two_vertices():
+    with pytest.raises(ValueError, match="^requires at least two vertices$"):
+        lambda_tilde(WeightedMultigraph(1, []))
 
 
 # -- cut pairs ------------------------------------------------------------

@@ -21,7 +21,7 @@ from maxmaxflow.counting import (
     walk_counts,
     walk_total_counts,
 )
-from maxmaxflow.flowcut import lambda_tilde_bruteforce
+from maxmaxflow.flowcut import lambda_tilde
 from maxmaxflow.graph import WeightedMultigraph
 from maxmaxflow.invariants import degeneracy, degeneracy_k, degree_sequence
 
@@ -73,4 +73,4 @@ def test_invariants_equal_fraction_oracle(g):
     for k in range(1, g.n + 1):
         assert degeneracy_k(g, k) == oracle.degeneracy_k(g, k)
     if g.n >= 2:
-        assert lambda_tilde_bruteforce(g) == oracle.lambda_tilde(g)
+        assert lambda_tilde(g) == oracle.lambda_tilde(g)

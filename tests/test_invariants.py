@@ -172,12 +172,6 @@ def test_degeneracy_k_matches_one_subset_pass_for_every_k(g):
     assert [degeneracy_k(g, k) for k in range(1, g.n + 1)] == _degeneracy_all_k_oracle(g)
 
 
-def test_inequality_chain_checks_the_cap_on_every_graph():
-    # a graph too large for the brute forces still rejects a cap below 1
-    with pytest.raises(ValueError, match="^the work cap must be >= 1, not cap=0$"):
-        inequality_chain(cycle_graph(12), cap=0)
-
-
 def test_inequality_chain_holds_on_random_graphs():
     rng = random.Random(41)
     for _ in range(60):
